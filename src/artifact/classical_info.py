@@ -212,21 +212,29 @@ def cfim_direct_imaging(target, scene, step=None):
     central differences of full-scene images with step
     1e-4 * max(sigma, separation) unless overridden.  The quotient sum
     runs over pixels above 1e-18 of the image peak, which perturbs the
-    integrals far less than the difference error.  ``target`` is a
-    propagation plan or an extracted operator; plans are the spatially
-    faithful choice for the chains whose compressed matrices are
-    non-normal.
+    integrals far less than the difference error; it is weighted by the
+    pixel area of the target's output grid.  Every position angle in
+    [0, 2 pi) is accepted: the angular difference wraps through 0.
+    ``target`` is a propagation plan or an extracted operator; plans are
+    the spatially faithful choice for the chains whose compressed
+    matrices are non-normal.
     """
     r, phi, b = scene.r_delta, scene.phi_delta, scene.b
     h = 1e-4 * max(AIRY_SIGMA, r) if step is None else float(step)
     if r <= h:
         raise ValueError("separation must exceed the difference step")
-    grid = target.grid if isinstance(target, PropagatorPlan) else target.fields.grid
+    if isinstance(target, PropagatorPlan):
+        grid = target.output_grid
+    else:
+        grid = target.fields.grid
     base = output_state_image(target, scene)
     diff_r = output_state_image(target, Scene(r + h, phi, b))
     diff_r = diff_r - output_state_image(target, Scene(r - h, phi, b))
-    diff_phi = output_state_image(target, Scene(r, phi + h, b))
-    diff_phi = diff_phi - output_state_image(target, Scene(r, phi - h, b))
+    # angles wrap, so the difference straddles 0 = 2 pi; for interior
+    # angles the wrapped value equals phi +- h exactly
+    two_pi = 2.0 * math.pi
+    diff_phi = output_state_image(target, Scene(r, (phi + h) % two_pi, b))
+    diff_phi = diff_phi - output_state_image(target, Scene(r, (phi - h) % two_pi, b))
     live = base > 1e-18 * float(base.max())
     p = base[live]
     g_r = diff_r[live] / (2.0 * h)

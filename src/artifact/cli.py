@@ -212,7 +212,7 @@ def planet_throughput(plan, r_delta, phi=0.3):
     """
     probe = Scene(2.0 * r_delta, (phi + math.pi) % (2.0 * math.pi), 0.5)
     image = output_state_image(plan, probe, star_only=True)
-    return float(image.sum()) * plan.grid.dx**2
+    return float(image.sum()) * plan.output_grid.dx**2
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,17 @@ class PropagatorPlan:
         if self.projector is not None and self.projector.shape != (n, n):
             raise ValueError("projector must match the grid")
 
+    @property
+    def output_grid(self):
+        """Grid of the focal field that apply returns.
+
+        A focal-fed chain returns on the plan grid; a pupil-fed chain
+        crosses an odd number of Fourier transforms and returns on the
+        FFT-conjugate grid.  The two coincide on self-conjugate grids such
+        as the default one.
+        """
+        return self.grid if self.input_domain == "focal" else self.grid.conjugate()
+
     def apply(self, field):
         """Run the chain on one field; linear; returns a focal-plane field."""
         if field.domain != self.input_domain:
@@ -188,7 +199,7 @@ class PropagatorPlan:
         if cur.domain != "focal":
             cur = propagate(cur)
         if self.projector is not None:
-            dx = self.grid.dx
+            dx = self.output_grid.dx
             c = np.vdot(self.projector, cur.samples) * dx * dx
             cur = OpticalField(cur.samples - c * self.projector, "focal", cur.half_width)
         return cur
@@ -554,9 +565,12 @@ def output_state_image(target, scene, star_only=False):
 
     ``target`` is either a CoronagraphOperator (source fields enter
     through their analytic mode coefficients) or a PropagatorPlan (full
-    grid propagation).  The returned array integrates (with dx^2) to the
-    transmitted energy, at most 1.  ``star_only`` renders the b -> 0
-    limit: the bare star term at unit weight.
+    grid propagation).  The returned array lives on the target's output
+    grid: the stack grid of an operator, ``PropagatorPlan.output_grid``
+    of a plan (the FFT conjugate of the plan grid for pupil-fed chains).
+    Weighted by that grid's dx^2 it integrates to the transmitted energy,
+    at most 1.  ``star_only`` renders the b -> 0 limit: the bare star
+    term at unit weight.
     """
     if isinstance(target, CoronagraphOperator):
         grid = target.fields.grid

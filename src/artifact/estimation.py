@@ -52,11 +52,17 @@ def fold_position_angle(phi):
     return folded
 
 
-def _outcome_probabilities(basis, scene):
-    """Mode probabilities with the out-of-truncation mass as a last bucket."""
-    p = all_mode_probabilities(basis, scene)
-    leak = max(1.0 - float(p.sum()), 0.0)
-    return np.append(p, leak)
+def _outcome_probabilities(basis, *scene):
+    """Mode probabilities with the out-of-truncation mass as a last bucket.
+
+    Takes the scene arguments of all_mode_probabilities: one Scene gives
+    shape (count + 1,), a batch of S scenes a C-contiguous
+    (S, count + 1) array.  The leak is summed over C-contiguous rows, so
+    every row equals the single-scene result bit for bit.
+    """
+    p = all_mode_probabilities(basis, *scene)
+    leak = np.maximum(1.0 - p.sum(axis=-1, keepdims=True), 0.0)
+    return np.concatenate([p, leak], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -132,16 +138,19 @@ def coarse_table(basis, b):
 
     The grid is 64 log-spaced separations from 1e-3 to 3 Airy sigma by
     64 position angles; one table serves every record taken at the same
-    truncation and contrast.
+    truncation and contrast.  ``log_probs`` has shape (4096, count + 1),
+    row i * 64 + j for separation i and angle j, and is C-contiguous:
+    ``log_probs @ counts`` then sums in a fixed order, so the seeding
+    point, and with it every estimate, does not depend on the table's
+    memory layout.  It is built one separation (64 scenes) per call of
+    the modal kernel, which bounds the working memory to one row block.
     """
     r_values = np.geomspace(_R_FLOOR, _R_CEILING, _GRID_POINTS)
     phi_values = np.linspace(0.0, 2.0 * math.pi, _GRID_POINTS, endpoint=False)
     rows = np.empty((_GRID_POINTS * _GRID_POINTS, basis.count + 1))
     for i, r in enumerate(r_values):
-        for j, phi in enumerate(phi_values):
-            rows[i * _GRID_POINTS + j] = _outcome_probabilities(
-                basis, Scene(r, phi, b)
-            )
+        block = slice(i * _GRID_POINTS, (i + 1) * _GRID_POINTS)
+        rows[block] = _outcome_probabilities(basis, r, phi_values, b)
     return LikelihoodTable(
         basis.n_max,
         basis.rotation,

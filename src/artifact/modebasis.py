@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .optics import GridSpec, OpticalField, default_grid
+from .optics import GridSpec, OpticalField, Scene, default_grid
 from .specfun import ZernikeIndex, bessel_j
 
 __all__ = [
@@ -108,6 +108,19 @@ class FourierZernikeBasis:
     def _m_arr(self):
         return np.array([idx.m for idx in self.modes])
 
+    @cached_property
+    def _radial_orders(self):
+        return np.arange(self.n_max + 1)
+
+    @cached_property
+    def _radial_norms(self):
+        return np.sqrt(self._radial_orders + 1.0)
+
+    @cached_property
+    def _theta_col(self):
+        # column of Theta_m in the angular rows laid out by m = -n_max..n_max
+        return self._m_arr + self.n_max
+
 
 def mode_value(idx, r, phi):
     """Mode amplitude psi_nm at polar focal point(s) (r, phi)."""
@@ -149,29 +162,81 @@ def projection(idx, r, phi):
     return float(out[0]) if scalar else out
 
 
-def _radial_gamma_row(n_max, r):
-    """Radial factors sqrt(n+1) J_{n+1}(2 pi r)/(pi r) for n = 0..n_max."""
-    ns = np.arange(n_max + 1)
-    if r < _R_EPS:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    return np.sqrt(ns + 1.0) * bessel_j(ns + 1, 2.0 * math.pi * r) / (math.pi * r)
+def _check_sources(r, phi):
+    if not (r >= 0.0).all():
+        raise ValueError("source radius must be nonnegative")
+    if not np.isfinite(phi).all():
+        raise ValueError("source angle must be finite")
+
+
+def _radial_rows(basis, r):
+    """Radial factors sqrt(n+1) J_{n+1}(2 pi r)/(pi r), shape (S, n_max + 1).
+
+    ``r`` has shape (S,).  Radii below 1e-8 take the exact on-axis row
+    [1, 0, ..., 0].
+    """
+    on_axis = r < _R_EPS
+    safe = np.where(on_axis, 1.0, r)
+    j = bessel_j(basis._radial_orders + 1, (2.0 * math.pi * safe)[:, None])
+    rows = basis._radial_norms * j / (math.pi * safe)[:, None]
+    if on_axis.any():
+        rows[on_axis] = 0.0
+        rows[on_axis, 0] = 1.0
+    return rows
+
+
+def _theta_rows(basis, phi, derivative=False):
+    """Real angular factors Theta_m(phi - rotation), shape (S, 2 n_max + 1).
+
+    ``phi`` has shape (S,); column n_max + m holds the factor of angular
+    index m = -n_max..n_max, or its phi-derivative when ``derivative``.
+    """
+    mu = basis._radial_orders[1:]
+    arg = (phi - basis.rotation)[:, None] * mu
+    root2 = math.sqrt(2.0)
+    rows = np.empty((phi.size, 2 * basis.n_max + 1))
+    if derivative:
+        rows[:, : basis.n_max] = (mu * root2 * np.cos(arg))[:, ::-1]
+        rows[:, basis.n_max] = 0.0
+        rows[:, basis.n_max + 1 :] = -mu * root2 * np.sin(arg)
+    else:
+        rows[:, : basis.n_max] = root2 * np.sin(arg)[:, ::-1]
+        rows[:, basis.n_max] = 1.0
+        rows[:, basis.n_max + 1 :] = root2 * np.cos(arg)
+    return rows
+
+
+def _source_rows(basis, r, phi):
+    """Coefficients of S point sources at polar (r[s], phi[s]), shape (S, count).
+
+    The one modal kernel: ``r`` and ``phi`` are float arrays of shape
+    (S,).  Callers check once per batch that radii are nonnegative and
+    angles finite; bessel_j rejects non-finite radii.  Entry (s, k) is the
+    radial factor of mode k times its angular factor, both gathered from
+    per-order rows.  The result is C-contiguous and every row equals the
+    single-source evaluation bit for bit.
+    """
+    # take() keeps the gathers C-ordered; fancy indexing would not
+    radial = _radial_rows(basis, r).take(basis._n_arr, axis=1)
+    return radial * _theta_rows(basis, phi).take(basis._theta_col, axis=1)
 
 
 def source_coefficients(basis, r, phi):
-    """Projection coefficients of a unit point source over the whole basis.
+    """Projection coefficients of unit point sources over the whole basis.
 
-    Row k is the continuum overlap of mode k with the PSF shifted to
+    Entry k is the continuum overlap of mode k with the PSF shifted to
     polar position (r, phi); squares are the mode arrival probabilities.
+    Scalar ``r`` and ``phi`` give shape (count,).  Arrays broadcast to
+    one dimension (S,) give a C-contiguous (S, count) array whose rows
+    equal the scalar calls bit for bit.  Radii must be finite and
+    nonnegative and angles finite.
     """
-    row = _radial_gamma_row(basis.n_max, r)
-    rad = row[basis._n_arr]
-    ang = np.empty(basis.count)
-    for m in np.unique(basis._m_arr):
-        sel = basis._m_arr == m
-        ang[sel] = _theta(int(m), phi - basis.rotation)[()]
-    return rad * ang
+    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
+    if r.ndim > 1:
+        raise ValueError("source positions must be scalars or 1-D arrays")
+    _check_sources(r, phi)
+    rows = _source_rows(basis, np.atleast_1d(r), np.atleast_1d(phi))
+    return rows[0] if r.ndim == 0 else rows
 
 
 def source_coefficient_gradients(basis, r, phi):
@@ -182,74 +247,87 @@ def source_coefficient_gradients(basis, r, phi):
     d/dr [sqrt(n+1) J_{n+1}(2 pi r)/(pi r)] =
     pi (J_{n-1} - J_{n+3})(2 pi r) / sqrt(n+1).
     """
-    ns = np.arange(basis.n_max + 1)
+    r_arr, phi_arr = np.array([float(r)]), np.array([float(phi)])
+    _check_sources(r_arr, phi_arr)
+    ns = basis._radial_orders
     j_all = bessel_j(np.arange(-1, basis.n_max + 4), 2.0 * math.pi * r)
-    drow = math.pi * (j_all[ns] - j_all[ns + 4]) / np.sqrt(ns + 1.0)
-    row = _radial_gamma_row(basis.n_max, r)
-    rad = row[basis._n_arr]
-    drad = drow[basis._n_arr]
+    drow = math.pi * (j_all[ns] - j_all[ns + 4]) / basis._radial_norms
+    col = basis._theta_col
     out = np.empty((basis.count, 2))
-    phi_loc = phi - basis.rotation
-    for m in np.unique(basis._m_arr):
-        sel = basis._m_arr == m
-        m = int(m)
-        th = float(_theta(m, phi_loc)[()])
-        if m == 0:
-            dth = 0.0
-        elif m > 0:
-            dth = -m * math.sqrt(2.0) * math.sin(m * phi_loc)
-        else:
-            dth = -m * math.sqrt(2.0) * math.cos(-m * phi_loc)
-        out[sel, 0] = drad[sel] * th
-        out[sel, 1] = rad[sel] * dth
+    out[:, 0] = drow[basis._n_arr] * _theta_rows(basis, phi_arr)[0, col]
+    out[:, 1] = (
+        _radial_rows(basis, r_arr)[0, basis._n_arr]
+        * _theta_rows(basis, phi_arr, derivative=True)[0, col]
+    )
     return out
-
-
-def _source_probabilities(basis, r, phi):
-    """Per-mode probabilities |Gamma_k|^2 of a point source at (r, phi)."""
-    return source_coefficients(basis, r, phi) ** 2
 
 
 def _source_probability_gradients(basis, r, phi):
     """(d/dr, d/dphi) of the per-mode probabilities of one point source."""
-    ns = np.arange(basis.n_max + 1)
     if r < _R_EPS:
         # every |Gamma_k|^2 is stationary on axis
         return np.zeros(basis.count), np.zeros(basis.count)
+    ns = basis._radial_orders
     x = 2.0 * math.pi * r
     j_all = bessel_j(np.arange(-1, basis.n_max + 4), x)  # orders -1 .. n_max+3
     j_np1 = j_all[ns + 2]
     j_diff = j_all[ns] - j_all[ns + 4]  # J_{n-1} - J_{n+3}
-    rad_sq = (np.sqrt(ns + 1.0) * j_np1 / (math.pi * r)) ** 2
+    rad_sq = (basis._radial_norms * j_np1 / (math.pi * r)) ** 2
     # d/dr |radial Gamma_n|^2 = 2 (J_{n+1}(2 pi r)/r) (J_{n-1} - J_{n+3})
     drad_sq = 2.0 * (j_np1 / r) * j_diff
 
-    d_r = np.empty(basis.count)
-    d_phi = np.empty(basis.count)
-    phi_loc = phi - basis.rotation
-    for m in np.unique(basis._m_arr):
-        sel = basis._m_arr == m
-        n_sel = basis._n_arr[sel]
-        th2 = float(_theta(int(m), phi_loc)[()]) ** 2
-        d_r[sel] = drad_sq[n_sel] * th2
-        if m == 0:
-            d_phi[sel] = 0.0
-        else:
-            # d/dphi Theta_m^2 = -+ 2|m| sin(2|m| phi): minus for cosine
-            # modes (m > 0), plus for sine modes (m < 0)
-            factor = -2.0 * abs(m) if m > 0 else 2.0 * abs(m)
-            d_phi[sel] = rad_sq[n_sel] * factor * float(_sin_2m(abs(m), phi_loc)[()])
+    # squared with Python's float power (libm pow), which rounds apart from
+    # x*x in the last bit for about 0.1% of inputs; the tables' reference
+    # Fisher values (perfbench/reference) carry pow's rounding
+    theta = _theta_rows(basis, np.array([float(phi)]))[0]
+    theta_sq = np.array([t**2 for t in theta.tolist()])
+    d_r = drad_sq[basis._n_arr] * theta_sq[basis._theta_col]
+    # d/dphi Theta_m^2 = -+ 2|m| sin(2|m| phi): minus for cosine modes
+    # (m > 0), plus for sine modes (m < 0), exactly zero for m = 0
+    m = basis._m_arr
+    sin_2m = _sin_2m(np.abs(m), phi - basis.rotation)
+    d_phi = np.where(m == 0, 0.0, rad_sq[basis._n_arr] * (2.0 * -m) * sin_2m)
     return d_r, d_phi
 
 
-def all_mode_probabilities(basis, scene):
-    """Photon arrival probabilities over the truncated basis for a scene."""
-    r_s, phi_s = scene.star_polar
-    r_e, phi_e = scene.planet_polar
-    p_star = _source_probabilities(basis, r_s, phi_s)
-    p_planet = _source_probabilities(basis, r_e, phi_e)
+def all_mode_probabilities(basis, scene, phi_delta=None, b=None):
+    """Photon arrival probabilities over the truncated basis.
+
+    ``all_mode_probabilities(basis, scene)`` takes one Scene and returns
+    shape (count,).  ``all_mode_probabilities(basis, r_delta, phi_delta,
+    b)`` takes separations and position angles that broadcast to one
+    dimension (S,) and one brightness b, under the Scene domain
+    (r_delta >= 0, 0 <= phi_delta < 2 pi, 0 < b < 1), and returns a
+    C-contiguous (S, count) array; row s equals the single-scene call on
+    Scene(r_delta[s], phi_delta[s], b) bit for bit.  Star and planet of
+    every scene are evaluated as one batch of the modal kernel.
+    """
+    single = isinstance(scene, Scene)
+    if single:
+        r_s, phi_s = scene.star_polar
+        r_e, phi_e = scene.planet_polar
+        b = scene.b
+        r = np.array([r_s, r_e])
+        phi = np.array([phi_s, phi_e])
+    else:
+        r_delta, phi_delta = np.broadcast_arrays(
+            np.asarray(scene, dtype=float), np.asarray(phi_delta, dtype=float)
+        )
+        if r_delta.ndim != 1:
+            raise ValueError("scene arrays must be one-dimensional")
+        if not np.all(r_delta >= 0.0):
+            raise ValueError("separation r_delta must be nonnegative")
+        if not np.all((phi_delta >= 0.0) & (phi_delta < 2.0 * math.pi)):
+            raise ValueError("phi_delta must lie in [0, 2*pi)")
+        if not 0.0 < b < 1.0:
+            raise ValueError("relative brightness b must lie in (0, 1)")
+        r = np.concatenate([b * r_delta, (1.0 - b) * r_delta])
+        phi = np.concatenate([(phi_delta + math.pi) % (2.0 * math.pi), phi_delta])
+    p = _source_rows(basis, r, phi) ** 2
+    p_star, p_planet = p[: r.size // 2], p[r.size // 2 :]
     # written so coincident sources give the single-source result exactly
-    return p_star + scene.b * (p_planet - p_star)
+    out = p_star + b * (p_planet - p_star)
+    return out[0] if single else out
 
 
 def scene_mode_probability(basis, idx, scene):
@@ -284,7 +362,7 @@ def mode_probability_gradient(basis, idx, scene):
 
 def completeness_deficit(basis, r, phi=0.0):
     """Probability mass of a point source outside the truncated basis."""
-    return 1.0 - float(np.sum(_source_probabilities(basis, r, phi)))
+    return 1.0 - float(np.sum(source_coefficients(basis, r, phi) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,14 @@ def bessel_j(n, x):
         if not np.all(n_arr == rounded):
             raise ValueError("Bessel order must be an integer")
         n_arr = rounded.astype(np.int64)
-    if np.any(np.abs(n_arr) > ORDER_LIMIT):
+    # array methods rather than np.any/np.all: this runs once per modal
+    # kernel call, tens of thousands of times in a Monte-Carlo run
+    if (np.abs(n_arr) > ORDER_LIMIT).any():
         raise ValueError(f"Bessel order out of supported range [-{ORDER_LIMIT}, {ORDER_LIMIT}]")
     x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
+    if not np.isfinite(x_arr).all():
         raise ValueError("Bessel argument must be finite")
-    if np.any(x_arr < 0):
+    if (x_arr < 0).any():
         raise ValueError("Bessel argument must be nonnegative")
     out = np.asarray(special.jv(n_arr, x_arr))
     if out.ndim == 0:

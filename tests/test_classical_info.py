@@ -23,9 +23,9 @@ from artifact.classical_info import (
     write_information_csv,
     write_mode_information_csv,
 )
-from artifact.coronagraph import CoronagraphOperator, perfect_plan
+from artifact.coronagraph import CoronagraphOperator, perfect_plan, vortex_plan
 from artifact.modebasis import FourierZernikeBasis
-from artifact.optics import AIRY_SIGMA, Scene
+from artifact.optics import AIRY_SIGMA, GridSpec, Scene
 from artifact.quantum_bounds import qce, qfim_high_contrast, qfim_polar
 
 S = AIRY_SIGMA
@@ -290,9 +290,10 @@ def test_imaging_vortex_angular_deficit_window(plan_vortex):
     # and sits at the Lyot rim: stop radii 0.98, 0.95, 0.90 leave 9.5e-5,
     # 4.2e-5, 1.65e-5 but push the deficit to 236, 271, 353.  The 62 and
     # 772 once quoted here for half and double resolution came from
-    # GridSpec(512, 16) and GridSpec(2048, 16), whose output plane has half
-    # and twice the pitch cfim_direct_imaging weights pixels by (a factor
-    # 4 either way).  Expected to fail until the chain nulls exactly
+    # GridSpec(512, 16) and GridSpec(2048, 16) while cfim_direct_imaging
+    # weighted pixels by the plan grid's pitch, not the output grid's
+    # (half and twice as fine there, a factor 4 either way).  Expected to
+    # fail until the chain nulls exactly
     sc = Scene(0.1 * S, 0.3, 1e-2)
     f = cfim_direct_imaging(plan_vortex, sc)
     q = qfim_polar(sc)
@@ -338,6 +339,17 @@ def test_imaging_step_insensitive(plan_perfect_analytic):
 def test_imaging_separation_below_step_rejected(plan_perfect_analytic):
     with pytest.raises(ValueError):
         cfim_direct_imaging(plan_perfect_analytic, Scene(1e-9, 0.3, 1e-3))
+
+
+def test_imaging_accepts_angles_at_the_wrap():
+    # the angular difference wraps through 0 = 2 pi.  The grid chain is
+    # invariant under quarter turns about the grid center, so both sides
+    # of the wrap read as phi = pi/2: measured diagonal gaps below 1e-11
+    plan = vortex_plan(GridSpec(256, 8.0))
+    ref = np.diag(cfim_direct_imaging(plan, Scene(0.5, 0.5 * math.pi, 1e-3)).entries)
+    for phi in (0.0, 2.0 * math.pi - 1e-9):
+        f = cfim_direct_imaging(plan, Scene(0.5, phi, 1e-3))
+        assert_allclose(np.diag(f.entries), ref, rtol=1e-9)
 
 
 def test_modal_bound_diagnostic(op_perfect20):

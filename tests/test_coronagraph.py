@@ -498,6 +498,25 @@ def test_output_state_image_two_lobes(op_perfect20, grid):
     assert int(peaks.sum()) == 2
 
 
+def test_pupil_fed_image_weighted_by_output_grid():
+    # GridSpec(512, 16) is not self-conjugate: the pupil-fed vortex chain
+    # returns on GridSpec(512, 8), whose pixel has a quarter of the plan
+    # pixel's area.  A unit source 1.5 off axis then reads 0.829 (0.854 on
+    # GridSpec(2048, 16)); weighted by the plan pixel it read 3.32
+    from artifact.cli import planet_throughput
+
+    grid = GridSpec(512, 16.0)
+    plan = vortex_plan(grid)
+    assert plan.output_grid == GridSpec(512, 8.0)
+    assert vortex_plan().output_grid == GridSpec()
+    assert PropagatorPlan("open", grid, (), input_domain="focal").output_grid == grid
+    probe = Scene(3.0, 0.3 + math.pi, 0.5)  # star_only: unit source at (1.5, 0.3)
+    image = output_state_image(plan, probe, star_only=True)
+    energy = float(image.sum()) * plan.output_grid.dx**2
+    assert energy == pytest.approx(0.83, abs=0.01)
+    assert planet_throughput(plan, 1.5) == pytest.approx(energy, rel=1e-12)
+
+
 def test_output_state_image_detected_energy_modal(op_vortex20, plan_vortex, grid):
     # contract value 1e-3; measured 1.83e-2, the order-20 truncation on
     # both sides of the operator.  Output side: 0.92% of the direct

@@ -20,7 +20,7 @@ from artifact.estimation import (
     spiral_truths,
     write_trials_csv,
 )
-from artifact.modebasis import FourierZernikeBasis
+from artifact.modebasis import FourierZernikeBasis, all_mode_probabilities
 from artifact.optics import AIRY_SIGMA, Scene
 from artifact.quantum_bounds import qfim_polar, sigma_loc
 
@@ -82,6 +82,25 @@ def test_record_invariants():
         MeasurementRecord(np.array([3, -1]), 2, 1, Scene(0.0, 0.0, 1e-9))
     with pytest.raises(ValueError):
         MeasurementRecord(np.array([3, 1]), 5, 1, Scene(0.0, 0.0, 1e-9))
+
+
+# --------------------------------------------------------- likelihood table
+
+
+def test_coarse_table_matches_single_scene_build(basis10, table10):
+    # the batched build must equal, bit for bit, a row-by-row build from
+    # the public single-scene probabilities, and stay C-contiguous: the
+    # seeding product log_probs @ counts sums in layout-dependent order
+    lp = table10.log_probs
+    assert lp.shape == (64 * 64, basis10.count + 1)
+    assert lp.flags.c_contiguous
+    rows = []
+    for r in table10.r_values:
+        for phi in table10.phi_values:
+            p = all_mode_probabilities(basis10, Scene(r, phi, table10.b))
+            rows.append(np.append(p, max(1.0 - float(p.sum()), 0.0)))
+    expect = np.log(np.maximum(np.array(rows), 1e-300))
+    assert np.array_equal(lp, expect)
 
 
 # ----------------------------------------------------------------- estimator

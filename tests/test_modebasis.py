@@ -20,15 +20,10 @@ from artifact.modebasis import (
     mode_value,
     projection,
     scene_mode_probability,
+    source_coefficients,
 )
-from artifact.optics import GridSpec, Scene, default_grid, overlap, psf_field
+from artifact.optics import GridSpec, Scene, overlap, psf_field
 from artifact.specfun import ZernikeIndex
-
-
-@pytest.fixture(scope="module")
-def stack20():
-    # the contract grid: full basis through radial order 20 on the default grid
-    return mode_field_stack(FourierZernikeBasis(20), default_grid())
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +128,69 @@ def test_probabilities_form_a_subdistribution(r, phi, b):
     probs = all_mode_probabilities(FourierZernikeBasis(8), Scene(r, phi, b))
     assert np.all(probs >= 0.0)
     assert probs.sum() <= 1.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched modal kernel
+
+# on-axis, below and at the 1e-8 on-axis cut, exact quarter turns (where
+# the angular reduction matters), and generic interior points
+_BATCH_R = np.array([0.0, 5e-9, 1e-8, 0.3, 0.3, 0.3, 0.3, 0.05, 1.7, 2.9])
+_BATCH_PHI = np.array(
+    [1.0, 0.4, 2.0, 0.0, math.pi / 2, math.pi, 1.5 * math.pi, 6.28, 0.9, 3.3]
+)
+
+
+@pytest.mark.parametrize("rotation", [0.0, 0.25 * math.pi, 0.3])
+@pytest.mark.parametrize("b", [1e-9, 0.5])
+def test_batch_equals_single_scene_calls(rotation, b):
+    basis = FourierZernikeBasis(10, rotation=rotation)
+    batch = all_mode_probabilities(basis, _BATCH_R, _BATCH_PHI, b)
+    single = np.stack(
+        [all_mode_probabilities(basis, Scene(r, phi, b)) for r, phi in zip(_BATCH_R, _BATCH_PHI)]
+    )
+    assert batch.shape == (_BATCH_R.size, basis.count)
+    assert batch.flags.c_contiguous
+    assert np.array_equal(batch, single)
+    # a scalar separation broadcasts against an angle row
+    row = all_mode_probabilities(basis, 0.3, _BATCH_PHI, b)
+    assert np.array_equal(row[3:7], batch[3:7])
+
+
+@pytest.mark.parametrize("rotation", [0.0, 0.3])
+def test_source_coefficient_batch_equals_scalar_calls(rotation):
+    basis = FourierZernikeBasis(12, rotation=rotation)
+    batch = source_coefficients(basis, _BATCH_R, _BATCH_PHI)
+    single = np.stack([source_coefficients(basis, r, phi) for r, phi in zip(_BATCH_R, _BATCH_PHI)])
+    assert batch.flags.c_contiguous
+    assert np.array_equal(batch, single)
+    # the one-mode-at-a-time projection is the loop reference
+    for k, idx in enumerate(basis.modes):
+        assert np.array_equal(batch[:, k], projection(idx, _BATCH_R, _BATCH_PHI - rotation))
+
+
+def test_kernel_rejects_invalid_sources():
+    basis = FourierZernikeBasis(4)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            all_mode_probabilities(basis, Scene(bad, 0.0, 0.1))
+        with pytest.raises(ValueError):
+            all_mode_probabilities(basis, [0.1, bad], [0.0, 0.0], 0.1)
+        with pytest.raises(ValueError):
+            source_coefficients(basis, bad, 0.0)
+        with pytest.raises(ValueError):
+            source_coefficients(basis, 0.2, bad)
+    with pytest.raises(ValueError):
+        source_coefficients(basis, -0.1, 0.0)
+    # the batch form keeps the Scene domain
+    with pytest.raises(ValueError):
+        all_mode_probabilities(basis, [-0.1], [0.0], 0.1)
+    with pytest.raises(ValueError):
+        all_mode_probabilities(basis, [0.1], [2.0 * math.pi], 0.1)
+    with pytest.raises(ValueError):
+        all_mode_probabilities(basis, [0.1], [0.0], 1.0)
+    with pytest.raises(ValueError):
+        all_mode_probabilities(basis, [[0.1]], [[0.0]], 0.1)
 
 
 # ---------------------------------------------------------------------------
