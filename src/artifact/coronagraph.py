@@ -24,6 +24,7 @@ uint32 zero) followed by width*height float32 samples, row-major with
 row 0 first, little-endian.
 """
 
+import functools
 import json
 import math
 import struct
@@ -233,19 +234,28 @@ def perfect_apply(field, fundamental=None):
 # prolate apodization design
 
 
-def prolate_radial(c, nodes=256, tol=1e-10, itmax=1000):
+@functools.cache
+def _radial_quadrature():
+    """256 Gauss-Legendre nodes and weights on [0, 1], built once per process."""
+    x, w = leggauss(256)
+    x = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def prolate_radial(c, tol=1e-10, itmax=1000):
     """Leading eigenpair of the radial finite-Fourier kernel at bandwidth c.
 
     Solves (H_c f)(x) = c * int_0^1 J0(c x y) f(y) y dy = gamma f(x) on
-    Gauss-Legendre nodes by power iteration and normalizes the
+    256 Gauss-Legendre nodes by power iteration and normalizes the
     eigenfunction to int_0^1 f(x)^2 x dx = 1.  Returns
-    (gamma, nodes, weights, values).
+    (gamma, nodes, weights, values); nodes and weights are read-only.
     """
     if c <= 0:
         raise ValueError("bandwidth c must be positive")
-    x, w = leggauss(nodes)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    x, w = _radial_quadrature()
     kernel = c * j0(c * np.outer(x, x)) * (x * w)[None, :]
     v = np.exp(-(x**2))
     v /= math.sqrt(float(v @ v))
@@ -268,23 +278,19 @@ def prolate_radial(c, nodes=256, tol=1e-10, itmax=1000):
     return gamma, x, w, v
 
 
-_C_STAR_CACHE = {}
-
-
-def prolate_c_star(nodes=256):
+@functools.cache
+def prolate_c_star():
     """Bandwidth where the leading eigenvalue equals 1/sqrt(2).
 
     At this bandwidth a pi-phase spot of focal radius c/(2 pi) cancels the
     apodized pupil field exactly in the continuum limit.
     """
-    if nodes not in _C_STAR_CACHE:
-        _C_STAR_CACHE[nodes] = brentq(
-            lambda c: prolate_radial(c, nodes)[0] - 1.0 / math.sqrt(2.0),
-            1.2,
-            2.2,
-            xtol=1e-12,
-        )
-    return _C_STAR_CACHE[nodes]
+    return brentq(
+        lambda c: prolate_radial(c)[0] - 1.0 / math.sqrt(2.0),
+        1.2,
+        2.2,
+        xtol=1e-12,
+    )
 
 
 @dataclass(frozen=True)
@@ -307,15 +313,78 @@ _PIAACMC_CACHE = {}
 _SPOT_SUPERSAMPLE = 32
 
 
-def _grid_prolate(grid, support, seed, spot, tol, itmax=600):
-    """Leading eigenpair of stop . IFT . spot . FT restricted to the stop."""
+def _bounding_box(mask):
+    """Row and column slices of the smallest box holding every True pixel."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+def _centered_dft_matrix(n, out_idx, in_idx):
+    """Kernel exp(-2 pi i (k - n/2)(j - n/2) / n), k in out_idx, j in in_idx.
+
+    These are the rows and columns of the centered n-point DFT that
+    ``propagate`` applies along each axis; the integer phase is reduced
+    mod n before it is scaled.
+    """
+    k = np.arange(out_idx.start, out_idx.stop) - n // 2
+    j = np.arange(in_idx.start, in_idx.stop) - n // 2
+    return np.exp(-2j * math.pi * (np.outer(k, j) % n) / n)
+
+
+def _spot_roundtrip(grid, box, spot):
+    """Pupil -> spot -> pupil round trip as a windowed matrix Fourier transform.
+
+    Evaluates inverse_propagate(spot * propagate(v)) on the pupil ``box``
+    only, for a field v that vanishes off it, passing through only the
+    bounding box of the nonzero ``spot`` pixels on the conjugate grid
+    (Soummer et al., Opt. Express 15, 15935 (2007)).  The separable kernel
+    makes each transform two small matrix products, Ey @ V @ Ex.T; the
+    forward one is scaled by the pupil dx^2 and the inverse by the
+    conjugate grid's dx^2, as the full-grid transforms are.  Returns the
+    map from samples on ``box`` to the complex round-trip field on ``box``.
+    """
+    n = grid.n_pixels
+    spot_rows, spot_cols = _bounding_box(spot > 0.0)
+    ey = _centered_dft_matrix(n, spot_rows, box[0])
+    ex = _centered_dft_matrix(n, spot_cols, box[1])
+    ey_inv = ey.conj().T
+    ex_inv = ex.conj()
+    weight = spot[spot_rows, spot_cols]
+    pupil_area = grid.dx**2
+    focal_area = grid.conjugate().dx ** 2
+
+    def step(v):
+        foc = (ey @ v @ ex.T) * pupil_area
+        return (ey_inv @ (foc * weight) @ ex_inv) * focal_area
+
+    return step
+
+
+def _prolate_seed(grid, box, support, c, radial):
+    """Nystrom extension of the radial eigenfunction onto the stop support.
+
+    Scaled to the unit-energy apodization profile Lambda = f / sqrt(2);
+    returned on ``box``, zero off ``support``.
+    """
+    gamma_r, xq, wq, vq = radial
+    ax = grid.axis()
+    x, y = np.meshgrid(ax[box[1]], ax[box[0]], indexing="xy")
+    rr = np.hypot(x, y)[support]
+    acc = np.zeros_like(rr)
+    for xj, wj, vj in zip(xq, wq, vq):
+        acc += j0(c * rr * xj) * (vj * xj * wj)
+    seed = np.zeros(support.shape)
+    seed[support] = (c / gamma_r) * acc / math.sqrt(2.0)
+    return seed
+
+
+def _grid_prolate(roundtrip, support, seed, tol, itmax=600):
+    """Leading eigenpair of stop . roundtrip restricted to the stop support."""
     v = seed / np.linalg.norm(seed)
     gamma = 0.0
-    hw = grid.half_width
     for _ in range(itmax):
-        foc = propagate(OpticalField(v.astype(complex), "pupil", hw))
-        back = inverse_propagate(OpticalField(foc.samples * spot, "focal", hw))
-        w = np.where(support, back.samples.real, 0.0)
+        w = np.where(support, roundtrip(v).real, 0.0)
         gamma_new = float(v.ravel() @ w.ravel())
         w /= np.linalg.norm(w)
         if np.linalg.norm(w - v) < tol and abs(gamma_new - gamma) < tol:
@@ -332,7 +401,15 @@ def piaacmc_design(grid=None, tol=1e-10):
     iteration of the discrete pupil->spot->pupil operator on the actual
     grid; the spot radius is then root-found so the leading eigenvalue of
     the round trip hits 1/2, which zeroes the stopped on-axis Lyot field
-    (I - 2*roundtrip annihilates its gamma=1/2 eigenvector).
+    (I - 2*roundtrip annihilates its gamma=1/2 eigenvector).  The spot is
+    rasterized on the FFT-conjugate grid, where the focal mask acts.
+
+    The round trip is the centered DFT that ``propagate`` and
+    ``inverse_propagate`` apply, evaluated as a matrix Fourier transform
+    (``_spot_roundtrip``) between the bounding box of the Lyot stop (63 x
+    63 pixels on the default grid) and that of the spot (19 x 19) instead
+    of two full-grid FFTs per iteration; no FFT runs during the solve.
+    Each power iteration starts from the previous eigenvector.
     """
     grid = grid or default_grid()
     key = (grid.n_pixels, grid.half_width)
@@ -340,26 +417,18 @@ def piaacmc_design(grid=None, tol=1e-10):
         return _PIAACMC_CACHE[key]
 
     c = prolate_c_star()
-    gamma_r, xq, wq, vq = prolate_radial(c)
+    radial = prolate_radial(c)
     stop = lyot_stop_array(grid)
-    support = stop > 0.0
-
-    x, y = grid.mesh()
-    rho = np.hypot(x, y)
-    seed = np.zeros_like(rho)
-    rr = rho[support]
-    acc = np.zeros_like(rr)
-    for xj, wj, vj in zip(xq, wq, vq):
-        acc += j0(c * rr * xj) * (vj * xj * wj)
-    # Nystrom extension of the eigenfunction, scaled to the unit-energy
-    # apodization profile Lambda = f / sqrt(2)
-    seed[support] = (c / gamma_r) * acc / math.sqrt(2.0)
-
-    state = {"v": seed}
+    full_support = stop > 0.0
+    box = _bounding_box(full_support)
+    support = full_support[box]
+    focal = grid.conjugate()
+    state = {"v": _prolate_seed(grid, box, support, c, radial)}
 
     def eigen_at(radius, it_tol):
-        spot = _disk_coverage(grid, radius, _SPOT_SUPERSAMPLE)
-        gamma, vec = _grid_prolate(grid, support, state["v"], spot, it_tol)
+        spot = _disk_coverage(focal, radius, _SPOT_SUPERSAMPLE)
+        roundtrip = _spot_roundtrip(grid, box, spot)
+        gamma, vec = _grid_prolate(roundtrip, support, state["v"], it_tol)
         state["v"] = vec
         return gamma, spot
 
@@ -371,18 +440,19 @@ def piaacmc_design(grid=None, tol=1e-10):
 
     mask_radius = brentq(objective, 0.94 * a0, 1.10 * a0, xtol=5e-7)
     gamma_g, spot = eigen_at(mask_radius, min(tol, 1e-12))
-    profile = state["v"] / (np.linalg.norm(state["v"]) * grid.dx)
+    profile = np.zeros(stop.shape)
+    profile[box] = state["v"] / (np.linalg.norm(state["v"]) * grid.dx)
 
-    flat = np.where(support, 1.0 / math.sqrt(math.pi), 0.0)
+    flat = 1.0 / math.sqrt(math.pi)
     apod = np.zeros_like(profile)
-    apod[support] = profile[support] / flat[support]
+    apod[full_support] = profile[full_support] / flat
     inv = np.zeros_like(profile)
-    inv[support] = flat[support] / profile[support]
+    inv[full_support] = flat / profile[full_support]
 
     design = PiaacmcDesign(
         grid=grid,
         c_value=c,
-        gamma_radial=gamma_r,
+        gamma_radial=radial[0],
         mask_radius=mask_radius,
         gamma_grid=gamma_g,
         apodizer=apod,

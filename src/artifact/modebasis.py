@@ -297,7 +297,7 @@ def all_mode_probabilities(basis, scene, phi_delta=None, b=None):
     shape (count,).  ``all_mode_probabilities(basis, r_delta, phi_delta,
     b)`` takes separations and position angles that broadcast to one
     dimension (S,) and one brightness b, under the Scene domain
-    (r_delta >= 0, 0 <= phi_delta < 2 pi, 0 < b < 1), and returns a
+    (0 <= r_delta < inf, 0 <= phi_delta < 2 pi, 0 < b < 1), and returns a
     C-contiguous (S, count) array; row s equals the single-scene call on
     Scene(r_delta[s], phi_delta[s], b) bit for bit.  Star and planet of
     every scene are evaluated as one batch of the modal kernel.
@@ -315,8 +315,8 @@ def all_mode_probabilities(basis, scene, phi_delta=None, b=None):
         )
         if r_delta.ndim != 1:
             raise ValueError("scene arrays must be one-dimensional")
-        if not np.all(r_delta >= 0.0):
-            raise ValueError("separation r_delta must be nonnegative")
+        if not np.all((r_delta >= 0.0) & (r_delta < math.inf)):
+            raise ValueError("separation r_delta must be finite and nonnegative")
         if not np.all((phi_delta >= 0.0) & (phi_delta < 2.0 * math.pi)):
             raise ValueError("phi_delta must lie in [0, 2*pi)")
         if not 0.0 < b < 1.0:

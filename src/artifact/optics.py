@@ -151,8 +151,8 @@ class Scene:
     b: float
 
     def __post_init__(self):
-        if self.r_delta < 0:
-            raise ValueError("separation r_delta must be nonnegative")
+        if not 0.0 <= self.r_delta < math.inf:
+            raise ValueError("separation r_delta must be finite and nonnegative")
         if not 0.0 <= self.phi_delta < 2.0 * math.pi:
             raise ValueError("phi_delta must lie in [0, 2*pi)")
         if not 0.0 < self.b < 1.0:
@@ -278,18 +278,28 @@ def _airy_amplitude(rho):
 
 
 def _disk_coverage(grid, radius=1.0, supersample=8):
-    """Pixel coverage fractions of a centered disk, supersampled on the rim."""
-    x, y = grid.mesh()
-    rho = np.hypot(x, y)
-    cov = (rho <= radius).astype(float)
+    """Pixel coverage fractions of a centered disk, supersampled on the rim.
+
+    Only the square of pixels that can reach the disk or its rim band is
+    rasterized (a pixel beyond it is zero); the values are those of a
+    rasterization of the whole grid, bit for bit.
+    """
+    ax = grid.axis()
     half_diag = grid.dx * math.sqrt(0.5)
+    near = np.flatnonzero(np.abs(ax) <= radius + 1.5 * half_diag + grid.dx)
+    win = slice(near[0], near[-1] + 1)
+    x, y = np.meshgrid(ax[win], ax[win], indexing="xy")
+    rho = np.hypot(x, y)
+    part = (rho <= radius).astype(float)
     rim = np.abs(rho - radius) <= 1.5 * half_diag
     if np.any(rim):
         offs = (np.arange(supersample) + 0.5) / supersample - 0.5
         ox, oy = np.meshgrid(offs * grid.dx, offs * grid.dx, indexing="xy")
         rx = x[rim][:, None] + ox.ravel()[None, :]
         ry = y[rim][:, None] + oy.ravel()[None, :]
-        cov[rim] = np.mean(np.hypot(rx, ry) <= radius, axis=1)
+        part[rim] = np.mean(np.hypot(rx, ry) <= radius, axis=1)
+    cov = np.zeros((grid.n_pixels, grid.n_pixels))
+    cov[win, win] = part
     return cov
 
 

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line surface, called through main(argv)."""
 
 import json
+import pathlib
 
 import pytest
 
-from artifact import __version__
+from artifact import __version__, cli, coronagraph
 from artifact.cli import CONFIG_ENV_VAR, main
+
+_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "telescope.cfg"
 
 _SPIRAL = ["montecarlo", "--spiral", "2", "--trials", "5", "--seed", "0"]
 _TRIAL_HEADER = "trial,seed,truth_r,truth_phi,est_r,est_phi,loglik,converged,n_photons"
@@ -81,3 +84,80 @@ def test_montecarlo_rerun_is_byte_identical(spiral_runs):
 def test_montecarlo_jobs_do_not_change_outputs(spiral_runs):
     (_, serial, _), _, (_, pooled, _) = spiral_runs
     assert pooled == serial
+
+
+# ---------------------------------------------------------------------------
+# tables
+
+
+def _table2(out_dir):
+    code = main(
+        ["tables", "--table", "2", "--config", str(_CONFIG), "--out-dir", str(out_dir)]
+    )
+    return code, (out_dir / "detection_times.csv").read_bytes(), out_dir
+
+
+@pytest.fixture(scope="module")
+def table2_runs(tmp_path_factory):
+    first = _table2(tmp_path_factory.mktemp("first"))
+    # the rerun solves the design and builds the plans afresh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_PLAN_CACHE", {})
+        mp.setattr(coronagraph, "_PIAACMC_CACHE", {})
+        return [first, _table2(tmp_path_factory.mktemp("rerun"))]
+
+
+def test_tables_exit_code_and_csv_rows(table2_runs):
+    code, csv, _ = table2_runs[0]
+    assert code == 0
+    lines = csv.decode("ascii").splitlines()
+    assert lines[0] == f"# artifact {__version__} seed=0"
+    assert lines[1] == "system,pe_target,seconds"
+    systems = ["quantum", "spade", "perfect", "piaacmc", "vortex"]
+    assert [row.split(",")[0] for row in lines[2:]] == [s for s in systems for _ in range(4)]
+    # one row per error-probability target, times growing with -log(Pe)
+    for k in range(len(systems)):
+        seconds = [float(row.split(",")[2]) for row in lines[2 + 4 * k : 6 + 4 * k]]
+        assert all(0.0 < a < b for a, b in zip(seconds, seconds[1:]))
+
+
+def test_tables_manifest(table2_runs):
+    _, _, out_dir = table2_runs[0]
+    manifest = json.loads((out_dir / "tables_manifest.json").read_text())
+    assert manifest["command"] == "tables"
+    assert manifest["config"] == str(_CONFIG)
+    assert manifest["version"] == __version__
+    assert manifest["seed"] == 0
+    assert manifest["parameters"]["table"] == "2"
+    assert manifest["parameters"]["kind"] == "detection"
+    assert manifest["outputs"] == ["detection_times.csv"]
+
+
+def test_tables_rerun_is_byte_identical(table2_runs):
+    (_, first, _), (_, rerun, _) = table2_runs
+    assert first == rerun
+
+
+def test_tables_without_config_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    code = main(["tables", "--table", "2", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: no telescope configuration")
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
+    def stalled(*args, **kwargs):
+        raise RuntimeError("grid prolate power iteration did not converge")
+
+    # a fresh process state: no cached plan or design
+    monkeypatch.setattr(cli, "_PLAN_CACHE", {})
+    monkeypatch.setattr(coronagraph, "_PIAACMC_CACHE", {})
+    monkeypatch.setattr(coronagraph, "_grid_prolate", stalled)
+    code = main(
+        ["tables", "--table", "2", "--config", str(_CONFIG), "--out-dir", str(tmp_path)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: grid prolate power iteration did not converge\n"
+    assert not (tmp_path / "detection_times.csv").exists()

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import j1
 
+from artifact import coronagraph, optics
 from artifact.coronagraph import (
     ELEMENT_KINDS,
     RASTER_MAGIC,
     CoronagraphOperator,
     PropagatorPlan,
+    _bounding_box,
+    _prolate_seed,
+    _spot_roundtrip,
     extract_operator,
     load_operator,
     lyot_stop_array,
@@ -38,8 +42,10 @@ from artifact.optics import (
     GridSpec,
     OpticalField,
     Scene,
+    _disk_coverage,
     inverse_propagate,
     overlap,
+    propagate,
     pupil_disk_field,
     shifted_source_field,
 )
@@ -240,6 +246,63 @@ def test_piaacmc_design_arrays(grid):
     # the apodized profile carries unit energy on the grid
     energy = float(np.sum(d.apodized_profile**2)) * grid.dx**2
     assert abs(energy - 1.0) <= 1e-12
+
+
+def test_prolate_quadrature_built_once():
+    _, x1, w1, _ = prolate_radial(1.7)
+    _, x2, w2, _ = prolate_radial(2.4)
+    assert x1 is x2 and w1 is w2
+    assert not x1.flags.writeable and not w1.flags.writeable
+    nodes, weights = np.polynomial.legendre.leggauss(256)
+    assert np.array_equal(x1, 0.5 * (nodes + 1.0))
+    assert np.array_equal(w1, 0.5 * weights)
+
+
+def test_piaacmc_design_converges_off_self_conjugate_grid():
+    # pupil pitch 1/16, focal pitch 1/32: the spot lives on the conjugate grid
+    d = piaacmc_design(GridSpec(512, 16.0))
+    assert abs(d.gamma_grid - 0.5) <= 1e-4
+    assert abs(d.mask_radius - 0.27525) <= 1e-5
+    energy = float(np.sum(d.apodized_profile**2)) * d.grid.dx**2
+    assert abs(energy - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("grid_args", [(1024, 16.0), (512, 16.0)])
+def test_spot_roundtrip_matches_full_grid_fft(grid_args):
+    grid = GridSpec(*grid_args)
+    c = prolate_c_star()
+    stop = lyot_stop_array(grid)
+    box = _bounding_box(stop > 0.0)
+    support = stop[box] > 0.0
+    seed = _prolate_seed(grid, box, support, c, prolate_radial(c))
+    spot = _disk_coverage(grid.conjugate(), 0.27, 32)
+    # one full-grid round trip: propagate, spot, inverse_propagate
+    full = np.zeros((grid.n_pixels, grid.n_pixels))
+    full[box] = seed
+    foc = propagate(OpticalField(full, "pupil", grid.half_width))
+    back = inverse_propagate(OpticalField(foc.samples * spot, "focal", foc.half_width))
+    assert back.half_width == grid.half_width
+    windowed = np.zeros_like(back.samples)
+    windowed[box] = _spot_roundtrip(grid, box, spot)(seed)
+    assert np.max(np.abs(windowed - back.samples) * (stop > 0.0)) <= 1e-13
+    # the round trip is not trivially small on the support
+    assert np.max(np.abs(back.samples[stop > 0.0])) >= 0.1
+
+
+def test_piaacmc_design_runs_no_fft(monkeypatch):
+    calls = []
+    fft = optics._centered_fft
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(optics, "_centered_fft", counting_fft)
+    monkeypatch.setattr(coronagraph, "_PIAACMC_CACHE", {})
+    propagate(pupil_disk_field(GridSpec(64, 2.0)))
+    assert len(calls) == 1
+    piaacmc_design(GridSpec(512, 16.0))
+    assert len(calls) == 1
 
 
 def test_piaacmc_null_and_throughput(plan_piaacmc, grid):

@@ -21,6 +21,7 @@ from artifact.optics import (
     OpticalField,
     Scene,
     TelescopePrescription,
+    _disk_coverage,
     default_grid,
     inverse_propagate,
     load_prescription,
@@ -170,6 +171,43 @@ def test_constructed_fields_have_unit_norm(grid, airy):
     assert abs(airy.norm() - 1.0) < 1e-12
     assert abs(pupil_disk_field(grid).norm() - 1.0) < 1e-12
     assert abs(shifted_source_field((0.5, 0.0), grid).norm() - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# disk rasterization
+
+
+def _full_grid_coverage(grid, radius, supersample):
+    # the rasterization over every pixel of the grid, as a reference
+    x, y = grid.mesh()
+    rho = np.hypot(x, y)
+    cov = (rho <= radius).astype(float)
+    half_diag = grid.dx * math.sqrt(0.5)
+    rim = np.abs(rho - radius) <= 1.5 * half_diag
+    offs = (np.arange(supersample) + 0.5) / supersample - 0.5
+    ox, oy = np.meshgrid(offs * grid.dx, offs * grid.dx, indexing="xy")
+    rx = x[rim][:, None] + ox.ravel()[None, :]
+    ry = y[rim][:, None] + oy.ravel()[None, :]
+    cov[rim] = np.mean(np.hypot(rx, ry) <= radius, axis=1)
+    return cov
+
+
+@pytest.mark.parametrize(
+    "grid_args, radius, supersample",
+    [
+        ((1024, 16.0), 1.0, 8),  # the pupil disk and the Lyot stop
+        ((1024, 16.0), 0.2698608975029678, 32),  # the default PIAACMC spot
+        ((512, 8.0), 0.27524588894486474, 32),  # the spot of GridSpec(512, 16)
+        ((512, 16.0), 1.0, 8),
+        ((64, 1.0), 1.5, 8),  # a disk that overfills the grid
+        ((64, 2.0), 0.5, 8),  # a radius on a pixel-center row
+    ],
+)
+def test_disk_coverage_window_matches_full_grid(grid_args, radius, supersample):
+    grid = GridSpec(*grid_args)
+    got = _disk_coverage(grid, radius, supersample)
+    assert got.shape == (grid.n_pixels, grid.n_pixels)
+    assert np.array_equal(got, _full_grid_coverage(grid, radius, supersample))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +433,12 @@ def test_scene_validation():
         Scene(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         Scene(1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("r_delta", [math.inf, math.nan, -math.inf])
+def test_scene_rejects_non_finite_separation(r_delta):
+    with pytest.raises(ValueError, match="finite"):
+        Scene(r_delta, 0.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
