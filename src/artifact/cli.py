@@ -22,6 +22,7 @@ header: magic ``FR32``, then uint32 width, height and a reserved zero.
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -53,6 +54,7 @@ from .estimation import (
 from .modebasis import FourierZernikeBasis
 from .optics import Scene, load_prescription, separation_from_sigma_units
 from .quantum_bounds import (
+    localization_photons,
     photon_requirement_map,
     qce,
     qfim_polar,
@@ -70,10 +72,6 @@ _SPADE_TABLE_ORDER = 60
 _EXTRACTION_DEFAULT_ORDER = 6
 _CONVERGENCE_FLOOR = 0.9
 _PATCH_MIN_TRIALS = 30
-
-# plans are deterministic per design on the default grid; cache across
-# subcommand calls within one process
-_PLAN_CACHE = {}
 
 
 @dataclass
@@ -119,13 +117,15 @@ def parse_axis(text):
     """
     if ":" in text:
         parts = text.split(":")
-        if len(parts) == 4 and parts[3] == "log":
-            return np.geomspace(float(parts[0]), float(parts[1]), int(parts[2]))
-        if len(parts) == 3:
-            return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
-        raise ValueError(
-            f"bad axis spec {text!r}; use v1,v2,... or start:stop:count[:log]"
-        )
+        if len(parts) not in (3, 4) or parts[3:] not in ([], ["log"]):
+            raise ValueError(
+                f"bad axis spec {text!r}; use v1,v2,... or start:stop:count[:log]"
+            )
+        count = int(parts[2])
+        if count < 1:
+            raise ValueError(f"axis spec {text!r} needs a count of at least 1")
+        space = np.geomspace if len(parts) == 4 else np.linspace
+        return space(float(parts[0]), float(parts[1]), count)
     values = np.array([float(v) for v in text.split(",") if v.strip()])
     if values.size == 0:
         raise ValueError(f"empty axis spec {text!r}")
@@ -189,17 +189,16 @@ def _format_cell(value):
     return str(value)
 
 
+# plans are deterministic per design on the default grid; cache across
+# subcommand calls within one process
+@functools.cache
 def _get_plan(design):
-    plan = _PLAN_CACHE.get(design)
-    if plan is None:
-        maker = {
-            "perfect": perfect_plan,
-            "piaacmc": piaacmc_plan,
-            "vortex": vortex_plan,
-        }[design]
-        plan = maker()
-        _PLAN_CACHE[design] = plan
-    return plan
+    maker = {
+        "perfect": perfect_plan,
+        "piaacmc": piaacmc_plan,
+        "vortex": vortex_plan,
+    }[design]
+    return maker()
 
 
 def planet_throughput(plan, r_delta, phi=0.3):
@@ -329,12 +328,6 @@ def _localization_matrices(scene):
     return out
 
 
-def _loc_seconds(fisher, rel_error, flux):
-    r = fisher.scene.r_delta
-    bracket = 1.0 / float(fisher.entries[0, 0]) + r * r / float(fisher.entries[1, 1])
-    return bracket / (rel_error * r) ** 2 / flux
-
-
 def _print_table(title, col_labels, rows):
     width = max(len(s) for s, _ in rows) + 2
     print(title)
@@ -378,7 +371,10 @@ def cmd_tables(args):
     else:
         matrices = _localization_matrices(scene)
         rows = [
-            (sys_name, [_loc_seconds(matrices[sys_name], rel, flux) for rel in _REL_ERRORS])
+            (
+                sys_name,
+                [localization_photons(matrices[sys_name], rel) / flux for rel in _REL_ERRORS],
+            )
             for sys_name in _TABLE_SYSTEMS
         ]
         col_labels = [f"rel={rel:g}" for rel in _REL_ERRORS]

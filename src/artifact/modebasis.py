@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .optics import GridSpec, OpticalField, Scene, default_grid
-from .specfun import ZernikeIndex, bessel_j
+from .specfun import ZernikeIndex, bessel_j, zernike_angular
 
 __all__ = [
     "FourierZernikeBasis",
@@ -37,25 +37,12 @@ __all__ = [
     "all_probability_gradients",
     "completeness_deficit",
     "mode_field_stack",
-    "mode_probability_gradient",
-    "mode_value",
     "projection",
-    "scene_mode_probability",
     "source_coefficient_gradients",
     "source_coefficients",
 ]
 
 _R_EPS = 1e-8
-
-
-def _theta(m, phi):
-    """Real angular factor Theta_m(phi)."""
-    phi = np.asarray(phi, dtype=float)
-    if m == 0:
-        return np.ones_like(phi)
-    if m > 0:
-        return math.sqrt(2.0) * np.cos(m * phi)
-    return math.sqrt(2.0) * np.sin(-m * phi)
 
 
 def _sin_2m(m_abs, phi):
@@ -78,19 +65,15 @@ class FourierZernikeBasis:
 
     `rotation` rotates every mode by a fixed angle (used to dodge the
     angular singularities of the polar Fisher information at quarter-turn
-    scene angles); `real_convention` records that the modes carry no
-    unimodular phase factor.
+    scene angles).
     """
 
     n_max: int
     rotation: float = 0.0
-    real_convention: bool = True
 
     def __post_init__(self):
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        if not self.real_convention:
-            raise ValueError("only the real mode convention is implemented")
 
     @property
     def count(self):
@@ -122,22 +105,21 @@ class FourierZernikeBasis:
         return self._m_arr + self.n_max
 
 
-def mode_value(idx, r, phi):
-    """Mode amplitude psi_nm at polar focal point(s) (r, phi)."""
+def _radial_factor(n, r):
+    """Radial factor sqrt(n+1) J_{n+1}(2 pi r)/(pi r), broadcast over n and r.
+
+    The one implementation behind the projection coefficients, the grid
+    mode stack (psi_nm is this factor times sqrt(pi) times Theta_m) and, at
+    n = 0, the PSF overlap Gamma_0.  Radii must be nonnegative; below 1e-8
+    they take the exact on-axis value, 1 for n = 0 and 0 otherwise.
+    """
     r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    scalar = r.ndim == 0 and phi.ndim == 0
-    r, phi = np.atleast_1d(r), np.atleast_1d(phi)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    safe = np.where(r < _R_EPS, 1.0, r)
-    radial = math.sqrt(idx.n + 1) * bessel_j(idx.n + 1, 2.0 * math.pi * safe) / (
-        math.sqrt(math.pi) * safe
-    )
-    center = math.sqrt(math.pi) if idx.n == 0 else 0.0
-    radial = np.where(r < _R_EPS, center, radial)
-    out = radial * _theta(idx.m, phi)
-    return float(out[0]) if scalar else out
+    on_axis = r < _R_EPS
+    safe = np.where(on_axis, 1.0, r)
+    out = np.sqrt(n + 1.0) * bessel_j(n + 1, 2.0 * math.pi * safe) / (math.pi * safe)
+    if on_axis.any():
+        out = np.where(on_axis, np.equal(n, 0), out)
+    return out
 
 
 def projection(idx, r, phi):
@@ -152,13 +134,7 @@ def projection(idx, r, phi):
     r, phi = np.atleast_1d(r), np.atleast_1d(phi)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")
-    safe = np.where(r < _R_EPS, 1.0, r)
-    radial = math.sqrt(idx.n + 1) * bessel_j(idx.n + 1, 2.0 * math.pi * safe) / (
-        math.pi * safe
-    )
-    center = 1.0 if idx.n == 0 else 0.0
-    radial = np.where(r < _R_EPS, center, radial)
-    out = radial * _theta(idx.m, phi)
+    out = _radial_factor(idx.n, r) * zernike_angular(idx.m, phi)
     return float(out[0]) if scalar else out
 
 
@@ -167,22 +143,6 @@ def _check_sources(r, phi):
         raise ValueError("source radius must be nonnegative")
     if not np.isfinite(phi).all():
         raise ValueError("source angle must be finite")
-
-
-def _radial_rows(basis, r):
-    """Radial factors sqrt(n+1) J_{n+1}(2 pi r)/(pi r), shape (S, n_max + 1).
-
-    ``r`` has shape (S,).  Radii below 1e-8 take the exact on-axis row
-    [1, 0, ..., 0].
-    """
-    on_axis = r < _R_EPS
-    safe = np.where(on_axis, 1.0, r)
-    j = bessel_j(basis._radial_orders + 1, (2.0 * math.pi * safe)[:, None])
-    rows = basis._radial_norms * j / (math.pi * safe)[:, None]
-    if on_axis.any():
-        rows[on_axis] = 0.0
-        rows[on_axis, 0] = 1.0
-    return rows
 
 
 def _theta_rows(basis, phi, derivative=False):
@@ -217,7 +177,7 @@ def _source_rows(basis, r, phi):
     single-source evaluation bit for bit.
     """
     # take() keeps the gathers C-ordered; fancy indexing would not
-    radial = _radial_rows(basis, r).take(basis._n_arr, axis=1)
+    radial = _radial_factor(basis._radial_orders, r[:, None]).take(basis._n_arr, axis=1)
     return radial * _theta_rows(basis, phi).take(basis._theta_col, axis=1)
 
 
@@ -256,7 +216,7 @@ def source_coefficient_gradients(basis, r, phi):
     out = np.empty((basis.count, 2))
     out[:, 0] = drow[basis._n_arr] * _theta_rows(basis, phi_arr)[0, col]
     out[:, 1] = (
-        _radial_rows(basis, r_arr)[0, basis._n_arr]
+        _radial_factor(basis._radial_orders, r_arr)[basis._n_arr]
         * _theta_rows(basis, phi_arr, derivative=True)[0, col]
     )
     return out
@@ -330,11 +290,6 @@ def all_mode_probabilities(basis, scene, phi_delta=None, b=None):
     return out[0] if single else out
 
 
-def scene_mode_probability(basis, idx, scene):
-    """Probability that a scene photon lands in mode idx."""
-    return float(all_mode_probabilities(basis, scene)[idx.linear])
-
-
 def all_probability_gradients(basis, scene):
     """Gradients of the scene mode probabilities, shape (count, 2).
 
@@ -353,11 +308,6 @@ def all_probability_gradients(basis, scene):
     d_r = (1.0 - b) * b * ds_r + b * (1.0 - b) * de_r
     d_phi = (1.0 - b) * ds_phi + b * de_phi
     return np.stack([d_r, d_phi], axis=1)
-
-
-def mode_probability_gradient(basis, idx, scene):
-    """(d/dr_sep, d/dangle) of the scene probability of mode idx."""
-    return all_probability_gradients(basis, scene)[idx.linear]
 
 
 def completeness_deficit(basis, r, phi=0.0):
@@ -429,39 +379,33 @@ class ModeFieldSet:
         return g * (dx * dx)
 
 
-def mode_field_stack(basis, grid=None, orthonormalize=True):
+def mode_field_stack(basis, grid=None):
     """Sample the basis on a grid and orthonormalize the discrete stack.
 
     Each mode is sampled in the focal plane, renormalized to unit discrete
     norm, and the whole stack is then rotated by the inverse square root of
     its Gram matrix (symmetric orthonormalization), which perturbs each
     field minimally while making the set exactly orthonormal on the grid.
+    The renormalization also drops the constant sqrt(pi) that separates
+    psi_nm from the projection radial factor.
     """
     grid = grid or default_grid()
     x, y = grid.mesh()
     r = np.hypot(x, y).ravel()
     phi = (np.arctan2(y, x).ravel() - basis.rotation)
-    safe = np.where(r < _R_EPS, 1.0, r)
     dx = grid.dx
 
     count = basis.count
     stack = np.empty((count, r.size), dtype=np.float32)
-    radial_cache = {}
-    for k, idx in enumerate(basis.modes):
-        if idx.n not in radial_cache:
-            rad = math.sqrt(idx.n + 1) * bessel_j(idx.n + 1, 2.0 * math.pi * safe) / (
-                math.sqrt(math.pi) * safe
-            )
-            center = math.sqrt(math.pi) if idx.n == 0 else 0.0
-            radial_cache[idx.n] = np.where(r < _R_EPS, center, rad)
-        samples = radial_cache[idx.n] * _theta(idx.m, phi)
-        samples /= math.sqrt(float(np.dot(samples, samples)) * dx * dx)
-        stack[k] = samples.astype(np.float32)
+    # one radial order at a time, so only one radial row is held
+    for n in range(basis.n_max + 1):
+        radial = _radial_factor(n, r)
+        for m in range(-n, n + 1, 2):
+            samples = radial * zernike_angular(m, phi)
+            samples /= math.sqrt(float(np.dot(samples, samples)) * dx * dx)
+            stack[ZernikeIndex(n, m).linear] = samples.astype(np.float32)
 
     fields = ModeFieldSet(basis, grid, stack)
-    if not orthonormalize:
-        return fields
-
     g = fields.gram()
     vals, vecs = np.linalg.eigh(g)
     if vals[0] <= 0:

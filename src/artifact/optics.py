@@ -28,7 +28,6 @@ __all__ = [
     "OpticalField",
     "Scene",
     "TelescopePrescription",
-    "airy_sigma",
     "separation_from_sigma_units",
     "default_grid",
     "pupil_function",
@@ -45,13 +44,8 @@ __all__ = [
 
 _FIRST_J1_ZERO = 3.8317059702075123
 
-# Airy width parameter: first zero of J_1(2 pi r) in focal units.
+# Airy width parameter: first zero of J_1(2 pi r) in focal units, ~0.6098.
 AIRY_SIGMA = _FIRST_J1_ZERO / (2.0 * math.pi)
-
-
-def airy_sigma():
-    """Airy width sigma = (first zero of J_1)/(2 pi) ~ 0.6098 focal units."""
-    return AIRY_SIGMA
 
 
 def separation_from_sigma_units(r_over_sigma):
@@ -260,6 +254,11 @@ def psf(r):
 
 
 def _airy_amplitude(rho):
+    # sqrt(pi) times the n = 0 radial factor of modebasis, written apart on
+    # purpose: sampling psf_field from that factor instead moves 932,392 of
+    # its 1,048,576 default-grid samples by up to 6.7e-16 (633,708 with the
+    # sqrt(pi) kept), and cfim_direct_imaging amplifies such rounding by
+    # about 1e6 into the localization times of `tables`.
     rho_arr = np.asarray(rho, dtype=float)
     scalar = rho_arr.ndim == 0
     rho_arr = np.atleast_1d(rho_arr)
@@ -303,7 +302,7 @@ def _disk_coverage(grid, radius=1.0, supersample=8):
     return cov
 
 
-def pupil_disk_field(grid=None, supersample=8):
+def pupil_disk_field(grid=None):
     """Clear-aperture pupil field on the grid, unit discrete norm.
 
     Rim pixels get area-coverage amplitudes (supersampled), so every pixel
@@ -316,7 +315,7 @@ def pupil_disk_field(grid=None, supersample=8):
     within r <= 1 + 2 dx leaves 3.4e-4 there.
     """
     grid = grid or default_grid()
-    cov = _disk_coverage(grid, 1.0, supersample)
+    cov = _disk_coverage(grid, 1.0)
     f = OpticalField(cov.astype(complex) / math.sqrt(math.pi), "pupil", grid.half_width)
     return f.normalized()
 

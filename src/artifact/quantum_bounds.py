@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modebasis import _radial_factor
 from .optics import Scene, separation_from_sigma_units
 from .specfun import bessel_j
 
@@ -108,9 +109,7 @@ class AsymptoticExponent:
 
 def _gamma0(r):
     """Overlap of the aperture PSF with a copy displaced radially by r."""
-    if r < _R_EPS:
-        return 1.0
-    return float(bessel_j(1, 2.0 * math.pi * r) / (math.pi * r))
+    return float(_radial_factor(0, r))
 
 
 def _overlap_slope_factor(r):
@@ -181,6 +180,16 @@ def qfim_high_contrast(r_delta, b):
     return FisherMatrix(np.diag([k11, k22]), "quantum_bound", Scene(r_delta, 0.0, b))
 
 
+def _cramer_rao_bracket(fisher):
+    """Per-photon combined variance 1/K_11 + r^2/K_22 at the matrix's scene."""
+    k11 = float(fisher.entries[0, 0])
+    k22 = float(fisher.entries[1, 1])
+    if k11 <= 0.0 or k22 <= 0.0:
+        raise ValueError("Fisher matrix is singular for this error combination")
+    r = fisher.scene.r_delta
+    return 1.0 / k11 + r * r / k22
+
+
 def sigma_loc(fisher, n_photons):
     """Combined localization error sqrt(sigma_r^2 + (r sigma_phi)^2).
 
@@ -189,12 +198,7 @@ def sigma_loc(fisher, n_photons):
     """
     if n_photons <= 0:
         raise ValueError("photon count must be positive")
-    k11 = float(fisher.entries[0, 0])
-    k22 = float(fisher.entries[1, 1])
-    if k11 <= 0.0 or k22 <= 0.0:
-        raise ValueError("Fisher matrix is singular for this error combination")
-    r = fisher.scene.r_delta
-    return math.sqrt((1.0 / k11 + r * r / k22) / n_photons)
+    return math.sqrt(_cramer_rao_bracket(fisher) / n_photons)
 
 
 def detection_budget(scene, target_error, prescription):
@@ -212,20 +216,20 @@ def detection_budget(scene, target_error, prescription):
     return DetectionBudget(target_error, photons, photons / prescription.photon_flux_hz)
 
 
-def localization_photons(scene, rel_error):
-    """Photons for a relative localization error sigma_loc/r_delta target."""
+def localization_photons(fisher, rel_error):
+    """Photons for a relative localization error sigma_loc/r_delta target.
+
+    ``fisher`` is any FisherMatrix (the quantum bound or a measurement's
+    classical matrix); the separation is that of its stored scene.
+    """
     if rel_error <= 0:
         raise ValueError("rel_error must be positive")
-    fisher = qfim_polar(scene)
-    k11 = float(fisher.entries[0, 0])
-    k22 = float(fisher.entries[1, 1])
-    r = scene.r_delta
-    return (1.0 / k11 + r * r / k22) / (rel_error * r) ** 2
+    return _cramer_rao_bracket(fisher) / (rel_error * fisher.scene.r_delta) ** 2
 
 
 def localization_budget(scene, rel_error, prescription):
     """(photons, seconds) for a relative localization error target."""
-    photons = localization_photons(scene, rel_error)
+    photons = localization_photons(qfim_polar(scene), rel_error)
     return photons, photons / prescription.photon_flux_hz
 
 
@@ -251,7 +255,7 @@ def photon_requirement_map(r_over_sigma_values, b_values, task="detection",
                 xi = qce(scene)
                 photons = math.inf if xi == 0.0 else -math.log(target) / xi
             else:
-                photons = localization_photons(scene, target)
+                photons = localization_photons(qfim_polar(scene), target)
             seconds = photons / flux if flux is not None else math.nan
             rows[k] = (r_sigma, b, photons, seconds)
             k += 1
@@ -263,7 +267,7 @@ def write_photon_map_csv(path, rows, comment=None):
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["r_delta_over_sigma", "b", "photons", "seconds"])
         for row in np.asarray(rows):
             writer.writerow([f"{v:.17g}" for v in row])

@@ -4,10 +4,10 @@ Building the order-20 Fourier-Zernike field stack takes about a minute
 and each coronagraph extraction against it several minutes, so both are
 session scoped.  Extractions are additionally cached as JSON under
 ``~/.cache/artifact-tests``, keyed by a digest of everything an extraction
-depends on: the plan's element and projector arrays, the grid, the basis
-and the package version.  A change to any of them misses the cache and
-extracts afresh; stale files are never read again, and deleting the
-directory reclaims their space.
+depends on: the plan's element and projector arrays, the grid, the basis,
+the samples of the mode stack and the package version.  A change to any
+of them misses the cache and extracts afresh; stale files are never read
+again, and deleting the directory reclaims their space.
 """
 
 import hashlib
@@ -62,16 +62,19 @@ def plan_vortex(grid):
 
 
 def _operator_digest(plan, stack):
-    """Hex digest of the package version, the plan's arrays, grid and basis."""
+    """Hex digest of the package version, the plan's arrays, grid, basis and stack."""
     h = hashlib.sha256()
     ident = (artifact.__version__, plan.name, plan.input_domain, plan.grid, stack.basis)
     h.update(repr(ident).encode())
-    for kind, arr in plan.elements + (("projector", plan.projector),):
+    # the stack's own samples: a change to how modes are sampled moves them
+    # without touching the basis (about 0.75 s for the order-20 stack)
+    for kind, arr in plan.elements + (("projector", plan.projector), ("stack", stack.stack)):
         h.update(kind.encode())
         if arr is not None:
             arr = np.ascontiguousarray(arr)
             h.update(repr((arr.dtype.str, arr.shape)).encode())
-            h.update(arr.tobytes())
+            # hashed in place: a bytes copy of the order-20 stack is 924 MB
+            h.update(arr.data)
     return h.hexdigest()[:16]
 
 

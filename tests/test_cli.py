@@ -7,6 +7,7 @@ import pytest
 
 from artifact import __version__, cli, coronagraph
 from artifact.cli import CONFIG_ENV_VAR, main
+from artifact.coronagraph import read_raster
 
 _CONFIG = pathlib.Path(__file__).resolve().parents[1] / "telescope.cfg"
 
@@ -101,10 +102,8 @@ def _table2(out_dir):
 def table2_runs(tmp_path_factory):
     first = _table2(tmp_path_factory.mktemp("first"))
     # the rerun solves the design and builds the plans afresh
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_PLAN_CACHE", {})
-        mp.setattr(coronagraph, "_PIAACMC_CACHE", {})
-        return [first, _table2(tmp_path_factory.mktemp("rerun"))]
+    cli._get_plan.cache_clear()
+    return [first, _table2(tmp_path_factory.mktemp("rerun"))]
 
 
 def test_tables_exit_code_and_csv_rows(table2_runs):
@@ -150,9 +149,8 @@ def test_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
     def stalled(*args, **kwargs):
         raise RuntimeError("grid prolate power iteration did not converge")
 
-    # a fresh process state: no cached plan or design
-    monkeypatch.setattr(cli, "_PLAN_CACHE", {})
-    monkeypatch.setattr(coronagraph, "_PIAACMC_CACHE", {})
+    # a fresh process state: no cached plan
+    cli._get_plan.cache_clear()
     monkeypatch.setattr(coronagraph, "_grid_prolate", stalled)
     code = main(
         ["tables", "--table", "2", "--config", str(_CONFIG), "--out-dir", str(tmp_path)]
@@ -161,3 +159,138 @@ def test_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "error: grid prolate power iteration did not converge\n"
     assert not (tmp_path / "detection_times.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# bounds
+
+_BOUNDS_GRID = ["--r-delta-over-sigma", "0.1:2:3", "--contrast-b", "1e-9:1e-7:3:log"]
+_BOUNDS_CSV = {
+    "qce": ("bounds_qce.csv", "r_delta_over_sigma,b,qce"),
+    "qfim": ("bounds_qfim.csv", "r_delta_over_sigma,b,k_rr,k_phiphi"),
+    "budget-map": ("bounds_budget_map.csv", "r_delta_over_sigma,b,photons,seconds"),
+}
+
+
+def _bounds(target, out_dir, jobs):
+    argv = ["bounds", "--target", target, *_BOUNDS_GRID, "--jobs", str(jobs)]
+    code = main(argv + ["--out-dir", str(out_dir)])
+    return code, (out_dir / _BOUNDS_CSV[target][0]).read_bytes(), out_dir
+
+
+@pytest.fixture(scope="module", params=sorted(_BOUNDS_CSV))
+def bounds_runs(request, tmp_path_factory):
+    # each target on a 3 x 3 grid: serial, serial again, two workers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(CONFIG_ENV_VAR, raising=False)
+        runs = [
+            _bounds(request.param, tmp_path_factory.mktemp(name), jobs)
+            for name, jobs in (("first", 1), ("rerun", 1), ("pool", 2))
+        ]
+    return request.param, runs
+
+
+def test_bounds_exit_code_and_csv_rows(bounds_runs):
+    target, runs = bounds_runs
+    code, csv, _ = runs[0]
+    assert code == 0
+    # LF line endings only, as every CSV of the package
+    assert b"\r" not in csv
+    lines = csv.decode("ascii").splitlines()
+    assert lines[0] == f"# artifact {__version__} seed=0"
+    assert lines[1] == _BOUNDS_CSV[target][1]
+    rows = [row.split(",") for row in lines[2:]]
+    assert len(rows) == 9
+    # row-major over (separation, contrast)
+    assert [float(row[0]) for row in rows] == [x for x in (0.1, 1.05, 2.0) for _ in range(3)]
+    assert [float(row[1]) for row in rows[:3]] == pytest.approx([1e-9, 1e-8, 1e-7], rel=1e-12)
+
+
+def test_bounds_manifest(bounds_runs):
+    target, runs = bounds_runs
+    _, _, out_dir = runs[0]
+    manifest = json.loads((out_dir / "bounds_manifest.json").read_text())
+    assert manifest["command"] == "bounds"
+    assert manifest["config"] is None
+    assert manifest["version"] == __version__
+    assert manifest["seed"] == 0
+    assert manifest["parameters"]["target"] == target
+    assert manifest["parameters"]["r_delta_over_sigma"] == "0.1:2:3"
+    assert manifest["parameters"]["contrast_b"] == "1e-9:1e-7:3:log"
+    assert manifest["parameters"]["jobs"] == 1
+    assert manifest["outputs"] == [_BOUNDS_CSV[target][0]]
+
+
+def test_bounds_rerun_is_byte_identical(bounds_runs):
+    _, ((_, first, _), (_, rerun, _), _) = bounds_runs
+    assert first == rerun
+
+
+def test_bounds_jobs_do_not_change_outputs(bounds_runs):
+    _, ((_, serial, _), _, (_, pooled, _)) = bounds_runs
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("target", ["qce", "budget-map"])
+def test_bounds_zero_count_axis_exits_2(target, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    argv = ["bounds", "--target", target, "--r-delta-over-sigma", "0.1:2:0"]
+    code = main(argv + ["--jobs", "1", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "'0.1:2:0'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# ---------------------------------------------------------------------------
+# coronagraph
+
+_VORTEX_OUTPUTS = {
+    "throughput": (["--r-delta-over-sigma", "0.5,1,2"], "vortex_throughput.csv"),
+    "image": ([], "vortex_image.f32"),
+    "eigenmodes": (["--n-max", "1"], "vortex_modes.csv"),
+}
+
+
+def _coronagraph(output, out_dir):
+    extra, name = _VORTEX_OUTPUTS[output]
+    argv = ["coronagraph", "--design", "vortex", "--output", output, *extra]
+    code = main(argv + ["--out-dir", str(out_dir)])
+    return code, out_dir / name
+
+
+@pytest.fixture(scope="module", params=sorted(_VORTEX_OUTPUTS))
+def vortex_runs(request, tmp_path_factory):
+    first = _coronagraph(request.param, tmp_path_factory.mktemp("first"))
+    # the rerun builds the plan afresh
+    cli._get_plan.cache_clear()
+    return request.param, [first, _coronagraph(request.param, tmp_path_factory.mktemp("rerun"))]
+
+
+def test_coronagraph_exit_code_and_outputs(vortex_runs):
+    output, ((code, path), _) = vortex_runs
+    assert code == 0
+    manifest = json.loads((path.parent / "coronagraph_manifest.json").read_text())
+    assert manifest["parameters"]["design"] == "vortex"
+    assert manifest["parameters"]["output"] == output
+    assert manifest["outputs"] == [path.name]
+    if output == "image":
+        image = read_raster(path)
+        assert image.shape == (1024, 1024)
+        assert image.min() >= 0.0
+        return
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# artifact {__version__} seed=0"
+    if output == "throughput":
+        assert lines[1] == "r_delta_over_sigma,planet_throughput"
+        values = [float(row.split(",")[1]) for row in lines[2:]]
+        assert len(values) == 3
+        # the vortex passes more of the planet the farther it sits off axis
+        assert all(0.0 < a < b <= 1.0 for a, b in zip(values, values[1:]))
+    else:
+        assert lines[1] == "mode_index,transmission_sq"
+        assert [row.split(",")[0] for row in lines[2:]] == ["0", "1", "2"]
+
+
+def test_coronagraph_rerun_is_byte_identical(vortex_runs):
+    _, ((_, first), (_, rerun)) = vortex_runs
+    assert first.read_bytes() == rerun.read_bytes()

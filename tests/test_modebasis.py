@@ -16,10 +16,7 @@ from artifact.modebasis import (
     all_probability_gradients,
     completeness_deficit,
     mode_field_stack,
-    mode_probability_gradient,
-    mode_value,
     projection,
-    scene_mode_probability,
     source_coefficients,
 )
 from artifact.optics import GridSpec, Scene, overlap, psf_field
@@ -40,39 +37,43 @@ def test_mode_count_and_ordering():
 def test_basis_validation():
     with pytest.raises(ValueError):
         FourierZernikeBasis(-1)
-    with pytest.raises(ValueError):
-        FourierZernikeBasis(4, real_convention=False)
+    # the modes carry no unimodular phase: coefficients are real
+    assert source_coefficients(FourierZernikeBasis(4), 0.3, 1.1).dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 
 
-def test_mode_value_center():
-    assert mode_value(ZernikeIndex(0, 0), 0.0, 0.0) == pytest.approx(
+# the mode amplitude psi_nm is the projection coefficient times sqrt(pi)
+
+
+def test_projection_center():
+    assert math.sqrt(math.pi) * projection(ZernikeIndex(0, 0), 0.0, 0.0) == pytest.approx(
         math.sqrt(math.pi), rel=1e-15
     )
-    assert mode_value(ZernikeIndex(3, 1), 0.0, 0.3) == 0.0
+    assert projection(ZernikeIndex(3, 1), 0.0, 0.3) == 0.0
 
 
-def test_mode_value_against_bessel_oracle():
+def test_projection_against_bessel_oracle():
     x = 2.0 * math.pi * 0.3
     j2 = miller_row(x, 2)[2]
     expect = math.sqrt(2.0) * math.sqrt(2.0) * j2 / (math.sqrt(math.pi) * 0.3)
-    assert mode_value(ZernikeIndex(1, 1), 0.3, 0.0) == pytest.approx(expect, rel=1e-12)
+    got = math.sqrt(math.pi) * projection(ZernikeIndex(1, 1), 0.3, 0.0)
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
-def test_mode_value_sine_node():
+def test_projection_sine_node():
     # sin(2 phi) vanishes at phi = pi/2
-    assert abs(mode_value(ZernikeIndex(2, -2), 0.5, math.pi / 2)) < 1e-15
+    assert abs(projection(ZernikeIndex(2, -2), 0.5, math.pi / 2)) < 1e-15
 
 
-def test_mode_value_vectorized_and_domain():
+def test_projection_vectorized_and_domain():
     r = np.array([0.0, 0.2, 0.4])
-    out = mode_value(ZernikeIndex(0, 0), r, np.zeros(3))
+    out = projection(ZernikeIndex(0, 0), r, np.zeros(3))
     assert out.shape == (3,)
     with pytest.raises(ValueError):
-        mode_value(ZernikeIndex(0, 0), -0.1, 0.0)
+        projection(ZernikeIndex(0, 0), -0.1, 0.0)
 
 
 def test_projection_examples():
@@ -101,7 +102,7 @@ def test_fundamental_mode_probability_high_contrast():
     scene = Scene(0.5, 0.0, b)
     gamma0 = projection(ZernikeIndex(0, 0), 0.5, 0.0)
     expected = 1.0 - b * (1.0 - gamma0**2)
-    got = scene_mode_probability(FourierZernikeBasis(4), ZernikeIndex(0, 0), scene)
+    got = all_mode_probabilities(FourierZernikeBasis(4), scene)[ZernikeIndex(0, 0).linear]
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -224,7 +225,7 @@ def test_angle_gradient_vanishes_exactly_on_symmetry_axes(phi):
 def test_fundamental_radial_gradient_vanishes_on_axis():
     basis = FourierZernikeBasis(4)
     for r in (1e-3, 1e-5):
-        g = mode_probability_gradient(basis, ZernikeIndex(0, 0), Scene(r, 0.0, 0.5))
+        g = all_probability_gradients(basis, Scene(r, 0.0, 0.5))[ZernikeIndex(0, 0).linear]
         assert g[0] <= 0.0
         assert abs(g[0]) <= 10.0 * r
 

@@ -249,9 +249,13 @@ def test_sigma_loc_rejects_degenerate_inputs():
 
 def test_localization_photons_round_trip():
     scene = Scene(separation_from_sigma_units(0.1), 0.0, 1e-9)
-    n = localization_photons(scene, 0.1)
+    n = localization_photons(qfim_polar(scene), 0.1)
     achieved = sigma_loc(qfim_polar(scene), n) / scene.r_delta
     assert achieved == pytest.approx(0.1, rel=1e-12)
+    # the singular-matrix check is the one sigma_loc applies
+    singular = FisherMatrix(np.diag([1.0, 0.0]), "quantum_bound", scene)
+    with pytest.raises(ValueError):
+        localization_photons(singular, 0.1)
 
 
 def test_detection_budget_reference_times():
@@ -311,7 +315,7 @@ def test_photon_requirement_map_rows():
 
     loc = photon_requirement_map(r_sigma, bs, task="localization", target=0.1)
     assert loc[0, 2] == pytest.approx(
-        localization_photons(Scene(separation_from_sigma_units(0.1), 0.0, 1e-9), 0.1),
+        localization_photons(qfim_polar(Scene(separation_from_sigma_units(0.1), 0.0, 1e-9)), 0.1),
         rel=1e-14,
     )
     assert math.isnan(loc[0, 3])
@@ -324,6 +328,7 @@ def test_photon_map_csv_round_trip(tmp_path):
                                   prescription=PRESCRIPTION)
     path = tmp_path / "map.csv"
     write_photon_map_csv(path, rows, comment="detection map")
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().splitlines()
     assert lines[0] == "# detection map"
     assert lines[1] == "r_delta_over_sigma,b,photons,seconds"
