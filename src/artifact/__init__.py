@@ -44,8 +44,6 @@ from .optics import (
 )
 from .quantum_bounds import (
     FisherMatrix,
-    detection_budget,
-    localization_budget,
     qce,
     qfim_high_contrast,
     qfim_polar,
@@ -70,11 +68,9 @@ __all__ = [
     "cce_spade_binary",
     "cfim_direct_imaging",
     "cfim_spade",
-    "detection_budget",
     "extract_operator",
     "fit_uncertainty_patch",
     "load_prescription",
-    "localization_budget",
     "mle_localize",
     "mode_field_stack",
     "output_state_image",

@@ -13,34 +13,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .coronagraph import PropagatorPlan, output_state_image
 from .modebasis import (
     FourierZernikeBasis,
     all_mode_probabilities,
     all_probability_gradients,
-    source_coefficient_gradients,
     source_coefficients,
 )
 from .optics import AIRY_SIGMA, GridSpec, Scene
-from .quantum_bounds import FisherMatrix, _gamma0
+from .quantum_bounds import FisherMatrix, _gamma0, qce
 
 __all__ = [
     "PSF_THROUGHPUT_CEILING",
     "InformationCurve",
-    "angular_resolution_order",
     "brightness_leakage_ratio",
     "cce_coronagraph",
     "cce_spade_binary",
     "cfim_direct_imaging",
     "cfim_spade",
-    "modal_information_bound",
     "per_mode_information",
     "psf_throughput",
-    "radial_group_information",
     "write_information_csv",
-    "write_mode_information_csv",
 ]
 
 # largest on-axis leak for which detect-or-absorb counting is meaningful
@@ -68,58 +62,18 @@ def _quarter_distance(phi):
     return min(rem, _QUARTER - rem)
 
 
-def _min_log_overlap(logp0, logp1, tol=1e-10):
-    """Minimum over t in [0, 1] of log sum_a p0_a^t p1_a^(1-t).
-
-    Takes log-probabilities restricted to the common support.  The
-    objective is convex in t, so a golden-section bracket plus the two
-    endpoints resolves the minimum to the stated tolerance in t.
-    """
-
-    def obj(t):
-        return float(logsumexp(t * logp0 + (1.0 - t) * logp1))
-
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = 0.0, 1.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = obj(c), obj(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = obj(d)
-    return min(obj(0.0), obj(1.0), fc, fd)
-
-
 def cce_spade_binary(scene):
     """Discrimination exponent of the two-outcome fundamental-mode sorter.
 
     The sorter separates "photon in the fundamental mode" from
     "anywhere else".  Without a companion every photon takes the first
-    outcome, so the error exponent reduces to -log of the fundamental
-    survival probability of the two-source mixture; the golden-section
-    search over the interpolation exponent lands on that boundary.  The
-    result matches quantum_bounds.qce to rounding, because this binary
-    sorter is an optimal detection measurement.
+    outcome, so the Chernoff bound over the interpolation exponent sits
+    at its boundary and the error exponent is -log of the fundamental
+    survival probability of the two-source mixture.  That is the quantum
+    Chernoff exponent: the binary fundamental-mode sorter attains the
+    QCE, so this returns quantum_bounds.qce.
     """
-    if scene.r_delta == 0.0:
-        return 0.0
-    b = scene.b
-    r_s, _ = scene.star_polar
-    r_e, _ = scene.planet_polar
-    survival = (1.0 - b) * _gamma0(r_s) ** 2 + b * _gamma0(r_e) ** 2
-    if survival >= 1.0:
-        return 0.0
-    if survival == 0.0:
-        return math.inf
-    logp0 = np.array([0.0])
-    logp1 = np.array([math.log(survival)])
-    return -_min_log_overlap(logp0, logp1)
+    return qce(scene)
 
 
 def psf_throughput(op):
@@ -197,14 +151,6 @@ def cfim_spade(basis, scene):
     )
 
 
-def radial_group_information(basis, scene):
-    """Separation information per radial order, shape (n_max + 1,)."""
-    contrib = per_mode_information(basis, scene)[:, 0, 0]
-    out = np.zeros(basis.n_max + 1)
-    np.add.at(out, basis._n_arr, contrib)
-    return out
-
-
 def cfim_direct_imaging(target, scene, step=None):
     """Localization information of ideal photon counting on the image grid.
 
@@ -249,30 +195,6 @@ def cfim_direct_imaging(target, scene, step=None):
     return FisherMatrix(entries, "classical", scene, system_name=target.name)
 
 
-def modal_information_bound(op, scene):
-    """Transmission-weighted mode-counting information surface, 2x2 array.
-
-    Evaluates the small-b counting information of the chain's own output
-    modes at the scene separation, each term scaled by its energy
-    transmission.  Offered as a diagnostic ceiling to compare against
-    cfim_direct_imaging; it is a heuristic, not an asserted bound, so it
-    returns a plain array rather than a FisherMatrix.
-    """
-    basis = op.fields.basis
-    c = source_coefficients(basis, scene.r_delta, scene.phi_delta)
-    grad = source_coefficient_gradients(basis, scene.r_delta, scene.phi_delta)
-    v_conj = op.mode_coefficients.conj().T
-    d = v_conj @ c.astype(complex)
-    dg = v_conj @ grad.astype(complex)
-    p = np.abs(d) ** 2
-    dp = 2.0 * np.real(np.conj(d)[:, None] * dg)
-    weight = np.abs(op.transmissions) ** 2
-    live = p > 0.0
-    quot = dp[live] / p[live, None]
-    mats = quot[:, :, None] * dp[live][:, None, :]
-    return scene.b * np.sum(weight[live, None, None] * mats, axis=0)
-
-
 def brightness_leakage_ratio(r_delta, b):
     """Star-to-planet odds for a photon sorted out of the fundamental.
 
@@ -290,24 +212,6 @@ def brightness_leakage_ratio(r_delta, b):
     star = (1.0 - b) * _fundamental_miss(b * r_delta)
     planet = b * _fundamental_miss((1.0 - b) * r_delta)
     return star / planet
-
-
-def angular_resolution_order(phi_delta):
-    """Rule-of-thumb azimuthal order needed to sample the position angle.
-
-    The paired cosine and sine outcomes of azimuthal order m split the
-    angular information in proportion to sin^2 and cos^2 of m times the
-    offset d from the nearest quarter turn, so the summed information is
-    available at any truncation; what grows with small d is the photon
-    count needed before the weaker outcome of the pair is observed at
-    all.  Orders near pi / (2 d) bring that split back to order unity.
-    """
-    d = _quarter_distance(phi_delta)
-    if d == 0.0:
-        raise ValueError(
-            "position angle sits exactly on a quarter turn; rotate the basis"
-        )
-    return max(1, math.ceil(math.pi / (2.0 * d)))
 
 
 @dataclass(frozen=True)
@@ -370,24 +274,3 @@ def write_information_csv(path, curve, component=None):
                 f"{curve.system},{r / AIRY_SIGMA:.17g},{b:.17g},{val:.17g},{trunc}\n"
             )
 
-
-def write_mode_information_csv(path, basis, scenes):
-    """Write separation-information shares by radial order as CSV.
-
-    Extends the standard layout with a group column for the radial
-    order; the value column holds that order's share of the total
-    separation information under mode counting.
-    """
-    with open(path, "w", encoding="ascii") as f:
-        f.write("# separation-information share by radial order, mode counting\n")
-        f.write("system,r_delta_over_sigma,b,group,value,truncation\n")
-        for scene in scenes:
-            shares = radial_group_information(basis, scene)
-            total = float(shares.sum())
-            if total > 0.0:
-                shares = shares / total
-            for n, share in enumerate(shares):
-                f.write(
-                    f"spade,{scene.r_delta / AIRY_SIGMA:.17g},{scene.b:.17g},"
-                    f"{n},{float(share):.17g},{basis.n_max}\n"
-                )

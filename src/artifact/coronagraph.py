@@ -78,7 +78,7 @@ __all__ = [
     "read_raster",
 ]
 
-ELEMENT_KINDS = ("apodizer", "focal_mask", "lyot_stop", "inverse_apodizer", "identity")
+ELEMENT_KINDS = ("apodizer", "focal_mask", "lyot_stop", "inverse_apodizer")
 RASTER_MAGIC = b"FR32"
 VORTEX_CHARGE = 2
 
@@ -162,7 +162,7 @@ class PropagatorPlan:
         for kind, arr in self.elements:
             if kind not in ELEMENT_KINDS:
                 raise ValueError("unknown element kind %r" % kind)
-            if kind != "identity" and np.shape(arr) != (n, n):
+            if np.shape(arr) != (n, n):
                 raise ValueError("element %r array must match the grid" % kind)
         if self.projector is not None and self.projector.shape != (n, n):
             raise ValueError("projector must match the grid")
@@ -188,8 +188,6 @@ class PropagatorPlan:
             raise ValueError("field grid does not match the plan grid")
         cur = field
         for kind, arr in self.elements:
-            if kind == "identity":
-                continue
             need = "focal" if kind == "focal_mask" else "pupil"
             if cur.domain != need:
                 cur = propagate(cur) if cur.domain == "pupil" else inverse_propagate(cur)
@@ -219,7 +217,7 @@ def perfect_plan(fundamental=None, grid=None):
     if fundamental.grid != grid:
         raise ValueError("fundamental grid does not match")
     proj = np.asarray(fundamental.normalized().samples)
-    return PropagatorPlan("perfect", grid, (("identity", None),), "focal", proj)
+    return PropagatorPlan("perfect", grid, (), "focal", proj)
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +468,15 @@ def piaacmc_plan(grid=None):
 # vortex
 
 
-def vortex_plan(grid=None, charge=VORTEX_CHARGE):
-    """Spiral focal phase exp(i*charge*phi) followed by the Lyot stop.
+def vortex_plan(grid=None):
+    """Spiral focal phase exp(i*VORTEX_CHARGE*phi) followed by the Lyot stop.
 
     The phase is sampled at pixel centers with the singular center pixel
-    zeroed; only charge 2 is exercised by the test suite.
+    zeroed.
     """
     grid = grid or default_grid()
-    if charge == 0:
-        raise ValueError("vortex charge must be nonzero")
     x, y = grid.mesh()
-    phase = np.exp(1j * charge * np.arctan2(y, x))
+    phase = np.exp(1j * VORTEX_CHARGE * np.arctan2(y, x))
     phase[grid.n_pixels // 2, grid.n_pixels // 2] = 0.0
     elements = (("focal_mask", phase), ("lyot_stop", lyot_stop_array(grid)))
     return PropagatorPlan("vortex", grid, elements, "pupil")
@@ -694,12 +690,9 @@ def load_operator(path, fields):
         return operator_from_json(json.load(fh), fields)
 
 
-def write_transmission_csv(path, op, comment=None):
-    """Mode index vs |tau_k|^2, ascending, one row per retained mode."""
-    lines = []
-    if comment:
-        lines.append("# %s" % comment)
-    lines.append("mode_index,transmission_sq")
+def write_transmission_csv(path, op, comment):
+    """Comment line, then mode index vs |tau_k|^2, ascending, one per retained mode."""
+    lines = ["# %s" % comment, "mode_index,transmission_sq"]
     for k, t in enumerate(op.transmissions):
         lines.append("%d,%.17g" % (k, abs(t) ** 2))
     with open(path, "w") as fh:

@@ -40,6 +40,8 @@ _R_FLOOR = 1e-3 * AIRY_SIGMA
 _R_CEILING = 3.0 * AIRY_SIGMA
 _GRID_POINTS = 64
 _LOG_FLOOR = 1e-300
+_SPIRAL_PHI0 = 0.18
+_SPIRAL_TURNS = 0.18
 
 
 def fold_position_angle(phi):
@@ -285,22 +287,22 @@ def patch_efficiency(scene, results, mean_photons):
     return patch, floor, patch / floor
 
 
-def spiral_truths(count, r_start, r_end, b, turns=0.18, phi0=0.18):
+def spiral_truths(count, r_start, r_end, b):
     """Truth scenes spaced equally along an Archimedean spiral arc.
 
-    The default angular span keeps every point away from the quarter-turn
-    reflection boundaries, where folded scatter would wrap and distort a
-    patch fit.
+    The arc starts at _SPIRAL_PHI0 and sweeps _SPIRAL_TURNS of a turn, a
+    span that keeps every point away from the quarter-turn reflection
+    boundaries, where folded scatter would wrap and distort a patch fit.
     """
     if count < 1:
         raise ValueError("need at least one truth point")
     if count == 1:
-        return [Scene(r_start, phi0, b)]
+        return [Scene(r_start, _SPIRAL_PHI0, b)]
     t = np.linspace(0.0, 1.0, count)
     scenes = []
     for tk in t:
         r = r_start + (r_end - r_start) * tk
-        phi = (phi0 + 2.0 * math.pi * turns * tk) % (2.0 * math.pi)
+        phi = (_SPIRAL_PHI0 + 2.0 * math.pi * _SPIRAL_TURNS * tk) % (2.0 * math.pi)
         scenes.append(Scene(r, phi, b))
     return scenes
 

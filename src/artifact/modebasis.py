@@ -35,9 +35,7 @@ __all__ = [
     "ModeFieldSet",
     "all_mode_probabilities",
     "all_probability_gradients",
-    "completeness_deficit",
     "mode_field_stack",
-    "projection",
     "source_coefficient_gradients",
     "source_coefficients",
 ]
@@ -120,22 +118,6 @@ def _radial_factor(n, r):
     if on_axis.any():
         out = np.where(on_axis, np.equal(n, 0), out)
     return out
-
-
-def projection(idx, r, phi):
-    """Projection coefficient of a unit point source at (r, phi) onto mode idx.
-
-    This is the continuum overlap of the mode with the shifted PSF; its
-    square is the photon arrival probability in that mode channel.
-    """
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    scalar = r.ndim == 0 and phi.ndim == 0
-    r, phi = np.atleast_1d(r), np.atleast_1d(phi)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
-    out = _radial_factor(idx.n, r) * zernike_angular(idx.m, phi)
-    return float(out[0]) if scalar else out
 
 
 def _check_sources(r, phi):
@@ -308,11 +290,6 @@ def all_probability_gradients(basis, scene):
     d_r = (1.0 - b) * b * ds_r + b * (1.0 - b) * de_r
     d_phi = (1.0 - b) * ds_phi + b * de_phi
     return np.stack([d_r, d_phi], axis=1)
-
-
-def completeness_deficit(basis, r, phi=0.0):
-    """Probability mass of a point source outside the truncated basis."""
-    return 1.0 - float(np.sum(source_coefficients(basis, r, phi) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,7 @@ from .specfun import bessel_j
 __all__ = [
     "HIGH_CONTRAST_B_MAX",
     "AsymptoticExponent",
-    "DetectionBudget",
     "FisherMatrix",
-    "detection_budget",
-    "localization_budget",
     "localization_photons",
     "photon_requirement_map",
     "qce",
@@ -72,24 +69,11 @@ class FisherMatrix:
         if float(np.linalg.eigvalsh(entries)[0]) < -1e-12 * scale:
             raise ValueError("Fisher matrix is not positive semidefinite")
 
-    def dominates(self, other, rtol=1e-9):
-        """True when self - other is PSD within rtol of self's trace."""
+    def dominates(self, other):
+        """True when self - other is PSD within 1e-9 of self's trace."""
         gap = self.entries - other.entries
-        floor = -rtol * max(1.0, float(np.trace(self.entries)))
+        floor = -1e-9 * max(1.0, float(np.trace(self.entries)))
         return float(np.linalg.eigvalsh(gap)[0]) >= floor
-
-
-@dataclass(frozen=True)
-class DetectionBudget:
-    """Photon count and exposure implied by an error-probability target."""
-
-    target_error: float
-    photons_required: float
-    exposure_seconds: float
-
-    def __post_init__(self):
-        if not 0.0 < self.target_error < 1.0:
-            raise ValueError("target_error must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -201,21 +185,6 @@ def sigma_loc(fisher, n_photons):
     return math.sqrt(_cramer_rao_bracket(fisher) / n_photons)
 
 
-def detection_budget(scene, target_error, prescription):
-    """Photons and seconds needed to reach a detection error probability.
-
-    photons = -ln(target_error)/qce(scene); an exponent of zero (for
-    example at zero separation) is signaled by infinite budget entries.
-    """
-    if not 0.0 < target_error < 1.0:
-        raise ValueError("target_error must lie in (0, 1)")
-    xi = qce(scene)
-    if xi == 0.0:
-        return DetectionBudget(target_error, math.inf, math.inf)
-    photons = -math.log(target_error) / xi
-    return DetectionBudget(target_error, photons, photons / prescription.photon_flux_hz)
-
-
 def localization_photons(fisher, rel_error):
     """Photons for a relative localization error sigma_loc/r_delta target.
 
@@ -227,23 +196,23 @@ def localization_photons(fisher, rel_error):
     return _cramer_rao_bracket(fisher) / (rel_error * fisher.scene.r_delta) ** 2
 
 
-def localization_budget(scene, rel_error, prescription):
-    """(photons, seconds) for a relative localization error target."""
-    photons = localization_photons(qfim_polar(scene), rel_error)
-    return photons, photons / prescription.photon_flux_hz
-
-
 def photon_requirement_map(r_over_sigma_values, b_values, task="detection",
                            target=1e-3, prescription=None):
     """Requirement map rows over a (separation, contrast) grid.
 
     Rows are (r_delta_over_sigma, b, photons, seconds) in row-major order
     over the two input axes.  For task "detection" the target is an error
-    probability; for task "localization" it is a relative localization
-    error.  seconds is NaN when no prescription is given.
+    probability in (0, 1), and a zero separation, where the exponent
+    vanishes, reads infinite photons and seconds; for task "localization"
+    it is a relative localization error.  seconds is NaN when no
+    prescription is given.
     """
     if task not in ("detection", "localization"):
         raise ValueError("task must be 'detection' or 'localization'")
+    if task == "detection" and not 0.0 < target < 1.0:
+        raise ValueError(
+            f"detection error-probability target {target!r} must lie in (0, 1)"
+        )
     flux = prescription.photon_flux_hz if prescription is not None else None
     rows = np.empty((len(r_over_sigma_values) * len(b_values), 4))
     k = 0
@@ -262,11 +231,10 @@ def photon_requirement_map(r_over_sigma_values, b_values, task="detection",
     return rows
 
 
-def write_photon_map_csv(path, rows, comment=None):
-    """Write requirement-map rows as CSV with the standard four columns."""
+def write_photon_map_csv(path, rows, comment):
+    """Write requirement-map rows as CSV: a comment line, then four columns."""
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["r_delta_over_sigma", "b", "photons", "seconds"])
         for row in np.asarray(rows):

@@ -3,9 +3,8 @@
 Everything downstream (mode overlaps, information bounds, coronagraph
 spectra) reduces to integer-order Bessel functions of modest argument and
 to Zernike radial/angular factors on the unit disk.  This module pins the
-conventions: radial polynomials carry the sqrt(n+1) normalization, the
-angular factors are the real cosine/sine pair, and two infinite Bessel sum
-rules double as numerical self-tests of the Bessel backend.
+conventions: radial polynomials carry the sqrt(n+1) normalization and the
+angular factors are the real cosine/sine pair.
 """
 
 import math
@@ -20,8 +19,6 @@ __all__ = [
     "bessel_j",
     "zernike_radial",
     "zernike_angular",
-    "verify_bessel_identity_1",
-    "verify_bessel_identity_2",
 ]
 
 # Largest |order| accepted; chosen with headroom above the n_max = 500 basis
@@ -133,37 +130,3 @@ def zernike_angular(m, theta):
         return float(out)
     return out
 
-
-def _resolve_terms(x, n_terms):
-    if n_terms == 0:
-        # orders far above the argument contribute negligibly
-        return math.ceil(x) + 60
-    return int(n_terms)
-
-
-def verify_bessel_identity_1(x, n_terms=0):
-    """Partial sum of sum_n [J_{n-1}(x) - J_{n+3}(x)]^2 over n = 0..n_terms.
-
-    Converges to 1 for every x >= 0 once n_terms comfortably exceeds x;
-    passing n_terms=0 selects ceil(x) + 60 terms automatically.
-    """
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    nmax = _resolve_terms(x, n_terms)
-    orders = np.arange(-1, nmax + 4)
-    j = special.jv(orders, x)
-    # orders[k] = k - 1, so J_{n-1} sits at position n and J_{n+3} at n + 4
-    diff = j[: nmax + 1] - j[4 : nmax + 5]
-    return float(np.sum(diff**2))
-
-
-def verify_bessel_identity_2(x, n_terms=0):
-    """Partial sum of (4/3) sum_n n(n+2) [J_n(x) + J_{n+2}(x)]^2; converges to x^2."""
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    nmax = _resolve_terms(x, n_terms)
-    orders = np.arange(0, nmax + 3)
-    j = special.jv(orders, x)
-    n = np.arange(0, nmax + 1)
-    terms = n * (n + 2) * (j[: nmax + 1] + j[2 : nmax + 3]) ** 2
-    return float(4.0 / 3.0 * np.sum(terms))

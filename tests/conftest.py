@@ -6,12 +6,13 @@ session scoped.  Extractions are additionally cached as JSON under
 ``~/.cache/artifact-tests``, keyed by a digest of everything an extraction
 depends on: the plan's element and projector arrays, the grid, the basis,
 the samples of the mode stack and the package version.  A change to any
-of them misses the cache and extracts afresh; stale files are never read
-again, and deleting the directory reclaims their space.
+of them misses the cache and extracts afresh; writing the fresh file
+deletes the files of the same design and order under any other digest.
 """
 
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,12 @@ def _cached_operator(name, plan, stack):
     op = extract_operator(plan, stack)
     os.makedirs(CACHE_DIR, exist_ok=True)
     save_operator(path, op)
+    # superseded digests of this design and order, and the undigested
+    # files of the first cache layout
+    stale = re.compile(r"op_%s_n%d(_[0-9a-f]{16})?\.json" % (name, stack.basis.n_max))
+    for entry in os.listdir(CACHE_DIR):
+        if stale.fullmatch(entry) and entry != os.path.basename(path):
+            os.remove(os.path.join(CACHE_DIR, entry))
     return op
 
 

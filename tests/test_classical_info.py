@@ -10,18 +10,14 @@ from scipy.special import j1
 from artifact.classical_info import (
     PSF_THROUGHPUT_CEILING,
     InformationCurve,
-    angular_resolution_order,
     brightness_leakage_ratio,
     cce_coronagraph,
     cce_spade_binary,
     cfim_direct_imaging,
     cfim_spade,
-    modal_information_bound,
     per_mode_information,
     psf_throughput,
-    radial_group_information,
     write_information_csv,
-    write_mode_information_csv,
 )
 from artifact.coronagraph import CoronagraphOperator, perfect_plan, vortex_plan
 from artifact.modebasis import FourierZernikeBasis
@@ -104,21 +100,6 @@ def test_leakage_domain_errors(r, b):
         brightness_leakage_ratio(r, b)
 
 
-# ------------------------------------------------------- angular order rule
-
-
-def test_angular_resolution_order_values():
-    assert angular_resolution_order(math.pi / 4) == 2
-    assert angular_resolution_order(math.pi / 2 - math.pi / 40) == 20
-    assert angular_resolution_order(0.01) == math.ceil(math.pi / 0.02)
-
-
-@pytest.mark.parametrize("phi", [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
-def test_angular_resolution_order_lattice_error(phi):
-    with pytest.raises(ValueError):
-        angular_resolution_order(phi)
-
-
 # ------------------------------------------------------------ mode counting
 
 
@@ -164,15 +145,21 @@ def test_spade_rotation_leaves_saturated_matrix(basis60):
     assert_allclose(np.diag(f_a.entries), np.diag(f_b.entries), rtol=1e-9)
 
 
+def _radial_group_information(basis, scene):
+    """Separation information of mode counting summed per radial order."""
+    per_mode = per_mode_information(basis, scene)[:, 0, 0]
+    return np.bincount([idx.n for idx in basis.modes], weights=per_mode)
+
+
 def test_radial_group_distribution(basis60):
     # tip-tilt holds 84.8% of the separation information at 0.2 sigma and
     # the peak order climbs (1, 1, 4) as the separation widens
-    shares = radial_group_information(basis60, Scene(0.2 * S, math.pi / 4, 1e-9))
+    shares = _radial_group_information(basis60, Scene(0.2 * S, math.pi / 4, 1e-9))
     assert shares[1] / shares.sum() > 0.5
     peaks = []
     for r_over_sigma in (0.2, 1.0, 2.0):
         sc = Scene(r_over_sigma * S, math.pi / 4, 1e-9)
-        peaks.append(int(np.argmax(radial_group_information(basis60, sc))))
+        peaks.append(int(np.argmax(_radial_group_information(basis60, sc))))
     assert peaks == sorted(peaks)
 
 
@@ -352,21 +339,6 @@ def test_imaging_accepts_angles_at_the_wrap():
         assert_allclose(np.diag(f.entries), ref, rtol=1e-9)
 
 
-def test_modal_bound_diagnostic(op_perfect20):
-    # diagnostic only, never asserted against the imaging CFIM; for the
-    # all-but-fundamental transmitter it reproduces the high-contrast
-    # quantum matrix (measured rel 2e-9) and scales exactly linearly in
-    # contrast
-    sc = Scene(0.3 * S, math.pi / 4, 1e-9)
-    bound = modal_information_bound(op_perfect20, sc)
-    q = qfim_high_contrast(sc.r_delta, sc.b)
-    assert bound.shape == (2, 2)
-    assert_allclose(np.diag(bound), np.diag(q.entries), rtol=1e-6)
-    assert abs(bound[0, 1]) <= 1e-12 * np.trace(bound)
-    bound10 = modal_information_bound(op_perfect20, Scene(0.3 * S, math.pi / 4, 1e-8))
-    assert_allclose(bound10 / bound, 10.0 * np.ones((2, 2)), rtol=1e-12)
-
-
 # ------------------------------------------------------- curves and emitters
 
 
@@ -428,18 +400,3 @@ def test_write_information_csv_matrix_component(tmp_path):
     scalar = InformationCurve("spade", ((S, 1e-9),), (0.5,))
     with pytest.raises(ValueError):
         write_information_csv(tmp_path / "bad2.csv", scalar, component="angle")
-
-
-def test_write_mode_information_csv(tmp_path):
-    basis = FourierZernikeBasis(6)
-    scenes = [Scene(0.2 * S, math.pi / 4, 1e-9), Scene(S, math.pi / 4, 1e-9)]
-    path = tmp_path / "modes.csv"
-    write_mode_information_csv(path, basis, scenes)
-    lines = path.read_text().splitlines()
-    assert lines[1] == "system,r_delta_over_sigma,b,group,value,truncation"
-    rows = [ln.split(",") for ln in lines[2:]]
-    assert len(rows) == 2 * 7
-    for start in (0, 7):
-        block = rows[start : start + 7]
-        assert [int(r[3]) for r in block] == list(range(7))
-        assert math.isclose(sum(float(r[4]) for r in block), 1.0, rel_tol=1e-12)

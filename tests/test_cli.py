@@ -137,6 +137,25 @@ def test_tables_rerun_is_byte_identical(table2_runs):
     assert first == rerun
 
 
+def test_tables_localization_rows(tmp_path):
+    code = main(
+        ["tables", "--table", "3", "--config", str(_CONFIG), "--out-dir", str(tmp_path)]
+    )
+    assert code == 0
+    lines = (tmp_path / "localization_times.csv").read_text().splitlines()
+    assert lines[0] == f"# artifact {__version__} seed=0"
+    assert lines[1] == "system,rel_loc_error,seconds"
+    rows = [row.split(",") for row in lines[2:]]
+    systems = ["quantum", "spade", "perfect", "piaacmc", "vortex"]
+    assert [row[0] for row in rows] == [s for s in systems for _ in range(4)]
+    seconds = {s: [float(row[2]) for row in rows if row[0] == s] for s in systems}
+    for s in systems:
+        # Cramer-Rao times scale as 1/rel^2, and no system beats the QFIM
+        rel = [float(row[1]) for row in rows if row[0] == s]
+        assert seconds[s] == pytest.approx([seconds[s][0] / r**2 for r in rel], rel=1e-12)
+        assert seconds[s][0] >= seconds["quantum"][0]
+
+
 def test_tables_without_config_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     code = main(["tables", "--table", "2", "--out-dir", str(tmp_path)])
@@ -231,6 +250,20 @@ def test_bounds_jobs_do_not_change_outputs(bounds_runs):
     assert pooled == serial
 
 
+@pytest.mark.parametrize("pe_target", ["0", "1", "2"])
+def test_bounds_detection_target_outside_unit_interval_exits_2(
+    pe_target, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    argv = ["bounds", "--target", "budget-map", "--task", "detection", *_BOUNDS_GRID]
+    code = main(argv + ["--pe-target", pe_target, "--jobs", "1", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: detection error-probability target")
+    assert f"{float(pe_target)!r}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("target", ["qce", "budget-map"])
 def test_bounds_zero_count_axis_exits_2(target, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
@@ -294,3 +327,27 @@ def test_coronagraph_exit_code_and_outputs(vortex_runs):
 def test_coronagraph_rerun_is_byte_identical(vortex_runs):
     _, ((_, first), (_, rerun)) = vortex_runs
     assert first.read_bytes() == rerun.read_bytes()
+
+
+@pytest.mark.parametrize("design", ["perfect", "piaacmc"])
+def test_coronagraph_throughput_other_designs(design, tmp_path):
+    argv = ["coronagraph", "--design", design, "--output", "throughput"]
+    code = main(argv + ["--r-delta-over-sigma", "0.5,1.5", "--out-dir", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / f"{design}_throughput.csv").read_text().splitlines()
+    assert lines[0] == f"# artifact {__version__} seed=0"
+    assert lines[1] == "r_delta_over_sigma,planet_throughput"
+    rows = [row.split(",") for row in lines[2:]]
+    assert [float(row[0]) for row in rows] == [0.5, 1.5]
+    # both chains pass more of the planet the farther it sits off axis
+    values = [float(row[1]) for row in rows]
+    assert 0.0 < values[0] < values[1] <= 1.0
+
+
+def test_coronagraph_image_needs_one_separation(tmp_path, capsys):
+    argv = ["coronagraph", "--design", "vortex", "--output", "image"]
+    code = main(argv + ["--r-delta-over-sigma", "0.5,1.5", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: --r-delta-over-sigma must be a single value here, got 2\n"
+    assert not (tmp_path / "vortex_image.f32").exists()

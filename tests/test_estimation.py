@@ -236,7 +236,7 @@ def test_spiral_truths_geometry():
     assert radii[0] == pytest.approx(0.2 * S)
     assert radii[-1] == pytest.approx(0.5 * S)
     assert all(b2 > a for a, b2 in zip(radii, radii[1:]))
-    # all default truth angles sit inside one quadrant, clear of the
+    # all truth angles sit inside one quadrant, clear of the
     # reflection boundaries that would wrap folded scatter
     for sc in scenes:
         assert 0.1 < fold_position_angle(sc.phi_delta) < math.pi / 2 - 0.1

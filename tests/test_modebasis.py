@@ -13,14 +13,13 @@ from _oracles import j1_first_zero, miller_row
 from artifact.modebasis import (
     FourierZernikeBasis,
     all_mode_probabilities,
+    _radial_factor,
     all_probability_gradients,
-    completeness_deficit,
     mode_field_stack,
-    projection,
     source_coefficients,
 )
 from artifact.optics import GridSpec, Scene, overlap, psf_field
-from artifact.specfun import ZernikeIndex
+from artifact.specfun import ZernikeIndex, zernike_angular
 
 
 # ---------------------------------------------------------------------------
@@ -48,47 +47,57 @@ def test_basis_validation():
 # the mode amplitude psi_nm is the projection coefficient times sqrt(pi)
 
 
+def _projection(idx, r, phi):
+    """Projection coefficient of a unit point source at (r, phi) onto mode idx."""
+    return source_coefficients(FourierZernikeBasis(idx.n), r, phi)[..., idx.linear]
+
+
 def test_projection_center():
-    assert math.sqrt(math.pi) * projection(ZernikeIndex(0, 0), 0.0, 0.0) == pytest.approx(
+    assert math.sqrt(math.pi) * _projection(ZernikeIndex(0, 0), 0.0, 0.0) == pytest.approx(
         math.sqrt(math.pi), rel=1e-15
     )
-    assert projection(ZernikeIndex(3, 1), 0.0, 0.3) == 0.0
+    assert _projection(ZernikeIndex(3, 1), 0.0, 0.3) == 0.0
 
 
 def test_projection_against_bessel_oracle():
     x = 2.0 * math.pi * 0.3
     j2 = miller_row(x, 2)[2]
     expect = math.sqrt(2.0) * math.sqrt(2.0) * j2 / (math.sqrt(math.pi) * 0.3)
-    got = math.sqrt(math.pi) * projection(ZernikeIndex(1, 1), 0.3, 0.0)
+    got = math.sqrt(math.pi) * _projection(ZernikeIndex(1, 1), 0.3, 0.0)
     assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_projection_sine_node():
     # sin(2 phi) vanishes at phi = pi/2
-    assert abs(projection(ZernikeIndex(2, -2), 0.5, math.pi / 2)) < 1e-15
+    assert abs(_projection(ZernikeIndex(2, -2), 0.5, math.pi / 2)) < 1e-15
 
 
 def test_projection_vectorized_and_domain():
     r = np.array([0.0, 0.2, 0.4])
-    out = projection(ZernikeIndex(0, 0), r, np.zeros(3))
+    out = _projection(ZernikeIndex(0, 0), r, np.zeros(3))
     assert out.shape == (3,)
     with pytest.raises(ValueError):
-        projection(ZernikeIndex(0, 0), -0.1, 0.0)
+        _projection(ZernikeIndex(0, 0), -0.1, 0.0)
 
 
 def test_projection_examples():
-    assert projection(ZernikeIndex(0, 0), 0.0, 0.0) == 1.0
+    assert _projection(ZernikeIndex(0, 0), 0.0, 0.0) == 1.0
     node = j1_first_zero() / (2.0 * math.pi)
-    assert abs(projection(ZernikeIndex(0, 0), node, 1.1)) < 1e-6
+    assert abs(_projection(ZernikeIndex(0, 0), node, 1.1)) < 1e-6
+
+
+def _completeness_deficit(basis, r, phi):
+    """Probability mass of a point source outside the truncated basis."""
+    return 1.0 - float(np.sum(source_coefficients(basis, r, phi) ** 2))
 
 
 def test_projection_completeness_at_high_truncation():
-    deficit = completeness_deficit(FourierZernikeBasis(60), 0.4, 0.3)
+    deficit = _completeness_deficit(FourierZernikeBasis(60), 0.4, 0.3)
     assert abs(deficit) < 1e-6
 
 
 def test_completeness_deficit_monotone_in_truncation():
-    deficits = [completeness_deficit(FourierZernikeBasis(n), 0.4, 0.3) for n in (10, 20, 40, 60)]
+    deficits = [_completeness_deficit(FourierZernikeBasis(n), 0.4, 0.3) for n in (10, 20, 40, 60)]
     for lo, hi in zip(deficits[1:], deficits[:-1]):
         assert lo <= hi + 1e-15
 
@@ -100,7 +109,7 @@ def test_completeness_deficit_monotone_in_truncation():
 def test_fundamental_mode_probability_high_contrast():
     b = 1e-9
     scene = Scene(0.5, 0.0, b)
-    gamma0 = projection(ZernikeIndex(0, 0), 0.5, 0.0)
+    gamma0 = _projection(ZernikeIndex(0, 0), 0.5, 0.0)
     expected = 1.0 - b * (1.0 - gamma0**2)
     got = all_mode_probabilities(FourierZernikeBasis(4), scene)[ZernikeIndex(0, 0).linear]
     assert got == pytest.approx(expected, rel=1e-12)
@@ -165,9 +174,11 @@ def test_source_coefficient_batch_equals_scalar_calls(rotation):
     single = np.stack([source_coefficients(basis, r, phi) for r, phi in zip(_BATCH_R, _BATCH_PHI)])
     assert batch.flags.c_contiguous
     assert np.array_equal(batch, single)
-    # the one-mode-at-a-time projection is the loop reference
+    # one mode at a time, radial factor times angular factor, is the loop
+    # reference
     for k, idx in enumerate(basis.modes):
-        assert np.array_equal(batch[:, k], projection(idx, _BATCH_R, _BATCH_PHI - rotation))
+        expect = _radial_factor(idx.n, _BATCH_R) * zernike_angular(idx.m, _BATCH_PHI - rotation)
+        assert np.array_equal(batch[:, k], expect)
 
 
 def test_kernel_rejects_invalid_sources():
