@@ -8,13 +8,21 @@ spectra and throughput sweeps for the three designs, and ``montecarlo``
 runs the sampling-plus-estimation harness over one truth scene or a
 spiral of them.
 
-Conventions shared by every subcommand: outputs land in ``--out-dir``
-next to a ``<command>_manifest.json`` run manifest; every CSV starts
-with a comment line recording the code version and seed followed by a
-header row; exit code 0 means success, 2 a configuration or usage
-error, 3 numerical non-convergence.  Telescope prescriptions come from
-``--config`` or, when that is absent, the ``ARTIFACT_TELESCOPE_CONFIG``
-environment variable.  Sweep axes are given as ``v1,v2,...`` lists or
+Conventions shared by every subcommand: outputs land in ``--out-dir``.
+Every CSV has LF line endings and opens with a ``# `` comment line, then a
+header row; cells are integers, ``%.17g`` floats or labels.  The comment
+records the code version and seed, except in the per-cluster trials
+CSVs of ``montecarlo``, which open with ``# localization trials; angles
+folded to the first quadrant``.  After a subcommand returns, ``main``
+writes a ``<command>_manifest.json`` run manifest next to its outputs:
+the command, ``config`` (``--config`` as given, or null), ``seed``,
+``version``, the ``outputs`` written, the wall-clock ``duration_s``, and
+under ``parameters`` every other parsed option except ``--out-dir``
+(``tables`` adds the ``kind`` its ``--table`` selects).  Exit code 0
+means success, 2 a configuration or usage error, 3 numerical
+non-convergence.  Telescope prescriptions come from ``--config`` or,
+when that is absent, the ``ARTIFACT_TELESCOPE_CONFIG`` environment
+variable.  Sweep axes are given as ``v1,v2,...`` lists or
 ``start:stop:count`` ranges (append ``:log`` for geometric spacing).
 Intensity rasters are row-major little-endian float32 behind a 16-byte
 header: magic ``FR32``, then uint32 width, height and a reserved zero.
@@ -29,7 +37,6 @@ import os
 import pathlib
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,14 +49,13 @@ from .coronagraph import (
     piaacmc_plan,
     vortex_plan,
     write_raster,
-    write_transmission_csv,
 )
 from .estimation import (
+    PATCH_MIN_ESTIMATES,
     coarse_table,
     patch_efficiency,
     run_trials,
     spiral_truths,
-    write_trials_csv,
 )
 from .modebasis import FourierZernikeBasis
 from .optics import Scene, load_prescription, separation_from_sigma_units
@@ -59,10 +65,9 @@ from .quantum_bounds import (
     qce,
     qfim_polar,
     sigma_loc,
-    write_photon_map_csv,
 )
 
-__all__ = ["RunManifest", "main"]
+__all__ = ["main"]
 
 CONFIG_ENV_VAR = "ARTIFACT_TELESCOPE_CONFIG"
 
@@ -71,41 +76,14 @@ _REL_ERRORS = (1.0, 0.5, 0.1, 0.01)
 _SPADE_TABLE_ORDER = 60
 _EXTRACTION_DEFAULT_ORDER = 6
 _CONVERGENCE_FLOOR = 0.9
-_PATCH_MIN_TRIALS = 30
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every command's outputs.
-
-    Re-running the same command with the parameters recorded here
-    regenerates byte-identical CSVs on the same build; the wall-clock
-    duration is the only field expected to differ between such runs.
-    """
-
-    command: str
-    config: str
-    parameters: dict
-    outputs: list = field(default_factory=list)
-    version: str = __version__
-    seed: int = 0
-    duration_s: float = 0.0
-
-    def write(self, out_dir):
-        path = pathlib.Path(out_dir) / f"{self.command}_manifest.json"
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "parameters": self.parameters,
-            "outputs": self.outputs,
-            "version": self.version,
-            "seed": self.seed,
-            "duration_s": round(self.duration_s, 3),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+_TRIALS_COMMENT = "localization trials; angles folded to the first quadrant"
+_TRIALS_HEADER = "trial,seed,truth_r,truth_phi,est_r,est_phi,loglik,converged,n_photons"
+_SUMMARY_HEADER = (
+    "cluster,truth_r_over_sigma,truth_phi,sigma_patch,sigma_floor,"
+    "patch_ratio,n_converged,n_trials"
+)
+# parsed options the manifest records outside ``parameters`` or not at all
+_NOT_PARAMETERS = ("command", "func", "config", "out_dir", "seed")
 
 
 def parse_axis(text):
@@ -146,8 +124,8 @@ def _load_config(args, required):
                 "no telescope configuration: pass --config or set "
                 f"{CONFIG_ENV_VAR}"
             )
-        return None, None
-    return load_prescription(args.config), str(args.config)
+        return None
+    return load_prescription(args.config)
 
 
 def _out_dir(args):
@@ -174,9 +152,9 @@ def _pool_map(fn, items, jobs):
 
 
 def _write_csv(path, comment, header, rows):
+    """The one CSV writer: ``# comment``, the header line, then the rows."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
+        fh.write(f"# {comment}\n{header}\n")
         for row in rows:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
@@ -245,8 +223,7 @@ def _budget_rows(payload):
 
 def cmd_bounds(args):
     """Sweep quantum limits over a (separation, contrast) grid to CSV."""
-    t0 = time.perf_counter()
-    prescription, config_path = _load_config(args, required=False)
+    prescription = _load_config(args, required=False)
     r_values = parse_axis(args.r_delta_over_sigma)
     b_values = parse_axis(args.contrast_b)
     out = _out_dir(args)
@@ -258,7 +235,7 @@ def cmd_bounds(args):
         _write_csv(
             path,
             comment,
-            ["r_delta_over_sigma", "b", "qce"],
+            "r_delta_over_sigma,b,qce",
             [row for chunk in chunks for row in chunk],
         )
     elif args.target == "qfim":
@@ -267,7 +244,7 @@ def cmd_bounds(args):
         _write_csv(
             path,
             comment,
-            ["r_delta_over_sigma", "b", "k_rr", "k_phiphi"],
+            "r_delta_over_sigma,b,k_rr,k_phiphi",
             [row for chunk in chunks for row in chunk],
         )
     else:
@@ -278,27 +255,15 @@ def cmd_bounds(args):
             args.jobs,
         )
         path = out / "bounds_budget_map.csv"
-        write_photon_map_csv(path, np.vstack(chunks), comment=comment)
+        _write_csv(
+            path,
+            comment,
+            "r_delta_over_sigma,b,photons,seconds",
+            np.vstack(chunks),
+        )
 
-    manifest = RunManifest(
-        command="bounds",
-        config=config_path,
-        parameters={
-            "target": args.target,
-            "task": args.task,
-            "r_delta_over_sigma": args.r_delta_over_sigma,
-            "contrast_b": args.contrast_b,
-            "pe_target": args.pe_target,
-            "rel_loc_error": args.rel_loc_error,
-            "jobs": args.jobs,
-        },
-        outputs=[path.name],
-        seed=args.seed,
-        duration_s=time.perf_counter() - t0,
-    )
-    manifest.write(out)
     print(f"wrote {path} ({r_values.size * b_values.size} grid points)")
-    return 0
+    return [path.name], 0
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +308,7 @@ def cmd_tables(args):
     targets, selector 3 localization times against relative-error
     targets, both at the pinned sub-diffraction high-contrast scene.
     """
-    t0 = time.perf_counter()
-    prescription, config_path = _load_config(args, required=True)
+    prescription = _load_config(args, required=True)
     flux = prescription.photon_flux_hz
     scene = Scene(
         separation_from_sigma_units(args.r_delta_over_sigma),
@@ -353,6 +317,7 @@ def cmd_tables(args):
     )
     out = _out_dir(args)
     kind = "detection" if args.table in ("2", "detection") else "localization"
+    args.kind = kind  # recorded among the manifest's parameters
 
     if kind == "detection":
         exponents = _detection_exponents(scene)
@@ -390,29 +355,15 @@ def cmd_tables(args):
     _write_csv(
         path,
         _comment(args.seed),
-        ["system", target_name, "seconds"],
+        f"system,{target_name},seconds",
         [
             (sys_name, target, seconds)
             for sys_name, values in rows
             for target, seconds in zip(targets, values)
         ],
     )
-    manifest = RunManifest(
-        command="tables",
-        config=config_path,
-        parameters={
-            "table": args.table,
-            "kind": kind,
-            "r_delta_over_sigma": args.r_delta_over_sigma,
-            "contrast_b": args.contrast_b,
-        },
-        outputs=[path.name],
-        seed=args.seed,
-        duration_s=time.perf_counter() - t0,
-    )
-    manifest.write(out)
     print(f"wrote {path}")
-    return 0
+    return [path.name], 0
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +372,6 @@ def cmd_tables(args):
 
 def cmd_coronagraph(args):
     """Emit a raster, mode spectrum or throughput sweep for one design."""
-    t0 = time.perf_counter()
     plan = _get_plan(args.design)
     out = _out_dir(args)
     comment = _comment(args.seed)
@@ -438,7 +388,12 @@ def cmd_coronagraph(args):
     elif args.output == "eigenmodes":
         op = extract_operator(plan, FourierZernikeBasis(args.n_max))
         path = out / f"{args.design}_modes.csv"
-        write_transmission_csv(path, op, comment=comment)
+        _write_csv(
+            path,
+            comment,
+            "mode_index,transmission_sq",
+            [(k, abs(t) ** 2) for k, t in enumerate(op.transmissions)],
+        )
         detail = f"{op.truncation} modes"
     else:
         r_values = parse_axis(args.r_delta_over_sigma)
@@ -447,30 +402,11 @@ def cmd_coronagraph(args):
             for r_sigma in r_values
         ]
         path = out / f"{args.design}_throughput.csv"
-        _write_csv(
-            path, comment, ["r_delta_over_sigma", "planet_throughput"], rows
-        )
+        _write_csv(path, comment, "r_delta_over_sigma,planet_throughput", rows)
         detail = f"{len(rows)} separations"
 
-    manifest = RunManifest(
-        command="coronagraph",
-        config=None,
-        parameters={
-            "design": args.design,
-            "output": args.output,
-            "r_delta_over_sigma": args.r_delta_over_sigma,
-            "phi": args.phi,
-            "contrast_b": args.contrast_b,
-            "star_only": args.star_only,
-            "n_max": args.n_max,
-        },
-        outputs=[path.name],
-        seed=args.seed,
-        duration_s=time.perf_counter() - t0,
-    )
-    manifest.write(out)
     print(f"wrote {path} ({detail})")
-    return 0
+    return [path.name], 0
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +432,10 @@ def cmd_montecarlo(args):
     isolation.  Exits 3 when any cluster converges on fewer than 90% of
     its trials.
     """
-    t0 = time.perf_counter()
     if args.trials < 1:
         raise ValueError("need at least one trial")
+    if args.spiral < 0:
+        raise ValueError(f"--spiral must be nonnegative, got {args.spiral}")
     out = _out_dir(args)
     b = args.contrast_b
     if args.spiral > 0:
@@ -538,11 +475,21 @@ def cmd_montecarlo(args):
         name = (
             f"trials_cluster{k}.csv" if args.spiral > 0 else "montecarlo_trials.csv"
         )
-        write_trials_csv(out / name, scene, results)
+        _write_csv(
+            out / name,
+            _TRIALS_COMMENT,
+            _TRIALS_HEADER,
+            [
+                (t.index, t.seed, scene.r_delta, scene.phi_delta, t.estimate.r_hat,
+                 t.estimate.phi_hat, t.estimate.loglik, int(t.estimate.converged),
+                 t.n_photons)
+                for t in results
+            ],
+        )
         outputs.append(name)
         n_conv = sum(int(t.estimate.converged) for t in results)
         worst_fraction = min(worst_fraction, n_conv / len(results))
-        if len(results) >= _PATCH_MIN_TRIALS:
+        if len(results) >= PATCH_MIN_ESTIMATES:
             patch, floor, ratio = patch_efficiency(scene, results, args.photons)
         else:
             patch, ratio = math.nan, math.nan
@@ -566,43 +513,8 @@ def cmd_montecarlo(args):
         )
 
     summary_path = out / "montecarlo_summary.csv"
-    _write_csv(
-        summary_path,
-        _comment(args.seed),
-        [
-            "cluster",
-            "truth_r_over_sigma",
-            "truth_phi",
-            "sigma_patch",
-            "sigma_floor",
-            "patch_ratio",
-            "n_converged",
-            "n_trials",
-        ],
-        summary_rows,
-    )
+    _write_csv(summary_path, _comment(args.seed), _SUMMARY_HEADER, summary_rows)
     outputs.append(summary_path.name)
-
-    manifest = RunManifest(
-        command="montecarlo",
-        config=None,
-        parameters={
-            "trials": args.trials,
-            "photons": args.photons,
-            "n_max": args.n_max,
-            "spiral": args.spiral,
-            "r_delta_over_sigma": args.r_delta_over_sigma,
-            "phi": args.phi,
-            "contrast_b": b,
-            "r_start": args.r_start,
-            "r_end": args.r_end,
-            "jobs": args.jobs,
-        },
-        outputs=outputs,
-        seed=args.seed,
-        duration_s=time.perf_counter() - t0,
-    )
-    manifest.write(out)
     print(f"wrote {summary_path}")
     if worst_fraction < _CONVERGENCE_FLOOR:
         print(
@@ -610,8 +522,8 @@ def cmd_montecarlo(args):
             f"{_CONVERGENCE_FLOOR:.0%}",
             file=sys.stderr,
         )
-        return 3
-    return 0
+        return outputs, 3
+    return outputs, 0
 
 
 # ---------------------------------------------------------------------------
@@ -750,15 +662,47 @@ def build_parser():
     return parser
 
 
+def _write_manifest(args, outputs, duration_s):
+    """Write the run manifest of a finished subcommand next to its outputs.
+
+    Re-running the same command with the options recorded here
+    regenerates byte-identical CSVs on the same build; the wall-clock
+    duration is the only field expected to differ between such runs.
+    """
+    parameters = {
+        key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS
+    }
+    payload = {
+        "command": args.command,
+        "config": args.config,
+        "parameters": parameters,
+        "outputs": outputs,
+        "version": __version__,
+        "seed": args.seed,
+        "duration_s": round(duration_s, 3),
+    }
+    path = pathlib.Path(args.out_dir) / f"{args.command}_manifest.json"
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def main(argv=None):
-    """Entry point; returns the process exit code."""
+    """Entry point: run one subcommand, write its manifest, return the exit code.
+
+    Each ``cmd_*`` returns the names of the files it wrote and its exit
+    code; a subcommand that raises writes no manifest.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        outputs, code = args.func(args)
+        _write_manifest(args, outputs, time.perf_counter() - t0)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,7 +73,6 @@ __all__ = [
     "operator_from_json",
     "save_operator",
     "load_operator",
-    "write_transmission_csv",
     "write_raster",
     "read_raster",
 ]
@@ -688,12 +687,3 @@ def save_operator(path, op):
 def load_operator(path, fields):
     with open(path) as fh:
         return operator_from_json(json.load(fh), fields)
-
-
-def write_transmission_csv(path, op, comment):
-    """Comment line, then mode index vs |tau_k|^2, ascending, one per retained mode."""
-    lines = ["# %s" % comment, "mode_index,transmission_sq"]
-    for k, t in enumerate(op.transmissions):
-        lines.append("%d,%.17g" % (k, abs(t) ** 2))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -20,6 +20,7 @@ from .optics import AIRY_SIGMA, Scene
 from .quantum_bounds import qfim_polar, sigma_loc
 
 __all__ = [
+    "PATCH_MIN_ESTIMATES",
     "LikelihoodTable",
     "LocalizationEstimate",
     "MeasurementRecord",
@@ -32,8 +33,10 @@ __all__ = [
     "run_trials",
     "sample_measurement",
     "spiral_truths",
-    "write_trials_csv",
 ]
+
+# fewest estimates a stable patch fit takes
+PATCH_MIN_ESTIMATES = 30
 
 _DEFECT_CEILING = 0.05
 _R_FLOOR = 1e-3 * AIRY_SIGMA
@@ -231,8 +234,10 @@ def mle_localize(record, basis, b_known, table=None):
 
 def fit_uncertainty_patch(estimates):
     """Patch size sqrt(tr cov) of estimate scatter in Cartesian offsets."""
-    if len(estimates) < 30:
-        raise ValueError("need at least 30 estimates for a stable patch fit")
+    if len(estimates) < PATCH_MIN_ESTIMATES:
+        raise ValueError(
+            f"need at least {PATCH_MIN_ESTIMATES} estimates for a stable patch fit"
+        )
     x = np.array([e.r_hat * math.cos(e.phi_hat) for e in estimates])
     y = np.array([e.r_hat * math.sin(e.phi_hat) for e in estimates])
     cov = np.cov(np.vstack([x, y]))
@@ -305,28 +310,3 @@ def spiral_truths(count, r_start, r_end, b):
         phi = (_SPIRAL_PHI0 + 2.0 * math.pi * _SPIRAL_TURNS * tk) % (2.0 * math.pi)
         scenes.append(Scene(r, phi, b))
     return scenes
-
-
-def write_trials_csv(path, scene, results):
-    """Stream one cluster's trials under the standard nine-column layout."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write("# localization trials; angles folded to the first quadrant\n")
-        f.write(
-            "trial,seed,truth_r,truth_phi,est_r,est_phi,loglik,converged,n_photons\n"
-        )
-        for t in results:
-            e = t.estimate
-            f.write(
-                "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n"
-                % (
-                    t.index,
-                    t.seed,
-                    scene.r_delta,
-                    scene.phi_delta,
-                    e.r_hat,
-                    e.phi_hat,
-                    e.loglik,
-                    int(e.converged),
-                    t.n_photons,
-                )
-            )

@@ -4,13 +4,12 @@ Closed forms for the optimal discrimination exponent (star-only versus
 star-plus-planet) and for the 2x2 Fisher information matrix of the polar
 separation parameters, both specialized to a clear circular aperture.
 Helpers convert either bound into photon counts and integration times and
-emit requirement maps over separation and contrast grids.
+tabulate requirement maps over separation and contrast grids.
 
 All separations are in diffraction-normalized focal units; quote them in
 Airy-sigma units only through `optics.separation_from_sigma_units`.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ __all__ = [
     "qfim_high_contrast",
     "qfim_polar",
     "sigma_loc",
-    "write_photon_map_csv",
 ]
 
 # validity guard for the small-b asymptotic forms
@@ -202,16 +200,21 @@ def photon_requirement_map(r_over_sigma_values, b_values, task="detection",
 
     Rows are (r_delta_over_sigma, b, photons, seconds) in row-major order
     over the two input axes.  For task "detection" the target is an error
-    probability in (0, 1), and a zero separation, where the exponent
-    vanishes, reads infinite photons and seconds; for task "localization"
-    it is a relative localization error.  seconds is NaN when no
-    prescription is given.
+    probability in (0, 1); for task "localization" it is a relative
+    localization error sigma_loc/r_delta > 0.  A zero separation reads
+    infinite photons and seconds for either task: the detection exponent
+    vanishes there and sigma_loc/r_delta has no finite budget.  seconds
+    is NaN when no prescription is given.
     """
     if task not in ("detection", "localization"):
         raise ValueError("task must be 'detection' or 'localization'")
     if task == "detection" and not 0.0 < target < 1.0:
         raise ValueError(
             f"detection error-probability target {target!r} must lie in (0, 1)"
+        )
+    if task == "localization" and not target > 0.0:
+        raise ValueError(
+            f"relative localization error target {target!r} must be positive"
         )
     flux = prescription.photon_flux_hz if prescription is not None else None
     rows = np.empty((len(r_over_sigma_values) * len(b_values), 4))
@@ -223,19 +226,11 @@ def photon_requirement_map(r_over_sigma_values, b_values, task="detection",
             if task == "detection":
                 xi = qce(scene)
                 photons = math.inf if xi == 0.0 else -math.log(target) / xi
+            elif r_delta == 0.0:
+                photons = math.inf
             else:
                 photons = localization_photons(qfim_polar(scene), target)
             seconds = photons / flux if flux is not None else math.nan
             rows[k] = (r_sigma, b, photons, seconds)
             k += 1
     return rows
-
-
-def write_photon_map_csv(path, rows, comment):
-    """Write requirement-map rows as CSV: a comment line, then four columns."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r_delta_over_sigma", "b", "photons", "seconds"])
-        for row in np.asarray(rows):
-            writer.writerow([f"{v:.17g}" for v in row])

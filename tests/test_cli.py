@@ -1,13 +1,19 @@
 """End-to-end tests of the command-line surface, called through main(argv)."""
 
 import json
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from artifact import __version__, cli, coronagraph
-from artifact.cli import CONFIG_ENV_VAR, main
-from artifact.coronagraph import read_raster
+from artifact.cli import CONFIG_ENV_VAR, main, parse_axis
+from artifact.coronagraph import extract_operator, read_raster
+from artifact.estimation import spiral_truths
+from artifact.modebasis import FourierZernikeBasis
+from artifact.optics import load_prescription, separation_from_sigma_units
+from artifact.quantum_bounds import photon_requirement_map
 
 _CONFIG = pathlib.Path(__file__).resolve().parents[1] / "telescope.cfg"
 
@@ -68,13 +74,47 @@ def test_montecarlo_manifest(spiral_runs):
     assert manifest["command"] == "montecarlo"
     assert manifest["version"] == __version__
     assert manifest["seed"] == 0
+    assert manifest["config"] is None
     assert manifest["parameters"]["spiral"] == 2
     assert manifest["parameters"]["trials"] == 5
+    assert set(manifest["parameters"]) == {
+        "trials", "photons", "n_max", "spiral", "r_delta_over_sigma", "phi",
+        "contrast_b", "r_start", "r_end", "jobs",
+    }
     assert manifest["outputs"] == [
         "trials_cluster0.csv",
         "trials_cluster1.csv",
         "montecarlo_summary.csv",
     ]
+
+
+def test_montecarlo_trial_rows_match_cluster_results(spiral_runs):
+    # every cell of the trials CSVs reads back as the value the cluster produced
+    _, csvs, _ = spiral_runs[0]
+    s = separation_from_sigma_units(1.0)
+    scenes = spiral_truths(2, 0.2 * s, 0.5 * s, 1e-9)
+    for k, scene in enumerate(scenes):
+        payload = (k, scene.r_delta, scene.phi_delta, 1e-9, 3e11, 5, k, 10)
+        _, results = cli._cluster_worker(payload)
+        lines = csvs[f"trials_cluster{k}.csv"].decode("ascii").splitlines()
+        rows = [row.split(",") for row in lines[2:]]
+        assert len(rows) == len(results)
+        for row, trial in zip(rows, results):
+            e = trial.estimate
+            assert [int(row[0]), int(row[1]), int(row[7]), int(row[8])] == [
+                trial.index, trial.seed, int(e.converged), trial.n_photons
+            ]
+            assert [float(v) for v in row[2:7]] == [
+                scene.r_delta, scene.phi_delta, e.r_hat, e.phi_hat, e.loglik
+            ]
+
+
+def test_montecarlo_negative_spiral_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    code = main(["montecarlo", "--spiral", "-2", "--trials", "1", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --spiral must be nonnegative, got -2\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_montecarlo_rerun_is_byte_identical(spiral_runs):
@@ -129,6 +169,9 @@ def test_tables_manifest(table2_runs):
     assert manifest["seed"] == 0
     assert manifest["parameters"]["table"] == "2"
     assert manifest["parameters"]["kind"] == "detection"
+    assert set(manifest["parameters"]) == {
+        "table", "kind", "r_delta_over_sigma", "contrast_b", "jobs",
+    }
     assert manifest["outputs"] == ["detection_times.csv"]
 
 
@@ -237,6 +280,10 @@ def test_bounds_manifest(bounds_runs):
     assert manifest["parameters"]["r_delta_over_sigma"] == "0.1:2:3"
     assert manifest["parameters"]["contrast_b"] == "1e-9:1e-7:3:log"
     assert manifest["parameters"]["jobs"] == 1
+    assert set(manifest["parameters"]) == {
+        "target", "task", "r_delta_over_sigma", "contrast_b", "pe_target",
+        "rel_loc_error", "jobs",
+    }
     assert manifest["outputs"] == [_BOUNDS_CSV[target][0]]
 
 
@@ -262,6 +309,48 @@ def test_bounds_detection_target_outside_unit_interval_exits_2(
     assert err.startswith("error: detection error-probability target")
     assert f"{float(pe_target)!r}" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("rel_loc_error", ["0", "-0.1", "nan"])
+def test_bounds_localization_target_not_positive_exits_2(
+    rel_loc_error, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    argv = ["bounds", "--target", "budget-map", "--task", "localization", *_BOUNDS_GRID]
+    argv += ["--rel-loc-error", rel_loc_error, "--jobs", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: relative localization error target {float(rel_loc_error)!r} "
+        "must be positive\n"
+    )
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("task", ["detection", "localization"])
+def test_bounds_budget_map_zero_separation_reads_inf(task, tmp_path):
+    # neither requirement has a finite photon budget on axis
+    argv = ["bounds", "--target", "budget-map", "--task", task]
+    argv += ["--r-delta-over-sigma", "0,1", "--contrast-b", "1e-9", "--jobs", "1"]
+    assert main(argv + ["--config", str(_CONFIG), "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "bounds_budget_map.csv").read_text().splitlines()
+    assert lines[2] == "0,1.0000000000000001e-09,inf,inf"
+    photons, seconds = (float(v) for v in lines[3].split(",")[2:])
+    assert 0.0 < photons < math.inf and 0.0 < seconds < math.inf
+
+
+def test_bounds_budget_map_values_round_trip(tmp_path):
+    argv = ["bounds", "--target", "budget-map", *_BOUNDS_GRID, "--jobs", "1"]
+    assert main(argv + ["--config", str(_CONFIG), "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "bounds_budget_map.csv"
+    assert b"\r" not in path.read_bytes()
+    assert path.read_text().splitlines()[1] == "r_delta_over_sigma,b,photons,seconds"
+    rows = photon_requirement_map(
+        parse_axis("0.1:2:3"),
+        parse_axis("1e-9:1e-7:3:log"),
+        prescription=load_prescription(_CONFIG),
+    )
+    np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=2), rows)
 
 
 @pytest.mark.parametrize("target", ["qce", "budget-map"])
@@ -303,6 +392,11 @@ def test_coronagraph_exit_code_and_outputs(vortex_runs):
     output, ((code, path), _) = vortex_runs
     assert code == 0
     manifest = json.loads((path.parent / "coronagraph_manifest.json").read_text())
+    assert manifest["config"] is None
+    assert set(manifest["parameters"]) == {
+        "design", "output", "r_delta_over_sigma", "phi", "contrast_b", "star_only",
+        "n_max", "jobs",
+    }
     assert manifest["parameters"]["design"] == "vortex"
     assert manifest["parameters"]["output"] == output
     assert manifest["outputs"] == [path.name]
@@ -329,6 +423,22 @@ def test_coronagraph_rerun_is_byte_identical(vortex_runs):
     assert first.read_bytes() == rerun.read_bytes()
 
 
+def test_coronagraph_eigenmode_rows_match_operator(tmp_path):
+    argv = ["coronagraph", "--design", "perfect", "--output", "eigenmodes", "--n-max", "2"]
+    assert main(argv + ["--config", str(_CONFIG), "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "perfect_modes.csv").read_text().splitlines()
+    assert lines[0] == f"# artifact {__version__} seed=0"
+    assert lines[1] == "mode_index,transmission_sq"
+    op = extract_operator(cli._get_plan("perfect"), FourierZernikeBasis(2))
+    assert len(lines) == 2 + op.truncation
+    rows = [row.split(",") for row in lines[2:]]
+    assert [int(row[0]) for row in rows] == list(range(op.truncation))
+    assert [float(row[1]) for row in rows] == [abs(t) ** 2 for t in op.transmissions]
+    # the manifest records --config as given, even where the command reads none
+    manifest = json.loads((tmp_path / "coronagraph_manifest.json").read_text())
+    assert manifest["config"] == str(_CONFIG)
+
+
 @pytest.mark.parametrize("design", ["perfect", "piaacmc"])
 def test_coronagraph_throughput_other_designs(design, tmp_path):
     argv = ["coronagraph", "--design", design, "--output", "throughput"]
@@ -351,3 +461,44 @@ def test_coronagraph_image_needs_one_separation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: --r-delta-over-sigma must be a single value here, got 2\n"
     assert not (tmp_path / "vortex_image.f32").exists()
+
+
+# ---------------------------------------------------------------------------
+# every CSV the runs above wrote
+
+
+def _as_written(cell):
+    """The cell as the writer formats the value it parses to."""
+    try:
+        return "%d" % int(cell)
+    except ValueError:
+        pass
+    try:
+        return "%.17g" % float(cell)
+    except ValueError:
+        return cell  # a label
+
+
+def test_every_cli_csv_is_lf_commented_and_round_trips(
+    spiral_runs, table2_runs, tmp_path_factory
+):
+    # each run's manifest names its outputs; run last, this sees every run
+    # of the module, and at least the two fixtures' runs when run alone
+    manifests = sorted(tmp_path_factory.getbasetemp().rglob("*_manifest.json"))
+    assert len(manifests) >= 5
+    for manifest in manifests:
+        names = json.loads(manifest.read_text())["outputs"]
+        csvs = sorted(p.name for p in manifest.parent.glob("*.csv"))
+        assert csvs == sorted(n for n in names if n.endswith(".csv"))
+        for name in csvs:
+            data = (manifest.parent / name).read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n")
+            lines = data.decode("ascii").splitlines()
+            assert lines[0].startswith("# ")
+            header = lines[1].split(",")
+            assert all(column.isidentifier() for column in header)
+            assert len(lines) > 2
+            for line in lines[2:]:
+                cells = line.split(",")
+                assert len(cells) == len(header)
+                assert [_as_written(cell) for cell in cells] == cells

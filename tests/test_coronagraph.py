@@ -33,7 +33,6 @@ from artifact.coronagraph import (
     save_operator,
     vortex_plan,
     write_raster,
-    write_transmission_csv,
 )
 from artifact.modebasis import FourierZernikeBasis, mode_field_stack
 from artifact.optics import (
@@ -622,15 +621,3 @@ def test_operator_json_mismatch_raises(op_vortex20, grid):
     wrong["grid"] = {"n_pixels": 64, "half_width": 16.0}
     with pytest.raises(ValueError):
         operator_from_json(wrong, op_vortex20.fields)
-
-
-def test_transmission_csv(op_perfect20, tmp_path):
-    path = str(tmp_path / "tau.csv")
-    write_transmission_csv(path, op_perfect20, comment="perfect design")
-    lines = open(path).read().splitlines()
-    assert lines[0] == "# perfect design"
-    assert lines[1] == "mode_index,transmission_sq"
-    assert len(lines) == 2 + op_perfect20.truncation
-    idx, val = lines[2].split(",")
-    assert int(idx) == 0
-    assert float(val) == abs(op_perfect20.transmissions[0]) ** 2

@@ -18,7 +18,6 @@ from artifact.estimation import (
     run_trials,
     sample_measurement,
     spiral_truths,
-    write_trials_csv,
 )
 from artifact.modebasis import FourierZernikeBasis, all_mode_probabilities
 from artifact.optics import AIRY_SIGMA, Scene
@@ -244,23 +243,3 @@ def test_spiral_truths_geometry():
         spiral_truths(0, 0.2 * S, 0.5 * S, 1e-9)
     only = spiral_truths(1, 0.2 * S, 0.5 * S, 1e-9)
     assert only[0].r_delta == pytest.approx(0.2 * S)
-
-
-def test_write_trials_csv(tmp_path, basis10, table10):
-    truth = Scene(0.3 * S, 0.8, 1e-9)
-    res = run_trials(truth, basis10, 3e8, 3, seed=11, table=table10)
-    path = tmp_path / "trials.csv"
-    write_trials_csv(path, truth, res)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == (
-        "trial,seed,truth_r,truth_phi,est_r,est_phi,loglik,converged,n_photons"
-    )
-    assert len(lines) == 5
-    row = lines[2].split(",")
-    assert int(row[0]) == 0
-    assert int(row[1]) == res[0].seed
-    assert float(row[2]) == truth.r_delta
-    assert float(row[4]) == res[0].estimate.r_hat
-    assert row[7] in {"0", "1"}
-    assert int(row[8]) == res[0].n_photons

@@ -22,7 +22,6 @@ from artifact.quantum_bounds import (
     qfim_high_contrast,
     qfim_polar,
     sigma_loc,
-    write_photon_map_csv,
 )
 
 PRESCRIPTION = TelescopePrescription(
@@ -93,6 +92,13 @@ def test_detection_budget_validation():
         with pytest.raises(ValueError, match="target"):
             photon_requirement_map([1.0], [1e-9], task="detection", target=bad,
                                    prescription=PRESCRIPTION)
+
+
+def test_localization_budget_validation():
+    for bad in (0.0, -0.1, math.nan):
+        match = f"relative localization error target {bad!r} must be positive"
+        with pytest.raises(ValueError, match=match):
+            photon_requirement_map([1.0], [1e-9], task="localization", target=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +292,13 @@ def test_detection_budget_signals_infinite_at_zero_separation():
     assert math.isinf(seconds)
 
 
+def test_localization_budget_signals_infinite_at_zero_separation():
+    # sigma_loc / r has no finite budget on axis, where qfim_polar is singular
+    photons, seconds = _budget(0.0, 1e-9, "localization", 0.1)
+    assert math.isinf(photons)
+    assert math.isinf(seconds)
+
+
 def test_localization_reference_times():
     # same reference scene as the detection table; frozen from the closed
     # form after cross-checking the j2-based Fisher entries by hand
@@ -318,16 +331,3 @@ def test_photon_requirement_map_rows():
     assert math.isnan(loc[0, 3])
     with pytest.raises(ValueError):
         photon_requirement_map(r_sigma, bs, task="discovery")
-
-
-def test_photon_map_csv_round_trip(tmp_path):
-    rows = photon_requirement_map([0.1, 0.2], [1e-9], task="detection", target=1e-2,
-                                  prescription=PRESCRIPTION)
-    path = tmp_path / "map.csv"
-    write_photon_map_csv(path, rows, comment="detection map")
-    assert b"\r" not in path.read_bytes()
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# detection map"
-    assert lines[1] == "r_delta_over_sigma,b,photons,seconds"
-    back = np.loadtxt(path, delimiter=",", skiprows=2)
-    assert_allclose(back, rows, rtol=1e-15)
