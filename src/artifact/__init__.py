@@ -11,7 +11,6 @@ the command-line surface (cli).
 __version__ = "0.1.0"
 
 from .classical_info import (
-    InformationCurve,
     brightness_leakage_ratio,
     cce_coronagraph,
     cce_spade_binary,
@@ -56,7 +55,6 @@ __all__ = [
     "FisherMatrix",
     "FourierZernikeBasis",
     "GridSpec",
-    "InformationCurve",
     "LocalizationEstimate",
     "MeasurementRecord",
     "Scene",

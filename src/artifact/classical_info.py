@@ -10,7 +10,6 @@ evaluation and matrix results use its FisherMatrix container.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +20,11 @@ from .modebasis import (
     all_probability_gradients,
     source_coefficients,
 )
-from .optics import AIRY_SIGMA, GridSpec, Scene
+from .optics import AIRY_SIGMA, Scene, wrap_angle
 from .quantum_bounds import FisherMatrix, _gamma0, qce
 
 __all__ = [
     "PSF_THROUGHPUT_CEILING",
-    "InformationCurve",
     "brightness_leakage_ratio",
     "cce_coronagraph",
     "cce_spade_binary",
@@ -34,14 +32,12 @@ __all__ = [
     "cfim_spade",
     "per_mode_information",
     "psf_throughput",
-    "write_information_csv",
 ]
 
 # largest on-axis leak for which detect-or-absorb counting is meaningful
 PSF_THROUGHPUT_CEILING = 1e-3
 
 _QUARTER = 0.5 * math.pi
-_SYSTEMS = ("spade", "perfect", "piaacmc", "vortex", "quantum_bound")
 
 
 def _fundamental_miss(r):
@@ -146,9 +142,7 @@ def cfim_spade(basis, scene):
     if basis.rotation == 0.0 and _quarter_distance(scene.phi_delta) < 1e-6:
         basis = FourierZernikeBasis(basis.n_max, rotation=0.25 * math.pi)
     contrib = per_mode_information(basis, scene)
-    return FisherMatrix(
-        contrib.sum(axis=0), "classical", scene, system_name="spade"
-    )
+    return FisherMatrix(contrib.sum(axis=0), scene)
 
 
 def cfim_direct_imaging(target, scene, step=None):
@@ -178,9 +172,8 @@ def cfim_direct_imaging(target, scene, step=None):
     diff_r = diff_r - output_state_image(target, Scene(r - h, phi, b))
     # angles wrap, so the difference straddles 0 = 2 pi; for interior
     # angles the wrapped value equals phi +- h exactly
-    two_pi = 2.0 * math.pi
-    diff_phi = output_state_image(target, Scene(r, (phi + h) % two_pi, b))
-    diff_phi = diff_phi - output_state_image(target, Scene(r, (phi - h) % two_pi, b))
+    diff_phi = output_state_image(target, Scene(r, wrap_angle(phi + h), b))
+    diff_phi = diff_phi - output_state_image(target, Scene(r, wrap_angle(phi - h), b))
     live = base > 1e-18 * float(base.max())
     p = base[live]
     g_r = diff_r[live] / (2.0 * h)
@@ -192,7 +185,7 @@ def cfim_direct_imaging(target, scene, step=None):
             [cross, float(np.sum(g_phi * g_phi / p))],
         ]
     ) * grid.dx**2
-    return FisherMatrix(entries, "classical", scene, system_name=target.name)
+    return FisherMatrix(entries, scene)
 
 
 def brightness_leakage_ratio(r_delta, b):
@@ -212,65 +205,3 @@ def brightness_leakage_ratio(r_delta, b):
     star = (1.0 - b) * _fundamental_miss(b * r_delta)
     planet = b * _fundamental_miss((1.0 - b) * r_delta)
     return star / planet
-
-
-@dataclass(frozen=True)
-class InformationCurve:
-    """Information values swept over scene separations and contrasts.
-
-    points holds (separation, brightness) pairs and values one scalar
-    exponent or FisherMatrix per point.  truncation records the basis or
-    operator order behind the values and grid the sampling, either None
-    when not applicable.
-    """
-
-    system: str
-    points: tuple
-    values: tuple
-    truncation: int | None = None
-    grid: GridSpec | None = None
-
-    def __post_init__(self):
-        if self.system not in _SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}")
-        pts = tuple((float(r), float(b)) for r, b in self.points)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(pts) != len(self.values):
-            raise ValueError("points and values must pair up")
-
-
-_COMPONENTS = {"separation": 0, "angle": 1}
-
-
-def write_information_csv(path, curve, component=None):
-    """Write one curve as CSV under the standard five-column layout.
-
-    Columns are system, r_delta_over_sigma, b, value, truncation, after
-    a comment line stating what the value column holds.  Curves of
-    FisherMatrix values need component "separation" or "angle" to pick a
-    diagonal entry; scalar curves take no component.
-    """
-    rows = []
-    for (r, b), value in zip(curve.points, curve.values):
-        if isinstance(value, FisherMatrix):
-            if component not in _COMPONENTS:
-                raise ValueError(
-                    "matrix curves need component 'separation' or 'angle'"
-                )
-            k = _COMPONENTS[component]
-            rows.append((r, b, float(value.entries[k, k])))
-        else:
-            if component is not None:
-                raise ValueError("scalar curves take no component")
-            rows.append((r, b, float(value)))
-    label = "error exponent" if component is None else f"{component} information"
-    trunc = "" if curve.truncation is None else str(int(curve.truncation))
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"# per-photon information curve; value column holds the {label}\n")
-        f.write("system,r_delta_over_sigma,b,value,truncation\n")
-        for r, b, val in rows:
-            f.write(
-                f"{curve.system},{r / AIRY_SIGMA:.17g},{b:.17g},{val:.17g},{trunc}\n"
-            )
-

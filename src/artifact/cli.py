@@ -63,6 +63,7 @@ from .quantum_bounds import (
     localization_photons,
     photon_requirement_map,
     qce,
+    qfim_diagonal,
     qfim_polar,
     sigma_loc,
 )
@@ -183,9 +184,10 @@ def planet_throughput(plan, r_delta, phi=0.3):
     """Transmitted energy fraction of a unit source at radius r_delta.
 
     Probes the chain with a scene whose bare-star rendering places a
-    unit-weight source exactly at polar (r_delta, phi); the integrated
-    output intensity is then the off-axis throughput, free of any
-    on-axis null residual.
+    unit-weight source at polar (r_delta, phi), the angle up to rounding:
+    it passes through two half-turn shifts, so phi = 0.3 lands at
+    0.2999999999999998.  The integrated output intensity is then the
+    off-axis throughput, free of any on-axis null residual.
     """
     probe = Scene(2.0 * r_delta, (phi + math.pi) % (2.0 * math.pi), 0.5)
     image = output_state_image(plan, probe, star_only=True)
@@ -205,13 +207,7 @@ def _qce_rows(payload):
 def _qfim_rows(payload):
     r_sigma, b_values = payload
     r_delta = separation_from_sigma_units(r_sigma)
-    rows = []
-    for b in b_values:
-        fisher = qfim_polar(Scene(r_delta, 0.0, b))
-        rows.append(
-            (r_sigma, b, float(fisher.entries[0, 0]), float(fisher.entries[1, 1]))
-        )
-    return rows
+    return [(r_sigma, b, *qfim_diagonal(Scene(r_delta, 0.0, b))) for b in b_values]
 
 
 def _budget_rows(payload):
@@ -394,7 +390,7 @@ def cmd_coronagraph(args):
             "mode_index,transmission_sq",
             [(k, abs(t) ** 2) for k, t in enumerate(op.transmissions)],
         )
-        detail = f"{op.truncation} modes"
+        detail = f"{op.fields.count} modes"
     else:
         r_values = parse_axis(args.r_delta_over_sigma)
         rows = [
@@ -429,14 +425,14 @@ def cmd_montecarlo(args):
     One cluster per truth scene: either the single scene given by the
     scene flags or ``--spiral N`` truth points along an arc.  Cluster k
     runs with seed ``--seed + k`` so any cluster reproduces in
-    isolation.  Exits 3 when any cluster converges on fewer than 90% of
-    its trials.
+    isolation.  Exits 2 before the first trial when a truth sits at zero
+    separation, where the quantum floor is undefined, and 3 when any
+    cluster converges on fewer than 90% of its trials.
     """
     if args.trials < 1:
         raise ValueError("need at least one trial")
     if args.spiral < 0:
         raise ValueError(f"--spiral must be nonnegative, got {args.spiral}")
-    out = _out_dir(args)
     b = args.contrast_b
     if args.spiral > 0:
         scenes = spiral_truths(
@@ -451,6 +447,13 @@ def cmd_montecarlo(args):
                 separation_from_sigma_units(args.r_delta_over_sigma), args.phi, b
             )
         ]
+    for k, scene in enumerate(scenes):
+        if scene.r_delta == 0.0:
+            raise ValueError(
+                f"truth scene {k} (phi {scene.phi_delta:g}) is at zero separation, "
+                "where the quantum localization floor is undefined"
+            )
+    out = _out_dir(args)
 
     payloads = [
         (

@@ -509,7 +509,6 @@ class CoronagraphOperator:
     fields: ModeFieldSet
     transmissions: np.ndarray
     mode_coefficients: np.ndarray
-    truncation: int
 
     def __post_init__(self):
         count = self.fields.count
@@ -517,8 +516,6 @@ class CoronagraphOperator:
             raise ValueError("one transmission per retained mode required")
         if self.mode_coefficients.shape != (count, count):
             raise ValueError("mode coefficient matrix must be square over the stack")
-        if self.truncation != count:
-            raise ValueError("truncation must equal the retained mode count")
         if np.max(np.abs(self.transmissions)) > _TRANSMISSION_CEILING:
             raise ValueError("transmissions exceed the remap-model ceiling")
 
@@ -553,15 +550,17 @@ def extract_operator(plan, basis):
     Builds M_jk = <chi_j, plan(chi_k)>, takes its SVD, and returns the
     operator with singular values ascending; each transmission keeps the
     phase of the corresponding diagonal entry of the singular-rotated
-    matrix.  ``basis`` may be a FourierZernikeBasis (the stack is then
-    sampled here, which is the expensive step) or a prebuilt ModeFieldSet.
+    matrix.  The modes live where the plan's output does, on
+    ``plan.output_grid``.  ``basis`` may be a FourierZernikeBasis (the
+    stack is then sampled here, which is the expensive step) or a prebuilt
+    ModeFieldSet on that grid.
     """
     prebuilt = isinstance(basis, ModeFieldSet)
     if (basis.basis if prebuilt else basis).n_max > _MAX_EXTRACTION_ORDER:
         raise ValueError("basis n_max above the extraction cost guard")
-    stack = basis if prebuilt else mode_field_stack(basis, plan.grid)
-    if stack.grid != plan.grid:
-        raise ValueError("mode stack grid does not match the plan grid")
+    stack = basis if prebuilt else mode_field_stack(basis, plan.output_grid)
+    if stack.grid != plan.output_grid:
+        raise ValueError("mode stack grid does not match the plan's output grid")
 
     count = stack.count
     npix = plan.grid.n_pixels
@@ -585,7 +584,7 @@ def extract_operator(plan, basis):
     sing = sing[order]
     diag = np.einsum("ij,ij->j", vmat.conj(), matrix @ vmat)
     tau = sing * np.exp(1j * np.angle(diag))
-    return CoronagraphOperator(plan.name, stack, tau, vmat, count)
+    return CoronagraphOperator(plan.name, stack, tau, vmat)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +655,6 @@ def operator_to_json(op):
         "grid": {"n_pixels": grid.n_pixels, "half_width": grid.half_width},
         "n_max": op.fields.basis.n_max,
         "rotation": op.fields.basis.rotation,
-        "truncation": op.truncation,
         "transmissions": [[z.real, z.imag] for z in op.transmissions],
         "mode_coefficients": {
             "real": op.mode_coefficients.real.tolist(),
@@ -666,7 +664,11 @@ def operator_to_json(op):
 
 
 def operator_from_json(payload, fields):
-    """Rebuild an operator onto an existing mode stack; validates identity."""
+    """Rebuild an operator onto an existing mode stack; validates identity.
+
+    The retained mode count is the stack's; a ``truncation`` key, which
+    older payloads carry, is ignored.
+    """
     grid = fields.grid
     if payload["grid"] != {"n_pixels": grid.n_pixels, "half_width": grid.half_width}:
         raise ValueError("stored grid does not match the supplied stack")
@@ -676,7 +678,7 @@ def operator_from_json(payload, fields):
     coeff = np.array(payload["mode_coefficients"]["real"]) + 1j * np.array(
         payload["mode_coefficients"]["imag"]
     )
-    return CoronagraphOperator(payload["name"], fields, tau, coeff, payload["truncation"])
+    return CoronagraphOperator(payload["name"], fields, tau, coeff)
 
 
 def save_operator(path, op):

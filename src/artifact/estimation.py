@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .modebasis import FourierZernikeBasis, all_mode_probabilities
-from .optics import AIRY_SIGMA, Scene
+from .optics import AIRY_SIGMA, Scene, wrap_angle
 from .quantum_bounds import qfim_polar, sigma_loc
 
 __all__ = [
@@ -76,8 +76,6 @@ class MeasurementRecord:
 
     counts: np.ndarray
     total_photons: int
-    n_max: int
-    scene_truth: Scene
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -123,7 +121,7 @@ def sample_measurement(scene, basis, mean_photons, rng_seed):
     rng = np.random.default_rng(rng_seed)
     total = int(rng.poisson(mean_photons))
     counts = rng.multinomial(total, pv / pv.sum())
-    return MeasurementRecord(counts, total, basis.n_max, scene)
+    return MeasurementRecord(counts, total)
 
 
 @dataclass(frozen=True)
@@ -203,12 +201,7 @@ def mle_localize(record, basis, b_known, table=None):
         r, phi = x
         if r <= 0.0 or r > 1.5 * _R_CEILING:
             return np.inf
-        phi = phi % (2.0 * math.pi)
-        if phi >= 2.0 * math.pi:
-            # negative angles a rounding step below zero wrap to the
-            # excluded endpoint
-            phi = 0.0
-        pv = _outcome_probabilities(basis, Scene(r, phi, b_known))
+        pv = _outcome_probabilities(basis, Scene(r, wrap_angle(phi), b_known))
         return -float(counts @ np.log(np.maximum(pv, _LOG_FLOOR)))
 
     res = minimize(

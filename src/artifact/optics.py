@@ -28,6 +28,7 @@ __all__ = [
     "OpticalField",
     "Scene",
     "TelescopePrescription",
+    "wrap_angle",
     "separation_from_sigma_units",
     "default_grid",
     "pupil_function",
@@ -169,6 +170,17 @@ class Scene:
     def planet_position(self):
         r, phi = self.planet_polar
         return np.array([r * math.cos(phi), r * math.sin(phi)])
+
+
+def wrap_angle(phi):
+    """A position angle reduced into Scene's range [0, 2 pi).
+
+    The float modulo rounds an angle a hair below zero up to exactly
+    2 pi, outside the range; that value maps to 0.  Every other result is
+    the plain modulo, bit for bit.
+    """
+    phi = float(phi) % (2.0 * math.pi)
+    return 0.0 if phi >= 2.0 * math.pi else phi
 
 
 @dataclass(frozen=True)

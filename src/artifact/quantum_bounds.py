@@ -20,20 +20,16 @@ from .optics import Scene, separation_from_sigma_units
 from .specfun import bessel_j
 
 __all__ = [
-    "HIGH_CONTRAST_B_MAX",
-    "AsymptoticExponent",
     "FisherMatrix",
     "localization_photons",
     "photon_requirement_map",
     "qce",
     "qce_high_contrast",
+    "qfim_diagonal",
     "qfim_high_contrast",
     "qfim_polar",
     "sigma_loc",
 ]
-
-# validity guard for the small-b asymptotic forms
-HIGH_CONTRAST_B_MAX = 1e-2
 
 _R_EPS = 1e-8
 
@@ -42,16 +38,13 @@ _R_EPS = 1e-8
 class FisherMatrix:
     """Symmetric 2x2 information matrix over (separation, position angle).
 
-    kind is "quantum_bound" for the measurement-independent bound or
-    "classical" for a specific measurement, in which case system_name
-    identifies it.  The scene the matrix was evaluated at is kept so
-    downstream error combiners know the separation.
+    Holds either the measurement-independent bound or a specific
+    measurement's matrix.  The scene the matrix was evaluated at is kept
+    so downstream error combiners know the separation.
     """
 
     entries: np.ndarray
-    kind: str
     scene: Scene
-    system_name: str = ""
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=float)
@@ -59,10 +52,6 @@ class FisherMatrix:
             raise ValueError("Fisher matrix must be 2x2")
         entries = 0.5 * (entries + entries.T)
         object.__setattr__(self, "entries", entries)
-        if self.kind not in ("quantum_bound", "classical"):
-            raise ValueError("kind must be 'quantum_bound' or 'classical'")
-        if self.kind == "classical" and not self.system_name:
-            raise ValueError("classical Fisher matrix needs a system_name")
         scale = max(1.0, float(np.abs(entries).max()))
         if float(np.linalg.eigvalsh(entries)[0]) < -1e-12 * scale:
             raise ValueError("Fisher matrix is not positive semidefinite")
@@ -72,21 +61,6 @@ class FisherMatrix:
         gap = self.entries - other.entries
         floor = -1e-9 * max(1.0, float(np.trace(self.entries)))
         return float(np.linalg.eigvalsh(gap)[0]) >= floor
-
-
-@dataclass(frozen=True)
-class AsymptoticExponent:
-    """Small-b exponent value plus a regime flag.
-
-    in_regime is False when the brightness ratio sits outside the
-    asymptotic validity guard; the value is still returned.
-    """
-
-    value: float
-    in_regime: bool
-
-    def __float__(self):
-        return self.value
 
 
 def _gamma0(r):
@@ -119,33 +93,41 @@ def qce(scene):
 def qce_high_contrast(r_delta, b):
     """Leading small-b exponent b*(1 - Gamma_0(r_delta)^2).
 
-    Returns an AsymptoticExponent whose in_regime flag is False when b
-    exceeds HIGH_CONTRAST_B_MAX; the value is computed either way.
+    Only the leading order in b, so it approaches qce as b -> 0; it is
+    computed for any b in (0, 1).
     """
     if r_delta < 0:
         raise ValueError("separation must be nonnegative")
     if not 0.0 < b < 1.0:
         raise ValueError("relative brightness b must lie in (0, 1)")
     g = _gamma0(r_delta)
-    return AsymptoticExponent(b * (1.0 - g * g), b <= HIGH_CONTRAST_B_MAX)
+    return b * (1.0 - g * g)
+
+
+def qfim_diagonal(scene):
+    """(K_rr, K_phiphi) of the exact quantum Fisher matrix, clear aperture.
+
+    K_rr = 4 b (1-b) pi^2 [1 - kappa^2 (2 J_2(2 pi r)/(pi r))^2] with
+    kappa = 1 - 2b, and K_phiphi = 4 b (1-b) pi^2 r^2.  At zero
+    separation this is the limit r -> 0: the radial entry 4 b (1-b) pi^2
+    survives below the diffraction limit while the angular entry vanishes.
+    """
+    b = scene.b
+    kappa = 1.0 - 2.0 * b
+    weight = 4.0 * b * (1.0 - b) * math.pi**2
+    g = _overlap_slope_factor(scene.r_delta)
+    return weight * (1.0 - (kappa * g) ** 2), weight * scene.r_delta**2
 
 
 def qfim_polar(scene):
     """Exact quantum Fisher matrix of (r_delta, phi_delta), clear aperture.
 
-    Diagonal by rotational symmetry: the radial entry is
-    4 b (1-b) pi^2 [1 - kappa^2 (2 J_2(2 pi r)/(pi r))^2] with
-    kappa = 1 - 2b, and the angular entry is 4 b (1-b) pi^2 r^2.
+    Diagonal by rotational symmetry, with the entries of qfim_diagonal.
+    Rejects zero separation, where the polar chart is singular.
     """
     if scene.r_delta <= 0:
         raise ValueError("polar chart is singular at zero separation")
-    b = scene.b
-    kappa = 1.0 - 2.0 * b
-    weight = 4.0 * b * (1.0 - b) * math.pi**2
-    g = _overlap_slope_factor(scene.r_delta)
-    k11 = weight * (1.0 - (kappa * g) ** 2)
-    k22 = weight * scene.r_delta**2
-    return FisherMatrix(np.diag([k11, k22]), "quantum_bound", scene)
+    return FisherMatrix(np.diag(qfim_diagonal(scene)), scene)
 
 
 def qfim_high_contrast(r_delta, b):
@@ -159,7 +141,7 @@ def qfim_high_contrast(r_delta, b):
     g = _overlap_slope_factor(r_delta)
     k11 = 4.0 * math.pi**2 * b * (1.0 - g * g)
     k22 = 4.0 * math.pi**2 * b * r_delta**2
-    return FisherMatrix(np.diag([k11, k22]), "quantum_bound", Scene(r_delta, 0.0, b))
+    return FisherMatrix(np.diag([k11, k22]), Scene(r_delta, 0.0, b))
 
 
 def _cramer_rao_bracket(fisher):

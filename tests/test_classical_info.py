@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import j1
 
 from artifact.classical_info import (
     PSF_THROUGHPUT_CEILING,
-    InformationCurve,
     brightness_leakage_ratio,
     cce_coronagraph,
     cce_spade_binary,
@@ -17,7 +18,6 @@ from artifact.classical_info import (
     cfim_spade,
     per_mode_information,
     psf_throughput,
-    write_information_csv,
 )
 from artifact.coronagraph import CoronagraphOperator, perfect_plan, vortex_plan
 from artifact.modebasis import FourierZernikeBasis
@@ -221,7 +221,6 @@ def test_cce_coronagraph_leak_guard(stack6):
         fields=stack6,
         transmissions=np.ones(n, dtype=complex),
         mode_coefficients=np.eye(n, dtype=complex),
-        truncation=n,
     )
     assert psf_throughput(open_op) > PSF_THROUGHPUT_CEILING
     with pytest.raises(ValueError):
@@ -337,66 +336,27 @@ def test_imaging_accepts_angles_at_the_wrap():
     for phi in (0.0, 2.0 * math.pi - 1e-9):
         f = cfim_direct_imaging(plan, Scene(0.5, phi, 1e-3))
         assert_allclose(np.diag(f.entries), ref, rtol=1e-9)
+    # one ulp below the step h = 1e-4 at r = 1, phi - h is a hair below
+    # zero and its plain modulo rounds to the excluded 2 pi
+    perfect = perfect_plan(grid=GridSpec(256, 8.0))
+    f = cfim_direct_imaging(perfect, Scene(1.0, np.nextafter(1e-4, 0.0), 1e-3))
+    assert np.all(np.isfinite(f.entries))
 
 
-# ------------------------------------------------------- curves and emitters
+# ----------------------------------------------------------- quantum ordering
 
 
-def test_information_curve_validation():
-    with pytest.raises(ValueError):
-        InformationCurve("nulling", ((S, 1e-9),), (0.1,))
-    with pytest.raises(ValueError):
-        InformationCurve("spade", ((S, 1e-9), (2 * S, 1e-9)), (0.1,))
-    curve = InformationCurve("spade", [(S, 1e-9)], [0.1], truncation=60)
-    assert curve.points == ((S, 1e-9),)
-    assert curve.values == (0.1,)
-
-
-def test_information_curve_classical_below_quantum():
-    pts = tuple((0.2 * k * S, 1e-3) for k in range(1, 6))
-    classical = InformationCurve(
-        "spade", pts, tuple(cce_spade_binary(Scene(r, 0.3, b)) for r, b in pts)
-    )
-    quantum = InformationCurve(
-        "quantum_bound", pts, tuple(qce(Scene(r, 0.3, b)) for r, b in pts)
-    )
-    for c, q in zip(classical.values, quantum.values):
-        assert c <= q + 1e-9 * abs(q)
-
-
-def test_write_information_csv_round_trip(tmp_path):
-    pts = ((0.5 * S, 1e-9), (1.0 * S, 1e-6))
-    curve = InformationCurve(
-        "spade", pts, tuple(cce_spade_binary(Scene(r, 0.3, b)) for r, b in pts)
-    )
-    path = tmp_path / "curve.csv"
-    write_information_csv(path, curve)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "system,r_delta_over_sigma,b,value,truncation"
-    assert len(lines) == 4
-    for line, (r, b), val in zip(lines[2:], pts, curve.values):
-        sysname, r_s, b_s, v_s, trunc = line.split(",")
-        assert sysname == "spade"
-        assert float(r_s) == r / S
-        assert float(b_s) == b
-        assert float(v_s) == val
-        assert trunc == ""
-
-
-def test_write_information_csv_matrix_component(tmp_path):
-    sc = Scene(0.3 * S, math.pi / 4, 1e-9)
-    basis = FourierZernikeBasis(6)
-    curve = InformationCurve(
-        "spade", ((sc.r_delta, sc.b),), (cfim_spade(basis, sc),), truncation=6
-    )
-    path = tmp_path / "matrix.csv"
-    write_information_csv(path, curve, component="separation")
-    row = path.read_text().splitlines()[2].split(",")
-    assert float(row[3]) == curve.values[0].entries[0, 0]
-    assert row[4] == "6"
-    with pytest.raises(ValueError):
-        write_information_csv(tmp_path / "bad.csv", curve)
-    scalar = InformationCurve("spade", ((S, 1e-9),), (0.5,))
-    with pytest.raises(ValueError):
-        write_information_csv(tmp_path / "bad2.csv", scalar, component="angle")
+@given(
+    r_over_sigma=st.floats(min_value=0.05, max_value=3.0),
+    log10_b=st.floats(min_value=-9.0, max_value=math.log10(0.3)),
+    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+    n_max=st.sampled_from([4, 10, 30]),
+)
+@settings(max_examples=60, deadline=None)
+def test_qfim_dominates_spade_information(r_over_sigma, log10_b, phi, n_max):
+    # the quantum matrix bounds every measurement's; over 600 random
+    # scenes the worst violation measured 7.5e-13 of the trace, where
+    # dominates allows 1e-9 of max(1, trace)
+    scene = Scene(r_over_sigma * S, phi, 10.0**log10_b)
+    spade = cfim_spade(FourierZernikeBasis(n_max), scene)
+    assert qfim_polar(scene).dominates(spade)

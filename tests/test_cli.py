@@ -12,8 +12,8 @@ from artifact.cli import CONFIG_ENV_VAR, main, parse_axis
 from artifact.coronagraph import extract_operator, read_raster
 from artifact.estimation import spiral_truths
 from artifact.modebasis import FourierZernikeBasis
-from artifact.optics import load_prescription, separation_from_sigma_units
-from artifact.quantum_bounds import photon_requirement_map
+from artifact.optics import Scene, load_prescription, separation_from_sigma_units
+from artifact.quantum_bounds import photon_requirement_map, qfim_polar
 
 _CONFIG = pathlib.Path(__file__).resolve().parents[1] / "telescope.cfg"
 
@@ -114,6 +114,25 @@ def test_montecarlo_negative_spiral_exits_2(tmp_path, monkeypatch, capsys):
     code = main(["montecarlo", "--spiral", "-2", "--trials", "1", "--out-dir", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err == "error: --spiral must be nonnegative, got -2\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "scene_args, phi",
+    [(["--r-delta-over-sigma", "0"], "0.8"), (["--spiral", "2", "--r-start", "0"], "0.18")],
+)
+def test_montecarlo_zero_separation_truth_exits_2_before_trials(
+    scene_args, phi, tmp_path, monkeypatch, capsys
+):
+    # the quantum floor of the summary is undefined on axis, so the run
+    # stops before the first trial and leaves the output directory empty
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    argv = ["montecarlo", *scene_args, "--trials", "2", "--n-max", "4", "--jobs", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: truth scene 0 (phi {phi}) is at zero separation, "
+        "where the quantum localization floor is undefined\n"
+    )
     assert not list(tmp_path.iterdir())
 
 
@@ -339,6 +358,22 @@ def test_bounds_budget_map_zero_separation_reads_inf(task, tmp_path):
     assert 0.0 < photons < math.inf and 0.0 < seconds < math.inf
 
 
+def test_bounds_qfim_zero_separation_row(tmp_path):
+    # on axis the radial entry keeps its limit 4 b (1-b) pi^2 and the
+    # angular entry vanishes; rows off axis are qfim_polar's diagonal
+    argv = ["bounds", "--target", "qfim", "--r-delta-over-sigma", "0,1"]
+    argv += ["--contrast-b", "1e-9", "--jobs", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "bounds_qfim.csv").read_text().splitlines()
+    r_sigma, b, k_rr, k_phiphi = lines[2].split(",")
+    assert (r_sigma, b, k_phiphi) == ("0", "1.0000000000000001e-09", "0")
+    assert float(k_rr) == pytest.approx(4e-9 * (1.0 - 1e-9) * math.pi**2, rel=1e-15)
+    fisher = qfim_polar(Scene(separation_from_sigma_units(1.0), 0.0, 1e-9))
+    assert lines[3] == "1,1.0000000000000001e-09,%.17g,%.17g" % (
+        fisher.entries[0, 0], fisher.entries[1, 1]
+    )
+
+
 def test_bounds_budget_map_values_round_trip(tmp_path):
     argv = ["bounds", "--target", "budget-map", *_BOUNDS_GRID, "--jobs", "1"]
     assert main(argv + ["--config", str(_CONFIG), "--out-dir", str(tmp_path)]) == 0
@@ -430,9 +465,9 @@ def test_coronagraph_eigenmode_rows_match_operator(tmp_path):
     assert lines[0] == f"# artifact {__version__} seed=0"
     assert lines[1] == "mode_index,transmission_sq"
     op = extract_operator(cli._get_plan("perfect"), FourierZernikeBasis(2))
-    assert len(lines) == 2 + op.truncation
+    assert len(lines) == 2 + op.fields.count
     rows = [row.split(",") for row in lines[2:]]
-    assert [int(row[0]) for row in rows] == list(range(op.truncation))
+    assert [int(row[0]) for row in rows] == list(range(op.fields.count))
     assert [float(row[1]) for row in rows] == [abs(t) ** 2 for t in op.transmissions]
     # the manifest records --config as given, even where the command reads none
     manifest = json.loads((tmp_path / "coronagraph_manifest.json").read_text())

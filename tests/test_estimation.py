@@ -78,9 +78,9 @@ def test_sample_mean_must_be_positive(basis10):
 
 def test_record_invariants():
     with pytest.raises(ValueError):
-        MeasurementRecord(np.array([3, -1]), 2, 1, Scene(0.0, 0.0, 1e-9))
+        MeasurementRecord(np.array([3, -1]), 2)
     with pytest.raises(ValueError):
-        MeasurementRecord(np.array([3, 1]), 5, 1, Scene(0.0, 0.0, 1e-9))
+        MeasurementRecord(np.array([3, 1]), 5)
 
 
 # --------------------------------------------------------- likelihood table
@@ -115,7 +115,7 @@ def test_mle_noiseless_self_consistency(basis10, b):
 
     pv = _outcome_probabilities(basis10, truth)
     counts = np.round(1e6 * pv).astype(np.int64)
-    rec = MeasurementRecord(counts, int(counts.sum()), 10, truth)
+    rec = MeasurementRecord(counts, int(counts.sum()))
     est = mle_localize(rec, basis10, b)
     assert est.converged
     assert abs(est.r_hat - truth.r_delta) <= 1e-3 * S
@@ -125,7 +125,7 @@ def test_mle_noiseless_self_consistency(basis10, b):
 def test_mle_degenerate_record_flagged(basis10):
     counts = np.zeros(basis10.count + 1, dtype=np.int64)
     counts[0] = 5000
-    rec = MeasurementRecord(counts, 5000, 10, Scene(0.0, 0.3, 1e-9))
+    rec = MeasurementRecord(counts, 5000)
     est = mle_localize(rec, basis10, 1e-9)
     assert not est.converged
     assert est.r_hat <= 2e-3 * S
@@ -133,7 +133,7 @@ def test_mle_degenerate_record_flagged(basis10):
 
 def test_mle_rejects_empty_record(basis10):
     counts = np.zeros(basis10.count + 1, dtype=np.int64)
-    rec = MeasurementRecord(counts, 0, 10, Scene(0.0, 0.3, 1e-9))
+    rec = MeasurementRecord(counts, 0)
     with pytest.raises(ValueError):
         mle_localize(rec, basis10, 1e-9)
 

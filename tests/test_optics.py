@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import j1_first_zero
@@ -34,6 +34,7 @@ from artifact.optics import (
     pupil_function,
     separation_from_sigma_units,
     shifted_source_field,
+    wrap_angle,
 )
 from artifact.specfun import bessel_j
 
@@ -439,6 +440,18 @@ def test_scene_validation():
 def test_scene_rejects_non_finite_separation(r_delta):
     with pytest.raises(ValueError, match="finite"):
         Scene(r_delta, 0.0, 0.1)
+
+
+@given(phi=st.floats(min_value=-20.0, max_value=20.0))
+@example(phi=-5e-324)
+@settings(max_examples=200, deadline=None)
+def test_wrap_angle_lands_in_scene_range(phi):
+    # a hair below zero the plain modulo rounds to the excluded 2 pi;
+    # every result inside the range is the plain modulo, bit for bit
+    wrapped = wrap_angle(phi)
+    assert 0.0 <= wrapped < 2.0 * math.pi
+    plain = phi % (2.0 * math.pi)
+    assert wrapped == (plain if plain < 2.0 * math.pi else 0.0)
 
 
 # ---------------------------------------------------------------------------

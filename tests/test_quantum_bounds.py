@@ -68,21 +68,17 @@ def _qfim_by_quadrature(b, r, phi=0.35):
 def test_fisher_matrix_validation():
     scene = Scene(0.3, 0.0, 0.1)
     with pytest.raises(ValueError):
-        FisherMatrix(np.eye(3), "quantum_bound", scene)
+        FisherMatrix(np.eye(3), scene)
     with pytest.raises(ValueError):
-        FisherMatrix(np.diag([1.0, -1.0]), "quantum_bound", scene)
-    with pytest.raises(ValueError):
-        FisherMatrix(np.eye(2), "classical", scene)
-    with pytest.raises(ValueError):
-        FisherMatrix(np.eye(2), "upper_bound", scene)
-    fm = FisherMatrix([[2.0, 0.1], [0.3, 1.0]], "classical", scene, system_name="toy")
+        FisherMatrix(np.diag([1.0, -1.0]), scene)
+    fm = FisherMatrix([[2.0, 0.1], [0.3, 1.0]], scene)
     assert fm.entries[0, 1] == fm.entries[1, 0] == pytest.approx(0.2)
 
 
 def test_fisher_dominance_order():
     scene = Scene(0.4, 0.0, 0.2)
     quantum = qfim_polar(scene)
-    half = FisherMatrix(0.5 * quantum.entries, "classical", scene, system_name="toy")
+    half = FisherMatrix(0.5 * quantum.entries, scene)
     assert quantum.dominates(half)
     assert not half.dominates(quantum)
 
@@ -138,11 +134,8 @@ def test_qce_is_nonnegative(r, b):
 
 
 def test_high_contrast_exponent_limits():
-    assert qce_high_contrast(0.0, 1e-9).value == 0.0
-    assert qce_high_contrast(50.0, 1e-9).value == pytest.approx(1e-9, rel=1e-5)
-    assert float(qce_high_contrast(0.3, 1e-3)) == qce_high_contrast(0.3, 1e-3).value
-    assert qce_high_contrast(0.3, 1e-3).in_regime
-    assert not qce_high_contrast(0.3, 0.5).in_regime
+    assert qce_high_contrast(0.0, 1e-9) == 0.0
+    assert qce_high_contrast(50.0, 1e-9) == pytest.approx(1e-9, rel=1e-5)
     with pytest.raises(ValueError):
         qce_high_contrast(-0.1, 1e-3)
     with pytest.raises(ValueError):
@@ -152,7 +145,7 @@ def test_high_contrast_exponent_limits():
 def test_high_contrast_exponent_tracks_exact_form():
     for r in np.linspace(0.05, 2.0, 60):
         exact = qce(Scene(float(r), 0.0, 1e-9))
-        approx = qce_high_contrast(float(r), 1e-9).value
+        approx = qce_high_contrast(float(r), 1e-9)
         assert abs(exact - approx) / exact < 1e-3
 
 
@@ -172,7 +165,6 @@ def test_qfim_equal_brightness_is_separation_independent():
         fm = qfim_polar(Scene(r, 0.0, 0.5))
         assert fm.entries[0, 0] == pytest.approx(math.pi**2, rel=1e-14)
         assert fm.entries[1, 1] == pytest.approx(math.pi**2 * r * r, rel=1e-14)
-        assert fm.kind == "quantum_bound"
 
 
 def test_qfim_radial_entry_saturates_at_large_separation():
@@ -243,7 +235,7 @@ def test_sigma_loc_rejects_degenerate_inputs():
     fm = qfim_polar(Scene(0.7, 0.0, 0.5))
     with pytest.raises(ValueError):
         sigma_loc(fm, 0.0)
-    singular = FisherMatrix(np.diag([1.0, 0.0]), "quantum_bound", Scene(0.7, 0.0, 0.5))
+    singular = FisherMatrix(np.diag([1.0, 0.0]), Scene(0.7, 0.0, 0.5))
     with pytest.raises(ValueError):
         sigma_loc(singular, 1e6)
 
@@ -254,7 +246,7 @@ def test_localization_photons_round_trip():
     achieved = sigma_loc(qfim_polar(scene), n) / scene.r_delta
     assert achieved == pytest.approx(0.1, rel=1e-12)
     # the singular-matrix check is the one sigma_loc applies
-    singular = FisherMatrix(np.diag([1.0, 0.0]), "quantum_bound", scene)
+    singular = FisherMatrix(np.diag([1.0, 0.0]), scene)
     with pytest.raises(ValueError):
         localization_photons(singular, 0.1)
 
