@@ -18,6 +18,17 @@ complex per-mode transmissions; the resulting ``CoronagraphOperator``
 applies in coefficient space.  ``output_state_image`` renders the
 detected intensity of a two-point scene through either representation.
 
+Extraction never transforms a full grid.  The centered DFT is unitary,
+so <chi_j, plan(chi_k)> equals an inner product of F^-1 chi_j with the
+chain's last pupil-plane field, and that field vanishes outside the box
+of the Lyot stop (63 x 63 pixels on the default 1024^2 grid).  Every
+transform into the box is a matrix Fourier transform (Soummer et al.,
+Opt. Express 15, 15935 (2007)).  At n_max 6 on the default grid with a
+prebuilt stack, measured on a shared 2-core machine, the vortex matrix
+takes 0.65-0.7 s and the PIAACMC one 0.25 s, where 112 full-grid FFTs
+and a full-grid projection took 10-12 s for each.
+``PropagatorPlan.apply`` keeps the full-grid FFTs for imaging.
+
 Mode images can be written as flat binary rasters: a 16 byte header
 (little-endian: 4 byte magic ``FR32``, uint32 width, uint32 height,
 uint32 zero) followed by width*height float32 samples, row-major with
@@ -303,9 +314,14 @@ _SPOT_SUPERSAMPLE = 32
 
 
 def _bounding_box(mask):
-    """Row and column slices of the smallest box holding every True pixel."""
+    """Row and column slices of the smallest box holding every True pixel.
+
+    A mask without a True pixel gives two empty slices.
+    """
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
+        return slice(0, 0), slice(0, 0)
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
@@ -327,14 +343,15 @@ def _spot_roundtrip(grid, box, spot):
     Evaluates inverse_propagate(spot * propagate(v)) on the pupil ``box``
     only, for a field v that vanishes off it, passing through only the
     bounding box of the nonzero ``spot`` pixels on the conjugate grid
-    (Soummer et al., Opt. Express 15, 15935 (2007)).  The separable kernel
+    (Soummer et al., Opt. Express 15, 15935 (2007)); ``spot`` may be
+    complex.  The separable kernel
     makes each transform two small matrix products, Ey @ V @ Ex.T; the
     forward one is scaled by the pupil dx^2 and the inverse by the
     conjugate grid's dx^2, as the full-grid transforms are.  Returns the
     map from samples on ``box`` to the complex round-trip field on ``box``.
     """
     n = grid.n_pixels
-    spot_rows, spot_cols = _bounding_box(spot > 0.0)
+    spot_rows, spot_cols = _bounding_box(spot != 0.0)
     ey = _centered_dft_matrix(n, spot_rows, box[0])
     ex = _centered_dft_matrix(n, spot_cols, box[1])
     ey_inv = ey.conj().T
@@ -534,47 +551,107 @@ class CoronagraphOperator:
         return self.fields.synthesize(self.apply_coefficients(self.fields.project(field)))
 
 
-def _project_block(stack, columns):
-    """<chi_j, column_i> for a (npix^2, m) complex column block."""
-    dx = stack.grid.dx
-    out = np.empty((stack.count, columns.shape[1]), dtype=complex)
-    for lo in range(0, stack.count, 32):
-        hi = min(lo + 32, stack.count)
-        out[lo:hi] = stack.stack[lo:hi].astype(np.float64) @ columns
-    return out * (dx * dx)
+def _focal_to_box(n, box, focal_dx):
+    """inverse_propagate from a full focal grid onto a pupil ``box``, as an MFT.
 
-
-def extract_operator(plan, basis):
-    """Compress a plan onto a mode basis and factor into singular modes.
-
-    Builds M_jk = <chi_j, plan(chi_k)>, takes its SVD, and returns the
-    operator with singular values ascending; each transmission keeps the
-    phase of the corresponding diagonal entry of the singular-rotated
-    matrix.  The modes live where the plan's output does, on
-    ``plan.output_grid``.  ``basis`` may be a FourierZernikeBasis (the
-    stack is then sampled here, which is the expensive step) or a prebuilt
-    ModeFieldSet on that grid.
+    Returns the map from an (n, n) focal array to its inverse transform on
+    ``box`` only: the conjugated rows of ``_centered_dft_matrix`` on each
+    axis, scaled by the focal dx^2 as ``inverse_propagate`` is.  A real
+    array takes one real product for the row transform where a complex one
+    would cost twice the arithmetic.
     """
-    prebuilt = isinstance(basis, ModeFieldSet)
-    if (basis.basis if prebuilt else basis).n_max > _MAX_EXTRACTION_ORDER:
-        raise ValueError("basis n_max above the extraction cost guard")
-    stack = basis if prebuilt else mode_field_stack(basis, plan.output_grid)
-    if stack.grid != plan.output_grid:
-        raise ValueError("mode stack grid does not match the plan's output grid")
+    ey = _centered_dft_matrix(n, box[0], slice(0, n)).conj()
+    ex_t = _centered_dft_matrix(n, box[1], slice(0, n)).conj().T
+    ey_split = np.concatenate([ey.real, ey.imag])
+    rows = ey.shape[0]
+    area = focal_dx**2
 
+    def step(f):
+        if np.iscomplexobj(f):
+            t = ey @ f
+        else:
+            t = ey_split @ f
+            t = t[:rows] + 1j * t[rows:]
+        return (t @ ex_t) * area
+
+    return step
+
+
+def _box_step(kind, arr, pupil_grid, box):
+    """One element acting on a pupil field that vanishes off ``box``.
+
+    A pupil element multiplies on the box.  A focal element 1 - w maps v
+    to v - F^-1(w F v), whose second term ``_spot_roundtrip`` evaluates on
+    the box through the bounding box of the nonzero pixels of w (19 x 19
+    for the PIAACMC spot on the default grid).
+    """
+    if kind != "focal_mask":
+        return functools.partial(np.multiply, arr[box])
+    roundtrip = _spot_roundtrip(pupil_grid, box, 1.0 - arr)
+    return lambda v: v - roundtrip(v)
+
+
+def _chain_matrix(plan, stack):
+    """M_jk = <chi_j, plan(chi_k)>, with a pupil-fed plan fed F^-1 chi_k.
+
+    Every chain starts from chi_k in the focal plane: propagate undoes the
+    input's inverse transform.  Focal masks met before the first pupil
+    element multiply there.  Every pupil element vanishes outside one box,
+    the bounding box of their joint support, so from the first pupil
+    element on the field is carried on that box only (``_box_step``).  The
+    output is F G_k for the last pupil-plane field G_k, and F is unitary,
+    so M_jk = dx_p^2 sum_box conj(F^-1 chi_j) G_k.  A chain without
+    elements is the identity: M is the stack's Gram matrix.  A projector p
+    subtracts a_j <p, out_k>, where a = <chi, p>.
+    """
+    n = plan.grid.n_pixels
     count = stack.count
-    npix = plan.grid.n_pixels
-    matrix = np.empty((count, count), dtype=complex)
-    block = 16
-    for lo in range(0, count, block):
-        hi = min(lo + block, count)
-        cols = np.empty((npix * npix, hi - lo), dtype=complex)
-        for k in range(lo, hi):
-            chi = stack.field(k)
-            fin = inverse_propagate(chi) if plan.input_domain == "pupil" else chi
-            cols[:, k - lo] = plan.apply(fin).samples.ravel()
-        matrix[:, lo:hi] = _project_block(stack, cols)
+    pupil_arrays = [arr for kind, arr in plan.elements if kind != "focal_mask"]
+    if plan.projector is not None:
+        proj = OpticalField(plan.projector, "focal", stack.grid.half_width)
+        a = stack.project(proj)
+    if not pupil_arrays:
+        if plan.elements:
+            raise ValueError("a chain of focal masks alone has no box-local form")
+        matrix = stack.gram().astype(complex)
+        if plan.projector is not None:
+            matrix -= np.outer(a, a.conj())
+        return matrix
+    if plan.elements[-1][0] == "focal_mask":
+        raise ValueError("the chain must end in a pupil-plane element")
 
+    pupil_grid = plan.grid if plan.input_domain == "pupil" else plan.grid.conjugate()
+    box = _bounding_box(np.any([arr != 0.0 for arr in pupil_arrays], axis=0))
+    to_box = _focal_to_box(n, box, plan.output_grid.dx)
+    runs = []  # consecutive focal masks act in one plane, as apply runs them
+    for kind, arr in plan.elements:
+        if kind == "focal_mask" and runs and runs[-1][0] == kind:
+            arr = runs.pop()[1] * arr
+        runs.append((kind, arr))
+    lead = runs.pop(0)[1] if runs[0][0] == "focal_mask" else None
+    steps = [_box_step(kind, arr, pupil_grid, box) for kind, arr in runs]
+
+    shape = (count, box[0].stop - box[0].start, box[1].stop - box[1].start)
+    inputs = np.empty(shape, dtype=complex)  # F^-1 chi_j on the box
+    outputs = np.empty(shape, dtype=complex)  # last pupil-plane field G_k
+    for k in range(count):
+        chi = stack.stack[k].astype(np.float64).reshape(n, n)
+        inputs[k] = to_box(chi)
+        v = inputs[k] if lead is None else to_box(chi * lead)
+        for step in steps:
+            v = step(v)
+        outputs[k] = v
+
+    area = pupil_grid.dx**2
+    outputs = outputs.reshape(count, -1).T
+    matrix = (inputs.reshape(count, -1).conj() @ outputs) * area
+    if plan.projector is not None:
+        matrix -= np.outer(a, (to_box(plan.projector).ravel().conj() @ outputs) * area)
+    return matrix
+
+
+def _singular_operator(name, stack, matrix):
+    """Factor a compressed chain matrix into its singular-mode operator."""
     try:
         _, sing, vh = np.linalg.svd(matrix)
     except np.linalg.LinAlgError as exc:
@@ -584,7 +661,38 @@ def extract_operator(plan, basis):
     sing = sing[order]
     diag = np.einsum("ij,ij->j", vmat.conj(), matrix @ vmat)
     tau = sing * np.exp(1j * np.angle(diag))
-    return CoronagraphOperator(plan.name, stack, tau, vmat)
+    return CoronagraphOperator(name, stack, tau, vmat)
+
+
+def extract_operator(plan, basis):
+    """Compress a plan onto a mode basis and factor into singular modes.
+
+    Builds M_jk = <chi_j, plan(chi_k)> (a pupil-fed plan is fed the
+    inverse transform of chi_k), takes its SVD, and returns the operator
+    with singular values ascending; each transmission keeps the phase of
+    the corresponding diagonal entry of the singular-rotated matrix.  The
+    modes live where the plan's output does, on ``plan.output_grid``.
+    ``basis`` may be a FourierZernikeBasis (the stack is then sampled here,
+    which is the expensive step) or a prebuilt ModeFieldSet on that grid.
+
+    No full-grid FFT runs.  The transform is unitary and the chain's last
+    pupil-plane field vanishes outside the bounding box of its pupil
+    elements (63 x 63 pixels on the default grid), so M is an inner
+    product over that box (``_chain_matrix``): per mode, one matrix
+    Fourier transform of chi_k onto the box, one more of the focally
+    masked field when a focal mask comes first, and box-sized work for the
+    rest.  On the default grid at n_max 6 the vortex matrix costs about
+    0.7 s and 30 MB beyond the stack.  The perfect chain is the stack's
+    Gram matrix less a rank-one term.  A chain must end in a pupil-plane
+    element or have no element at all.
+    """
+    prebuilt = isinstance(basis, ModeFieldSet)
+    if (basis.basis if prebuilt else basis).n_max > _MAX_EXTRACTION_ORDER:
+        raise ValueError("basis n_max above the extraction cost guard")
+    stack = basis if prebuilt else mode_field_stack(basis, plan.output_grid)
+    if stack.grid != plan.output_grid:
+        raise ValueError("mode stack grid does not match the plan's output grid")
+    return _singular_operator(plan.name, stack, _chain_matrix(plan, stack))
 
 
 # ---------------------------------------------------------------------------

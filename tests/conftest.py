@@ -5,9 +5,11 @@ and each coronagraph extraction against it several minutes, so both are
 session scoped.  Extractions are additionally cached as JSON under
 ``~/.cache/artifact-tests``, keyed by a digest of everything an extraction
 depends on: the plan's element and projector arrays, the grid, the basis,
-the samples of the mode stack and the package version.  A change to any
-of them misses the cache and extracts afresh; writing the fresh file
-deletes the files of the same design and order under any other digest.
+the samples of the mode stack, the package version and the source of the
+modules that extract (``coronagraph``, ``modebasis`` and ``optics``).  A
+change to any of them misses the cache and extracts afresh; writing the
+fresh file deletes the files of the same design and order under any other
+digest.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import artifact
+from artifact import coronagraph, modebasis, optics
 from artifact.coronagraph import (
     extract_operator,
     load_operator,
@@ -63,10 +66,14 @@ def plan_vortex(grid):
 
 
 def _operator_digest(plan, stack):
-    """Hex digest of the package version, the plan's arrays, grid, basis and stack."""
+    """Hex digest of the version, extraction source, plan arrays, grid, basis and stack."""
     h = hashlib.sha256()
     ident = (artifact.__version__, plan.name, plan.input_domain, plan.grid, stack.basis)
     h.update(repr(ident).encode())
+    # the version does not move when the extraction code does
+    for module in (coronagraph, modebasis, optics):
+        with open(module.__file__, "rb") as fh:
+            h.update(fh.read())
     # the stack's own samples: a change to how modes are sampled moves them
     # without touching the basis (about 0.75 s for the order-20 stack)
     for kind, arr in plan.elements + (("projector", plan.projector), ("stack", stack.stack)):

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from artifact.coronagraph import (
     CoronagraphOperator,
     PropagatorPlan,
     _bounding_box,
+    _chain_matrix,
     _prolate_seed,
+    _singular_operator,
     _spot_roundtrip,
     extract_operator,
     load_operator,
@@ -406,6 +409,139 @@ def test_extraction_off_a_self_conjugate_grid():
     assert np.all(power[:3] < 1e-4)
     assert np.all(power[3:] > 0.5)
     assert np.all(np.abs(op.transmissions) <= 1.0 + 1e-12)
+
+
+def test_extraction_where_the_conjugate_grid_rounds():
+    # the focal grid of GridSpec(64, 7.3) has a conjugate of half-width
+    # 7.300000000000001, so feeding the chain inverse-propagated modes
+    # would land off the plan grid; the box path never builds that field
+    plan = vortex_plan(GridSpec(64, 7.3))
+    op = extract_operator(plan, FourierZernikeBasis(1))
+    assert op.fields.grid == plan.output_grid
+    assert np.all(np.abs(op.transmissions) <= 1.0 + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def stack4(grid):
+    return mode_field_stack(FourierZernikeBasis(4), grid)
+
+
+def _chain_plan(design, stack, grid, plan_piaacmc, plan_vortex):
+    if design == "perfect":
+        return perfect_plan(stack.field(0), grid)
+    return plan_piaacmc if design == "piaacmc" else plan_vortex
+
+
+def _full_grid_matrix(plan, stack):
+    """Oracle: every mode through the full-grid chain, projected on the stack."""
+    brute = np.empty((stack.count, stack.count), dtype=complex)
+    for k in range(stack.count):
+        chi = stack.field(k)
+        fin = inverse_propagate(chi) if plan.input_domain == "pupil" else chi
+        brute[:, k] = stack.project(plan.apply(fin))
+    return brute
+
+
+@pytest.mark.parametrize("design", ["perfect", "vortex", "piaacmc"])
+def test_extraction_matches_full_grid_chain(design, stack4, grid, plan_piaacmc, plan_vortex):
+    plan = _chain_plan(design, stack4, grid, plan_piaacmc, plan_vortex)
+    brute = _full_grid_matrix(plan, stack4)
+    assert np.max(np.abs(_chain_matrix(plan, stack4) - brute)) <= 1e-13
+
+    op = extract_operator(plan, stack4)
+    ref = _singular_operator(plan.name, stack4, brute)
+    assert np.max(np.abs(np.abs(op.transmissions) - np.abs(ref.transmissions))) <= 1e-13
+    # a transmission's phase is that of the diagonal entry v^H M v; the
+    # vortex shifts m by 2, so its entries are 1e-6 to 2e-3 of |tau|, and
+    # rounding the matrices at 1e-15 moves their phases by up to 3e-8 here
+    # (in the brute-force algorithm as much as in the box path); compare
+    # where the entry is at least 1e-3 of |tau|
+    v = op.mode_coefficients
+    diag = np.abs(np.einsum("ij,ij->j", v.conj(), brute @ v))
+    tau = np.abs(op.transmissions)
+    kept = (tau > 1e-6) & (diag >= 1e-3 * tau)
+    assert kept.any()
+    if design != "vortex":
+        assert np.array_equal(kept, tau > 1e-6)
+    assert np.max(np.abs(op.transmissions - ref.transmissions)[kept]) <= 1e-12
+
+
+@pytest.mark.parametrize("layout", ["projector", "focal pair"])
+def test_extraction_of_layouts_no_design_builds(layout):
+    # a projector after pupil elements runs through the box as well; two
+    # adjacent focal masks act in one plane, and after a pupil element a
+    # mask that is not 1 on most of the grid still goes through the round trip
+    grid = GridSpec(256, 8.0)
+    stack = mode_field_stack(FourierZernikeBasis(3), grid)
+    (_, phase), (_, stop) = vortex_plan(grid).elements
+    if layout == "projector":
+        plan = PropagatorPlan("x", grid, vortex_plan(grid).elements, "pupil", stack.field(0).samples)
+    else:
+        half = np.sqrt(phase)
+        elements = (("apodizer", stop), ("focal_mask", half), ("focal_mask", half), ("lyot_stop", stop))
+        plan = PropagatorPlan("x", grid, elements, "pupil")
+    brute = _full_grid_matrix(plan, stack)
+    assert np.max(np.abs(_chain_matrix(plan, stack) - brute)) <= 1e-13
+
+
+def test_extraction_with_an_empty_stop():
+    # no pixel of GridSpec(8, 16) lies inside the unit disk: nothing passes
+    op = extract_operator(vortex_plan(GridSpec(8, 16.0)), FourierZernikeBasis(0))
+    assert np.array_equal(op.transmissions, np.zeros(1))
+
+
+def test_extraction_runs_no_fft(monkeypatch):
+    grid = GridSpec(256, 8.0)
+    stack = mode_field_stack(FourierZernikeBasis(2), grid)
+    plans = (perfect_plan(stack.field(0), grid), piaacmc_plan(grid), vortex_plan(grid))
+    calls = []
+    fft = optics._centered_fft
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(optics, "_centered_fft", counting_fft)
+    propagate(pupil_disk_field(GridSpec(64, 2.0)))
+    assert len(calls) == 1
+    for plan in plans:
+        extract_operator(plan, stack)
+    assert len(calls) == 1
+
+
+def test_extraction_memory_beyond_the_stack(plan_vortex, stack6):
+    # the box path holds one mode in float64 and its masked copy at a time,
+    # about 30 MB on the default grid; the full-grid column loop took 1 GB
+    tracemalloc.start()
+    try:
+        extract_operator(plan_vortex, stack6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+
+
+def test_extraction_rejects_chains_without_a_box_form(grid):
+    stack = mode_field_stack(FourierZernikeBasis(1), grid)
+    phase = vortex_plan(grid).elements[0][1]
+    focal_only = PropagatorPlan("x", grid, (("focal_mask", phase),), "focal")
+    with pytest.raises(ValueError):
+        extract_operator(focal_only, stack)
+    stop = lyot_stop_array(grid)
+    focal_last = PropagatorPlan("x", grid, (("lyot_stop", stop), ("focal_mask", phase)), "pupil")
+    with pytest.raises(ValueError):
+        extract_operator(focal_last, stack)
+
+
+def test_extraction_svd_failure_is_a_runtime_error(monkeypatch):
+    grid = GridSpec(64, 4.0)
+
+    def failing_svd(matrix):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(RuntimeError):
+        extract_operator(vortex_plan(grid), FourierZernikeBasis(1))
 
 
 def test_perfect_spectrum_structure(op_perfect20):

@@ -12,6 +12,7 @@ from _oracles import j1_first_zero, miller_row
 
 from artifact.modebasis import (
     FourierZernikeBasis,
+    ModeFieldSet,
     all_mode_probabilities,
     _radial_factor,
     all_probability_gradients,
@@ -301,6 +302,40 @@ def test_rotated_basis_shifts_the_angle_argument():
 
 # ---------------------------------------------------------------------------
 # grid realizations
+
+
+def _per_pixel_stack(basis, grid):
+    """The mode stack with the radial factor evaluated at every pixel.
+
+    Orthonormalized as ``mode_field_stack`` does for at most 64 modes, in
+    one block.
+    """
+    x, y = grid.mesh()
+    r = np.hypot(x, y).ravel()
+    phi = np.arctan2(y, x).ravel() - basis.rotation
+    dx = grid.dx
+    stack = np.empty((basis.count, r.size), dtype=np.float32)
+    for n in range(basis.n_max + 1):
+        radial = _radial_factor(n, r)
+        for m in range(-n, n + 1, 2):
+            samples = radial * zernike_angular(m, phi)
+            samples /= math.sqrt(float(np.dot(samples, samples)) * dx * dx)
+            stack[ZernikeIndex(n, m).linear] = samples.astype(np.float32)
+    vals, vecs = np.linalg.eigh(ModeFieldSet(basis, grid, stack).gram())
+    rot = (vecs / np.sqrt(vals)) @ vecs.T
+    # accumulated onto zeros as the library does, which maps -0.0 to 0.0
+    acc = np.zeros(stack.shape)
+    acc += rot @ stack.astype(np.float64)
+    return acc.astype(np.float32)
+
+
+@pytest.mark.parametrize("grid_args", [(1024, 16.0), (256, 8.0)])
+def test_mode_stack_matches_per_pixel_sampling_bit_for_bit(grid_args, stack6):
+    grid = GridSpec(*grid_args)
+    basis = FourierZernikeBasis(6)
+    fields = stack6 if grid == stack6.grid else mode_field_stack(basis, grid)
+    expect = _per_pixel_stack(basis, grid)
+    assert np.array_equal(fields.stack.view(np.uint32), expect.view(np.uint32))
 
 
 def test_mode_stack_gram_is_identity(stack20):
