@@ -27,7 +27,8 @@ Opt. Express 15, 15935 (2007)).  At n_max 6 on the default grid with a
 prebuilt stack, measured on a shared 2-core machine, the vortex matrix
 takes 0.65-0.7 s and the PIAACMC one 0.25 s, where 112 full-grid FFTs
 and a full-grid projection took 10-12 s for each.
-``PropagatorPlan.apply`` keeps the full-grid FFTs for imaging.
+``PropagatorPlan.apply`` images with full-grid FFTs, pruned to the rows
+and columns that the chain's supports leave nonzero.
 
 Mode images can be written as flat binary rasters: a 16 byte header
 (little-endian: 4 byte magic ``FR32``, uint32 width, uint32 height,
@@ -188,8 +189,27 @@ class PropagatorPlan:
         """
         return self.grid if self.input_domain == "focal" else self.grid.conjugate()
 
+    @functools.cached_property
+    def pupil_box(self):
+        """Row and column slices bounding the joint support of the pupil elements.
+
+        None for a chain without pupil elements.  A pupil-plane field is
+        zero off this box once it has met a pupil element: the Lyot stop's
+        63 x 63 pixels on the default grid for the vortex and PIAACMC chains.
+        """
+        pupil = [arr != 0.0 for kind, arr in self.elements if kind != "focal_mask"]
+        if not pupil:
+            return None
+        return _bounding_box(np.any(pupil, axis=0))
+
     def apply(self, field):
-        """Run the chain on one field; linear; returns a focal-plane field."""
+        """Run the chain on one field; linear; returns a focal-plane field.
+
+        A focal field is carried into the pupil plane only for a pupil
+        element, which vanishes off ``pupil_box``, so the inverse transform
+        computes that box alone.  Forward transforms skip the all-zero rows
+        of their input.  Both give the full-grid FFT's samples bit for bit.
+        """
         if field.domain != self.input_domain:
             raise ValueError(
                 "plan %r expects a %s-domain field" % (self.name, self.input_domain)
@@ -200,7 +220,10 @@ class PropagatorPlan:
         for kind, arr in self.elements:
             need = "focal" if kind == "focal_mask" else "pupil"
             if cur.domain != need:
-                cur = propagate(cur) if cur.domain == "pupil" else inverse_propagate(cur)
+                if cur.domain == "pupil":
+                    cur = propagate(cur)
+                else:
+                    cur = inverse_propagate(cur, self.pupil_box)
             cur = OpticalField(cur.samples * arr, need, cur.half_width)
         if cur.domain != "focal":
             cur = propagate(cur)
@@ -442,7 +465,19 @@ def piaacmc_design(grid=None):
         gamma, _ = eigen_at(radius, 1e-10)
         return gamma - 0.5
 
-    mask_radius = brentq(objective, 0.94 * a0, 1.10 * a0, xtol=5e-7)
+    lo, hi = 0.94 * a0, 1.10 * a0
+    ends = {lo: objective(lo), hi: objective(hi)}
+    if ends[lo] * ends[hi] > 0.0:
+        raise ValueError(
+            f"no PIAACMC spot radius on {grid}: gamma - 1/2 is {ends[lo]:.3e} at "
+            f"{lo:.6f} and {ends[hi]:.3e} at {hi:.6f}, the ends of the bracket "
+            "[0.94, 1.10] c/(2 pi)"
+        )
+    # brentq opens with the two ends; it gets the values just computed, so
+    # the warm-started power iterations run in the same order as without them
+    mask_radius = brentq(
+        lambda r: ends.pop(r) if r in ends else objective(r), lo, hi, xtol=5e-7
+    )
     gamma_g, spot = eigen_at(mask_radius, 1e-12)
     profile = np.zeros(stop.shape)
     profile[box] = state["v"] / (np.linalg.norm(state["v"]) * grid.dx)
@@ -606,11 +641,11 @@ def _chain_matrix(plan, stack):
     """
     n = plan.grid.n_pixels
     count = stack.count
-    pupil_arrays = [arr for kind, arr in plan.elements if kind != "focal_mask"]
+    box = plan.pupil_box
     if plan.projector is not None:
         proj = OpticalField(plan.projector, "focal", stack.grid.half_width)
         a = stack.project(proj)
-    if not pupil_arrays:
+    if box is None:
         if plan.elements:
             raise ValueError("a chain of focal masks alone has no box-local form")
         matrix = stack.gram().astype(complex)
@@ -621,7 +656,6 @@ def _chain_matrix(plan, stack):
         raise ValueError("the chain must end in a pupil-plane element")
 
     pupil_grid = plan.grid if plan.input_domain == "pupil" else plan.grid.conjugate()
-    box = _bounding_box(np.any([arr != 0.0 for arr in pupil_arrays], axis=0))
     to_box = _focal_to_box(n, box, plan.output_grid.dx)
     runs = []  # consecutive focal masks act in one plane, as apply runs them
     for kind, arr in plan.elements:
@@ -723,17 +757,23 @@ def output_state_image(target, scene, star_only=False):
     elif target.input_domain == "pupil":
         # source pupil-fed chains with the exact tilted aperture field; a
         # round trip through the focal grid would add ~1e-3 sampling error
-        # on top of the chain's own null floor
+        # on top of the chain's own null floor.  The tilt is evaluated on
+        # the disk's bounding box only (65 x 65 pixels on the default grid)
         grid = target.grid
         disk = pupil_disk_field(grid).normalized().samples
-        x, y = grid.mesh()
+        box = _bounding_box(disk != 0.0)
+        disk_on_box = disk[box]
+        ax = grid.axis()
+        x, y = np.meshgrid(ax[box[1]], ax[box[0]], indexing="xy")
 
         def source_intensity(polar):
             r, phi = polar
             tilt = np.exp(
                 2j * math.pi * r * (x * math.cos(phi) + y * math.sin(phi))
             )
-            src = OpticalField(disk * tilt, "pupil", grid.half_width)
+            src = np.zeros_like(disk)
+            src[box] = disk_on_box * tilt
+            src = OpticalField(src, "pupil", grid.half_width)
             return np.abs(target.apply(src).samples) ** 2
 
     else:

@@ -155,6 +155,95 @@ def test_plan_is_linear(plan_vortex, grid):
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+def _reference_apply(plan, samples):
+    """The chain on the whole grid: every element, numpy's fft2/ifft2 per crossing."""
+    assert plan.projector is None
+    n = plan.grid.n_pixels
+    half_width, domain = plan.grid.half_width, plan.input_domain
+    cur = np.asarray(samples, dtype=complex)
+
+    def cross(cur, half_width, inverse):
+        dx = 2.0 * half_width / n
+        if inverse:
+            out = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(cur))) * (n * n * dx * dx)
+        else:
+            out = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(cur))) * (dx * dx)
+        return out, 0.5 / dx
+
+    for kind, arr in plan.elements:
+        need = "focal" if kind == "focal_mask" else "pupil"
+        if domain != need:
+            cur, half_width = cross(cur, half_width, domain == "focal")
+            domain = need
+        cur = cur * arr
+    if domain != "focal":
+        cur, half_width = cross(cur, half_width, False)
+    return cur, half_width
+
+
+def _reference_source(grid, polar):
+    """The tilted aperture field of a pupil-fed source, on the whole grid."""
+    r, phi = polar
+    disk = pupil_disk_field(grid).normalized().samples
+    x, y = grid.mesh()
+    return disk * np.exp(2j * math.pi * r * (x * math.cos(phi) + y * math.sin(phi)))
+
+
+def _chain(design, grid, plan_piaacmc, plan_vortex):
+    if design == "focal-fed":  # the pupil box met straight from a focal input
+        (_, phase), (_, stop) = vortex_plan(grid).elements
+        elements = (("lyot_stop", stop), ("focal_mask", phase), ("lyot_stop", stop))
+        return PropagatorPlan("x", grid, elements, "focal")
+    if grid.n_pixels == 1024:
+        return plan_piaacmc if design == "piaacmc" else plan_vortex
+    return piaacmc_plan(grid) if design == "piaacmc" else vortex_plan(grid)
+
+
+@pytest.mark.parametrize("design", ["vortex", "piaacmc", "focal-fed"])
+@pytest.mark.parametrize("grid_args", [(1024, 16.0), (256, 8.0)])
+def test_apply_is_the_full_grid_chain(grid_args, design, plan_piaacmc, plan_vortex):
+    # pruned transforms leave every sample of the full-grid chain as it was
+    grid = GridSpec(*grid_args)
+    plan = _chain(design, grid, plan_piaacmc, plan_vortex)
+    n = grid.n_pixels
+    rng = np.random.default_rng(3)
+    fields = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))]
+    if plan.input_domain == "pupil":
+        fields.append(_reference_source(grid, (0.4, 2.0)))
+    for samples in fields:
+        got = plan.apply(OpticalField(samples, plan.input_domain, grid.half_width))
+        ref, half_width = _reference_apply(plan, samples)
+        assert np.array_equal(got.samples, ref)
+        assert got.half_width == half_width
+
+
+@pytest.mark.parametrize("design", ["vortex", "piaacmc"])
+@pytest.mark.parametrize("grid_args", [(1024, 16.0), (256, 8.0)])
+def test_pupil_fed_image_is_the_full_grid_image(grid_args, design, plan_piaacmc, plan_vortex):
+    # the source is built on the disk's bounding box; the image is that of
+    # the tilted field built on the whole grid, bit for bit
+    grid = GridSpec(*grid_args)
+    plan = _chain(design, grid, plan_piaacmc, plan_vortex)
+    scene = Scene(0.7, 5.0, 0.2)
+    star, planet = (
+        np.abs(_reference_apply(plan, _reference_source(grid, polar))[0]) ** 2
+        for polar in (scene.star_polar, scene.planet_polar)
+    )
+    ref = (1.0 - scene.b) * star + scene.b * planet
+    assert np.array_equal(output_state_image(plan, scene), ref)
+
+
+def test_pupil_box_is_the_joint_support_of_the_pupil_elements(plan_vortex, plan_piaacmc, grid):
+    # the Lyot stop's 63 x 63 pixels on the default grid; the PIAACMC
+    # apodizers share the stop's support
+    box = _bounding_box(lyot_stop_array(grid) > 0.0)
+    assert (box[0].stop - box[0].start, box[1].stop - box[1].start) == (63, 63)
+    assert plan_vortex.pupil_box == box
+    assert plan_piaacmc.pupil_box == box
+    assert plan_vortex.pupil_box is plan_vortex.pupil_box
+    assert perfect_plan(grid=GridSpec(64, 4.0)).pupil_box is None
+
+
 # ---------------------------------------------------------------------------
 # perfect design
 
@@ -266,6 +355,20 @@ def test_piaacmc_design_converges_off_self_conjugate_grid():
     assert abs(d.mask_radius - 0.27525) <= 1e-5
     energy = float(np.sum(d.apodized_profile**2)) * d.grid.dx**2
     assert abs(energy - 1.0) <= 1e-12
+
+
+def test_piaacmc_design_without_a_root_in_the_bracket():
+    # on GridSpec(64, 7.3) gamma - 1/2 is negative at both ends of the
+    # spot-radius bracket [0.94, 1.10] c/(2 pi); the bracket stays as it is,
+    # which keeps the default-grid design as it was
+    with pytest.raises(ValueError) as err:
+        piaacmc_plan(GridSpec(64, 7.3))
+    message = str(err.value)
+    assert "GridSpec(n_pixels=64, half_width=7.3)" in message
+    assert "[0.94, 1.10] c/(2 pi)" in message
+    assert "-1.334e-01 at 0.249523 and -3.685e-02 at 0.291995" in message
+    for grid_args in ((128, 5.0), (256, 8.0)):
+        assert abs(piaacmc_design(GridSpec(*grid_args)).gamma_grid - 0.5) <= 1e-3
 
 
 @pytest.mark.parametrize("grid_args", [(1024, 16.0), (512, 16.0)])

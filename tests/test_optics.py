@@ -8,6 +8,7 @@ rather than being widened.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,8 @@ from artifact.optics import (
     OpticalField,
     Scene,
     TelescopePrescription,
+    _airy_amplitude,
+    _centered_fft,
     _disk_coverage,
     default_grid,
     inverse_propagate,
@@ -112,6 +115,36 @@ def test_pupil_function_vectorized():
 
 def test_psf_center_value():
     assert psf((0.0, 0.0)) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+    assert psf(0.0) == math.sqrt(math.pi)
+
+
+def test_psf_rejects_non_finite_radius():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            psf(bad)
+
+
+def test_airy_kernel_matches_mpmath(grid):
+    # the J_1 inside _airy_amplitude, at the float argument 2 pi rho the
+    # kernel forms, against mpmath at 40 digits: about 2,000 radii over the
+    # grid's reach (|r| <= half_width sqrt(2)) and points within 1e-6 of
+    # the first ten zeros of J_1.  scipy's j1 reaches 1.0e-15 on [0, 300]
+    reach = grid.half_width * math.sqrt(2.0)
+    rho = list(np.linspace(0.0, reach, 1950)) + [1e-9, 1e-8, 2e-8, 1e-6]
+    with mpmath.workdps(40):
+        for k in range(1, 11):
+            zero = float(mpmath.besseljzero(1, k))
+            rho += [(zero + d) / (2.0 * math.pi) for d in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6)]
+        rho = np.array(rho)
+        amp = _airy_amplitude(rho)
+        worst = mpmath.mpf(0)
+        for r, a in zip(rho, amp):
+            if r < 1e-8:
+                assert a == math.sqrt(math.pi)
+                continue
+            exact = mpmath.besselj(1, mpmath.mpf(2.0 * math.pi * r))
+            worst = max(worst, abs(mpmath.mpf(a) * mpmath.sqrt(mpmath.pi) * mpmath.mpf(r) - exact))
+    assert worst <= 2e-15
 
 
 def test_psf_vanishes_at_first_airy_node():
@@ -274,6 +307,55 @@ def test_inverse_propagate_roundtrip():
     f = random_field(seed=5)
     again = inverse_propagate(propagate(f))
     assert np.max(np.abs(again.samples - f.samples)) < 1e-12
+
+
+def _full_sandwich(samples, dx, inverse):
+    """The centered transform as numpy's fft2/ifft2 compute it on the whole grid."""
+    n = samples.shape[0]
+    if inverse:
+        return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(samples))) * (n * n * dx * dx)
+    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(samples))) * (dx * dx)
+
+
+def _test_field(kind, n):
+    rng = np.random.default_rng(n)
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "dense":
+        return dense
+    out = np.zeros_like(dense)
+    if kind == "box":  # the 65 x 65 support of the pupil disk on the default grid
+        sl = slice(n // 2 - 32, n // 2 + 33)
+        out[sl, sl] = dense[sl, sl]
+    else:  # one live row
+        out[n // 2 + 3] = dense[n // 2 + 3]
+    return out
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("kind", ["box", "dense", "row"])
+@pytest.mark.parametrize("grid_args", [(1024, 16.0), (256, 8.0)])
+def test_pruned_transform_is_the_full_transform(grid_args, kind, inverse):
+    grid = GridSpec(*grid_args)
+    n = grid.n_pixels
+    samples = _test_field(kind, n)
+    full = _full_sandwich(samples, grid.dx, inverse)
+    assert np.array_equal(_centered_fft(samples, grid.dx, inverse), full)
+    # a box around the centre (its transform indices wrap through 0) and one
+    # in a corner; the output is the full one there and zero elsewhere
+    for box in (
+        (slice(n // 2 - 31, n // 2 + 32), slice(n // 2 - 30, n // 2 + 33)),
+        (slice(0, 5), slice(n - 9, n)),
+    ):
+        pruned = _centered_fft(samples, grid.dx, inverse, box)
+        assert np.array_equal(pruned[box], full[box])
+        off = np.ones((n, n), dtype=bool)
+        off[box] = False
+        assert not pruned[off].any()
+    if inverse:
+        field = OpticalField(samples, "focal", grid.half_width)
+        boxed = inverse_propagate(field, box)
+        assert np.array_equal(boxed.samples[box], inverse_propagate(field).samples[box])
+        assert boxed.half_width == grid.conjugate().half_width
 
 
 def test_disk_transform_matches_analytic_psf(grid):
