@@ -717,8 +717,9 @@ def extract_operator(plan, basis):
     masked field when a focal mask comes first, and box-sized work for the
     rest.  On the default grid at n_max 6 the vortex matrix costs about
     0.7 s and 30 MB beyond the stack.  The perfect chain is the stack's
-    Gram matrix less a rank-one term.  A chain must end in a pupil-plane
-    element or have no element at all.
+    Gram matrix less a rank-one term, two passes over pixel chunks of the
+    stack: about 0.35 s and 42 MB there.  A chain must end in a
+    pupil-plane element or have no element at all.
     """
     prebuilt = isinstance(basis, ModeFieldSet)
     if (basis.basis if prebuilt else basis).n_max > _MAX_EXTRACTION_ORDER:

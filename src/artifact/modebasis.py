@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _R_EPS = 1e-8
+# pixels per block in every pass over a grid mode stack
+_PIXEL_CHUNK = 65536
 
 
 def _sin_2m(m_abs, phi):
@@ -301,7 +303,9 @@ class ModeFieldSet:
     """Stack of mode fields sampled on a grid, discretely orthonormal.
 
     The stack is stored float32, shape (count, n_pixels**2); inner products
-    are accumulated in float64.
+    are accumulated in float64.  Every pass over the stack runs over
+    blocks of _PIXEL_CHUNK pixels with all modes at once, so beyond the
+    float32 stack it holds about three count x 65,536 float64 blocks.
     """
 
     basis: FourierZernikeBasis
@@ -311,6 +315,12 @@ class ModeFieldSet:
     @property
     def count(self):
         return self.stack.shape[0]
+
+    def _blocks(self):
+        """(pixel slice, float64 copy of the stack there), chunk by chunk."""
+        for lo in range(0, self.stack.shape[1], _PIXEL_CHUNK):
+            cols = slice(lo, lo + _PIXEL_CHUNK)
+            yield cols, self.stack[:, cols].astype(np.float64)
 
     def field(self, k):
         n = self.grid.n_pixels
@@ -322,13 +332,10 @@ class ModeFieldSet:
         if field.domain != "focal" or field.grid != self.grid:
             raise ValueError("field must live on the focal grid of the stack")
         flat = field.samples.ravel()
-        dx = self.grid.dx
-        out = np.empty(self.count, dtype=complex)
-        for lo in range(0, self.count, 64):
-            hi = min(lo + 64, self.count)
-            block = self.stack[lo:hi].astype(np.float64)
-            out[lo:hi] = (block @ flat) * (dx * dx)
-        return out
+        out = np.zeros(self.count, dtype=complex)
+        for cols, b in self._blocks():
+            out += b @ flat[cols]
+        return out * (self.grid.dx * self.grid.dx)
 
     def synthesize(self, coeffs):
         """Field sum_k coeffs_k chi_k on the grid."""
@@ -336,24 +343,16 @@ class ModeFieldSet:
         if coeffs.shape != (self.count,):
             raise ValueError("one coefficient per mode required")
         n = self.grid.n_pixels
-        acc = np.zeros(n * n, dtype=complex)
-        for lo in range(0, self.count, 64):
-            hi = min(lo + 64, self.count)
-            block = self.stack[lo:hi].astype(np.float64)
-            acc += coeffs[lo:hi] @ block
+        acc = np.empty(n * n, dtype=complex)
+        for cols, b in self._blocks():
+            acc[cols] = coeffs @ b
         return OpticalField(acc.reshape(n, n), "focal", self.grid.half_width)
 
     def gram(self):
-        dx = self.grid.dx
         g = np.zeros((self.count, self.count))
-        for lo in range(0, self.count, 64):
-            hi = min(lo + 64, self.count)
-            block = self.stack[lo:hi].astype(np.float64)
-            for lo2 in range(0, self.count, 64):
-                hi2 = min(lo2 + 64, self.count)
-                block2 = self.stack[lo2:hi2].astype(np.float64)
-                g[lo:hi, lo2:hi2] = block @ block2.T
-        return g * (dx * dx)
+        for _, b in self._blocks():
+            g += b @ b.T
+        return g * (self.grid.dx * self.grid.dx)
 
 
 def mode_field_stack(basis, grid=None):
@@ -364,7 +363,9 @@ def mode_field_stack(basis, grid=None):
     its Gram matrix (symmetric orthonormalization), which perturbs each
     field minimally while making the set exactly orthonormal on the grid.
     The renormalization also drops the constant sqrt(pi) that separates
-    psi_nm from the projection radial factor.
+    psi_nm from the projection radial factor.  The rotation is done in
+    place, one pixel chunk at a time, so the build holds a single float32
+    stack.
     """
     grid = grid or default_grid()
     x, y = grid.mesh()
@@ -391,12 +392,11 @@ def mode_field_stack(basis, grid=None):
     if vals[0] <= 0:
         raise ValueError("sampled mode stack is numerically degenerate")
     rot = (vecs / np.sqrt(vals)) @ vecs.T
-    out = np.empty_like(stack)
-    for lo in range(0, count, 64):
-        hi = min(lo + 64, count)
-        acc = np.zeros((hi - lo, stack.shape[1]))
-        for lo2 in range(0, count, 64):
-            hi2 = min(lo2 + 64, count)
-            acc += rot[lo:hi, lo2:hi2] @ stack[lo2:hi2].astype(np.float64)
-        out[lo:hi] = acc.astype(np.float32)
-    return ModeFieldSet(basis, grid, out)
+    # rotated in place, chunk by chunk; rebinding b frees each input block
+    # before the next is read, and adding 0.0 turns -0.0 into 0.0, as a sum
+    # started from zero does
+    for cols, b in fields._blocks():
+        b = rot @ b
+        b += 0.0
+        stack[:, cols] = b
+    return fields

@@ -1,6 +1,7 @@
 """Tests for the transform-domain Zernike basis and its probabilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from artifact.modebasis import (
     source_coefficient_gradients,
     source_coefficients,
 )
-from artifact.optics import GridSpec, Scene, overlap, psf_field
+from artifact.coronagraph import extract_operator, perfect_plan
+from artifact.optics import GridSpec, OpticalField, Scene, overlap, psf_field
 from artifact.specfun import ZernikeIndex, zernike_angular
 
 
@@ -307,8 +309,7 @@ def test_rotated_basis_shifts_the_angle_argument():
 def _per_pixel_stack(basis, grid):
     """The mode stack with the radial factor evaluated at every pixel.
 
-    Orthonormalized as ``mode_field_stack`` does for at most 64 modes, in
-    one block.
+    Orthonormalized as ``mode_field_stack`` does, in one block.
     """
     x, y = grid.mesh()
     r = np.hypot(x, y).ravel()
@@ -329,11 +330,18 @@ def _per_pixel_stack(basis, grid):
     return acc.astype(np.float32)
 
 
-@pytest.mark.parametrize("grid_args", [(1024, 16.0), (256, 8.0)])
-def test_mode_stack_matches_per_pixel_sampling_bit_for_bit(grid_args, stack6):
+# n_max 11 is 78 modes; the 300-pixel grid's 90,000 pixels end in a
+# partial chunk
+@pytest.mark.parametrize(
+    "grid_args, n_max",
+    [((1024, 16.0), 6), ((256, 8.0), 6), ((256, 8.0), 11), ((300, 8.0), 11)],
+    ids=["grid_args0", "grid_args1", "n_max11", "n_max11_partial_chunk"],
+)
+def test_mode_stack_matches_per_pixel_sampling_bit_for_bit(grid_args, n_max, stack6):
     grid = GridSpec(*grid_args)
-    basis = FourierZernikeBasis(6)
-    fields = stack6 if grid == stack6.grid else mode_field_stack(basis, grid)
+    basis = FourierZernikeBasis(n_max)
+    prebuilt = (basis, grid) == (stack6.basis, stack6.grid)
+    fields = stack6 if prebuilt else mode_field_stack(basis, grid)
     expect = _per_pixel_stack(basis, grid)
     assert np.array_equal(fields.stack.view(np.uint32), expect.view(np.uint32))
 
@@ -363,6 +371,43 @@ def test_project_synthesize_roundtrip():
     assert_allclose(coeffs.real, expect, atol=1e-6)
     rebuilt = fields.synthesize(coeffs)
     assert np.max(np.abs(rebuilt.samples - fields.field(3).samples)) < 1e-5
+
+
+def test_project_and_synthesize_match_dense_products_over_a_partial_chunk():
+    fields = mode_field_stack(FourierZernikeBasis(11), GridSpec(300, 8.0))
+    dense = fields.stack.astype(np.float64)
+    rng = np.random.default_rng(11)
+    samples = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    coeffs = rng.standard_normal(fields.count) + 1j * rng.standard_normal(fields.count)
+    projected = fields.project(OpticalField(samples, "focal", 8.0))
+    cases = [
+        (projected, dense @ samples.ravel() * fields.grid.dx**2),
+        (fields.synthesize(coeffs).samples.ravel(), coeffs @ dense),
+    ]
+    for got, expect in cases:
+        assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def test_stack_passes_hold_pixel_chunks_not_stack_copies(stack6):
+    # each pass holds a few 28 x 65,536 float64 blocks; the 64-mode slabs
+    # they replace upcast the whole 28 x 1,048,576 stack, 448-704 MB
+    field = stack6.field(3)
+    coeffs = np.linspace(1.0, 2.0, stack6.count)
+    plan = perfect_plan(stack6.field(0))
+    passes = {
+        "gram": stack6.gram,
+        "project": lambda: stack6.project(field),
+        "synthesize": lambda: stack6.synthesize(coeffs),
+        "extract_operator": lambda: extract_operator(plan, stack6),
+    }
+    for name, run in passes.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2**20, name
 
 
 def test_project_rejects_mismatched_field():
