@@ -58,7 +58,7 @@ from .estimation import (
     spiral_truths,
 )
 from .modebasis import FourierZernikeBasis
-from .optics import Scene, load_prescription, separation_from_sigma_units
+from .optics import Scene, load_prescription, separation_from_sigma_units, wrap_angle
 from .quantum_bounds import (
     localization_photons,
     photon_requirement_map,
@@ -375,7 +375,7 @@ def cmd_coronagraph(args):
     if args.output == "image":
         r_sigma = _scalar_axis(args.r_delta_over_sigma, "--r-delta-over-sigma")
         scene = Scene(
-            separation_from_sigma_units(r_sigma), args.phi, args.contrast_b
+            separation_from_sigma_units(r_sigma), wrap_angle(args.phi), args.contrast_b
         )
         image = output_state_image(plan, scene, star_only=args.star_only)
         path = out / f"{args.design}_image.f32"
@@ -444,7 +444,7 @@ def cmd_montecarlo(args):
     else:
         scenes = [
             Scene(
-                separation_from_sigma_units(args.r_delta_over_sigma), args.phi, b
+                separation_from_sigma_units(args.r_delta_over_sigma), wrap_angle(args.phi), b
             )
         ]
     for k, scene in enumerate(scenes):
@@ -622,7 +622,7 @@ def build_parser():
         default="1.0",
         help="scene separation (image) or sweep axis (throughput)",
     )
-    coro.add_argument("--phi", type=float, default=0.0, help="position angle")
+    coro.add_argument("--phi", type=float, default=0.0, help="position angle, wrapped")
     coro.add_argument("--contrast-b", type=float, default=1e-9)
     coro.add_argument(
         "--star-only",
@@ -647,7 +647,7 @@ def build_parser():
     )
     mc.add_argument("--n-max", type=int, default=10, help="sorter truncation")
     mc.add_argument("--r-delta-over-sigma", type=float, default=0.3)
-    mc.add_argument("--phi", type=float, default=0.8)
+    mc.add_argument("--phi", type=float, default=0.8, help="position angle, wrapped")
     mc.add_argument("--contrast-b", type=float, default=1e-9)
     mc.add_argument(
         "--spiral",

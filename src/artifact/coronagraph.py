@@ -37,7 +37,6 @@ row 0 first, little-endian.
 """
 
 import functools
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -81,10 +80,6 @@ __all__ = [
     "vortex_plan",
     "extract_operator",
     "output_state_image",
-    "operator_to_json",
-    "operator_from_json",
-    "save_operator",
-    "load_operator",
     "write_raster",
     "read_raster",
 ]
@@ -790,51 +785,3 @@ def output_state_image(target, scene, star_only=False):
         return star
     planet = source_intensity(scene.planet_polar)
     return (1.0 - scene.b) * star + scene.b * planet
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def operator_to_json(op):
-    """JSON-safe payload: name, grid, basis order, transmissions, modes."""
-    grid = op.fields.grid
-    return {
-        "name": op.name,
-        "grid": {"n_pixels": grid.n_pixels, "half_width": grid.half_width},
-        "n_max": op.fields.basis.n_max,
-        "rotation": op.fields.basis.rotation,
-        "transmissions": [[z.real, z.imag] for z in op.transmissions],
-        "mode_coefficients": {
-            "real": op.mode_coefficients.real.tolist(),
-            "imag": op.mode_coefficients.imag.tolist(),
-        },
-    }
-
-
-def operator_from_json(payload, fields):
-    """Rebuild an operator onto an existing mode stack; validates identity.
-
-    The retained mode count is the stack's; a ``truncation`` key, which
-    older payloads carry, is ignored.
-    """
-    grid = fields.grid
-    if payload["grid"] != {"n_pixels": grid.n_pixels, "half_width": grid.half_width}:
-        raise ValueError("stored grid does not match the supplied stack")
-    if payload["n_max"] != fields.basis.n_max or payload["rotation"] != fields.basis.rotation:
-        raise ValueError("stored basis does not match the supplied stack")
-    tau = np.array([complex(re, im) for re, im in payload["transmissions"]])
-    coeff = np.array(payload["mode_coefficients"]["real"]) + 1j * np.array(
-        payload["mode_coefficients"]["imag"]
-    )
-    return CoronagraphOperator(payload["name"], fields, tau, coeff)
-
-
-def save_operator(path, op):
-    with open(path, "w") as fh:
-        json.dump(operator_to_json(op), fh)
-
-
-def load_operator(path, fields):
-    with open(path) as fh:
-        return operator_from_json(json.load(fh), fields)

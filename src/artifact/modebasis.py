@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .optics import GridSpec, OpticalField, Scene, default_grid
+from .optics import _R_EPS, GridSpec, OpticalField, Scene, default_grid
 from .specfun import ZernikeIndex, bessel_j, zernike_angular
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "source_coefficients",
 ]
 
-_R_EPS = 1e-8
 # pixels per block in every pass over a grid mode stack
 _PIXEL_CHUNK = 65536
 
@@ -385,6 +384,9 @@ def mode_field_stack(basis, grid=None):
             samples = radial * zernike_angular(m, phi)
             samples /= math.sqrt(float(np.dot(samples, samples)) * dx * dx)
             stack[ZernikeIndex(n, m).linear] = samples.astype(np.float32)
+    # the per-pixel sampling arrays (about 56 MB on the default grid) are
+    # freed before the Gram and the rotation
+    del x, y, r, phi, r_distinct, r_index, radial, samples
 
     fields = ModeFieldSet(basis, grid, stack)
     g = fields.gram()

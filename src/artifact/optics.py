@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _FIRST_J1_ZERO = 3.8317059702075123
+# radii below this take the exact on-axis value of a radial factor
+_R_EPS = 1e-8
 
 # Airy width parameter: first zero of J_1(2 pi r) in focal units, ~0.6098.
 AIRY_SIGMA = _FIRST_J1_ZERO / (2.0 * math.pi)
@@ -281,7 +283,7 @@ def _airy_amplitude(rho):
     scalar = rho_arr.ndim == 0
     rho_arr = np.atleast_1d(rho_arr)
     out = np.full(rho_arr.shape, math.sqrt(math.pi))
-    big = rho_arr >= 1e-8
+    big = rho_arr >= _R_EPS
     if np.any(big):
         rb = rho_arr[big]
         out[big] = j1(2.0 * math.pi * rb) / (math.sqrt(math.pi) * rb)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modebasis import _radial_factor
-from .optics import Scene, separation_from_sigma_units
+from .optics import _R_EPS, Scene, separation_from_sigma_units
 from .specfun import bessel_j
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "qfim_polar",
     "sigma_loc",
 ]
-
-_R_EPS = 1e-8
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from artifact.cli import CONFIG_ENV_VAR, main, parse_axis
 from artifact.coronagraph import extract_operator, read_raster
 from artifact.estimation import spiral_truths
 from artifact.modebasis import FourierZernikeBasis
-from artifact.optics import Scene, load_prescription, separation_from_sigma_units
+from artifact.optics import Scene, load_prescription, separation_from_sigma_units, wrap_angle
 from artifact.quantum_bounds import photon_requirement_map, qfim_polar
 
 _CONFIG = pathlib.Path(__file__).resolve().parents[1] / "telescope.cfg"
@@ -134,6 +134,15 @@ def test_montecarlo_zero_separation_truth_exits_2_before_trials(
         "where the quantum localization floor is undefined\n"
     )
     assert not list(tmp_path.iterdir())
+
+
+def test_montecarlo_wraps_phi(tmp_path, monkeypatch):
+    # a position angle past 2 pi is wrapped, not rejected
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    argv = ["montecarlo", "--phi", "7", "--trials", "1", "--n-max", "4", "--jobs", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    row = (tmp_path / "montecarlo_trials.csv").read_text().splitlines()[2].split(",")
+    assert float(row[3]) == wrap_angle(7.0)
 
 
 def test_montecarlo_rerun_is_byte_identical(spiral_runs):
@@ -496,6 +505,17 @@ def test_coronagraph_image_needs_one_separation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: --r-delta-over-sigma must be a single value here, got 2\n"
     assert not (tmp_path / "vortex_image.f32").exists()
+
+
+def test_coronagraph_image_wraps_phi(tmp_path):
+    # a negative position angle renders the raster of its wrapped value
+    rasters = []
+    for phi in ("-0.3", repr(wrap_angle(-0.3))):
+        out_dir = tmp_path / phi
+        argv = ["coronagraph", "--design", "vortex", "--output", "image", "--phi", phi]
+        assert main(argv + ["--out-dir", str(out_dir)]) == 0
+        rasters.append((out_dir / "vortex_image.f32").read_bytes())
+    assert rasters[0] == rasters[1]
 
 
 # ---------------------------------------------------------------------------

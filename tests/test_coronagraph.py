@@ -23,17 +23,13 @@ from artifact.coronagraph import (
     _singular_operator,
     _spot_roundtrip,
     extract_operator,
-    load_operator,
     lyot_stop_array,
-    operator_from_json,
-    operator_to_json,
     perfect_plan,
     piaacmc_design,
     piaacmc_plan,
     prolate_c_star,
     prolate_radial,
     read_raster,
-    save_operator,
     vortex_plan,
     write_raster,
 )
@@ -841,36 +837,3 @@ def test_output_state_image_detected_energy_modal(op_vortex20, plan_vortex, grid
     e_direct = float(np.sum(direct)) * grid.dx**2
     rel = abs(e_modal - e_direct) / e_direct
     assert rel <= 1e-3, f"relative detected-energy gap {rel:.3e}"
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_operator_json_round_trip(op_vortex20, tmp_path):
-    payload = operator_to_json(op_vortex20)
-    assert "truncation" not in payload
-    clone = operator_from_json(payload, op_vortex20.fields)
-    assert clone.name == op_vortex20.name
-    assert np.array_equal(clone.transmissions, op_vortex20.transmissions)
-    assert np.array_equal(clone.mode_coefficients, op_vortex20.mode_coefficients)
-    # payloads written before the key was dropped still load
-    legacy = operator_from_json(
-        dict(payload, truncation=op_vortex20.fields.count), op_vortex20.fields
-    )
-    assert np.array_equal(legacy.transmissions, op_vortex20.transmissions)
-    path = str(tmp_path / "op.json")
-    save_operator(path, op_vortex20)
-    again = load_operator(path, op_vortex20.fields)
-    assert np.array_equal(again.transmissions, op_vortex20.transmissions)
-
-
-def test_operator_json_mismatch_raises(op_vortex20, grid):
-    payload = operator_to_json(op_vortex20)
-    other = mode_field_stack(FourierZernikeBasis(1), grid)
-    with pytest.raises(ValueError):
-        operator_from_json(payload, other)
-    wrong = dict(payload)
-    wrong["grid"] = {"n_pixels": 64, "half_width": 16.0}
-    with pytest.raises(ValueError):
-        operator_from_json(wrong, op_vortex20.fields)
