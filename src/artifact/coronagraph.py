@@ -18,15 +18,17 @@ complex per-mode transmissions; the resulting ``CoronagraphOperator``
 applies in coefficient space.  ``output_state_image`` renders the
 detected intensity of a two-point scene through either representation.
 
-Extraction never transforms a full grid.  The centered DFT is unitary,
-so <chi_j, plan(chi_k)> equals an inner product of F^-1 chi_j with the
-chain's last pupil-plane field, and that field vanishes outside the box
-of the Lyot stop (63 x 63 pixels on the default 1024^2 grid).  Every
-transform into the box is a matrix Fourier transform (Soummer et al.,
-Opt. Express 15, 15935 (2007)).  At n_max 6 on the default grid with a
-prebuilt stack, measured on a shared 2-core machine, the vortex matrix
-takes 0.65-0.7 s and the PIAACMC one 0.25 s, where 112 full-grid FFTs
-and a full-grid projection took 10-12 s for each.
+Extraction never transforms a full grid and holds no mode stack.  The
+centered DFT is unitary, so <chi_j, plan(chi_k)> equals an inner product
+of F^-1 chi_j with the chain's last pupil-plane field, and that field
+vanishes outside the box of the Lyot stop (63 x 63 pixels on the default
+1024^2 grid).  Every transform into the box is a matrix Fourier transform
+(Soummer et al., Opt. Express 15, 15935 (2007)), summed over blocks of
+grid rows while the modes are sampled: each mode is generated once, and
+the orthonormalizing map of the mode set is applied to the box-sized
+sums.  At n_max 6 on the default grid, measured on a shared 2-core
+machine, the vortex extraction from a bare basis takes 1.8 s and peaks at
+36 MiB of ``tracemalloc``.
 ``PropagatorPlan.apply`` images with full-grid FFTs, pruned to the rows
 and columns that the chain's supports leave nonzero.
 
@@ -543,7 +545,7 @@ _TRANSMISSION_CEILING = 1.45
 
 @dataclass(frozen=True)
 class CoronagraphOperator:
-    """Singular-mode form sum_k tau_k |chi_k><chi_k| over a mode stack.
+    """Singular-mode form sum_k tau_k |chi_k><chi_k| over a mode set.
 
     ``mode_coefficients`` column k expresses singular mode chi_k in the
     coordinates of ``fields``; transmissions are complex and sorted
@@ -562,7 +564,7 @@ class CoronagraphOperator:
         if self.transmissions.shape != (count,):
             raise ValueError("one transmission per retained mode required")
         if self.mode_coefficients.shape != (count, count):
-            raise ValueError("mode coefficient matrix must be square over the stack")
+            raise ValueError("mode coefficient matrix must be square over the mode set")
         if np.max(np.abs(self.transmissions)) > _TRANSMISSION_CEILING:
             raise ValueError("transmissions exceed the remap-model ceiling")
 
@@ -581,30 +583,45 @@ class CoronagraphOperator:
         return self.fields.synthesize(self.apply_coefficients(self.fields.project(field)))
 
 
-def _focal_to_box(n, box, focal_dx):
-    """inverse_propagate from a full focal grid onto a pupil ``box``, as an MFT.
+def _rows_to_box(n, box, focal_dx):
+    """inverse_propagate from whole focal rows onto a pupil ``box``, as an MFT.
 
-    Returns the map from an (n, n) focal array to its inverse transform on
-    ``box`` only: the conjugated rows of ``_centered_dft_matrix`` on each
-    axis, scaled by the focal dx^2 as ``inverse_propagate`` is.  A real
-    array takes one real product for the row transform where a complex one
-    would cost twice the arithmetic.
+    Returns step(rows, part, mask=None): for a real (k, len(rows), n) array
+    holding k fields on the grid rows ``rows``, the complex (k, box rows,
+    box cols) share of those rows in the k inverse transforms on ``box``;
+    summed over the row blocks of a grid it is ``inverse_propagate``
+    there, scaled by the focal dx^2 as that is.  The column transform comes
+    first, one real product against the kernel's interleaved real and
+    imaginary parts (B_rows @ Ex^T), then the rows: Ey[:, rows] @ that.
+    A complex focal ``mask`` on the same rows gives the transforms of
+    part * mask instead: each row's column kernel is multiplied by the
+    mask's row, so the masked fields are never formed and each row still
+    takes one real product.
     """
-    ey = _centered_dft_matrix(n, box[0], slice(0, n)).conj()
-    ex_t = _centered_dft_matrix(n, box[1], slice(0, n)).conj().T
-    ey_split = np.concatenate([ey.real, ey.imag])
-    rows = ey.shape[0]
-    area = focal_dx**2
+    ey = _centered_dft_matrix(n, box[0], slice(0, n)).conj() * focal_dx**2
+    ex_t = np.ascontiguousarray(_centered_dft_matrix(n, box[1], slice(0, n)).conj().T)
+    ex_pairs = ex_t.view(np.float64)
+    cols = ex_t.shape[1]
 
-    def step(f):
-        if np.iscomplexobj(f):
-            t = ey @ f
+    def step(rows, part, mask=None):
+        k, r = part.shape[:2]
+        if mask is None:
+            t = (part.reshape(-1, n) @ ex_pairs).view(complex).reshape(k, r, cols)
         else:
-            t = ey_split @ f
-            t = t[:rows] + 1j * t[rows:]
-        return (t @ ex_t) * area
+            t = np.empty((k, r, cols), dtype=complex)
+            kernel = np.empty_like(ex_t)
+            for i in range(r):
+                np.multiply(mask[i][:, None], ex_t, out=kernel)
+                t[:, i] = (part[:, i] @ kernel.view(np.float64)).view(complex)
+        return ey[:, rows] @ t
 
     return step
+
+
+def _mix_modes(transform, raw):
+    """transform applied over the leading (mode) axis of a complex array."""
+    flat = np.ascontiguousarray(raw).reshape(raw.shape[0], -1).view(np.float64)
+    return (transform @ flat).view(complex).reshape(raw.shape)
 
 
 def _box_step(kind, arr, pupil_grid, box):
@@ -621,52 +638,90 @@ def _box_step(kind, arr, pupil_grid, box):
     return lambda v: v - roundtrip(v)
 
 
-def _chain_matrix(plan, stack):
-    """M_jk = <chi_j, plan(chi_k)>, with a pupil-fed plan fed F^-1 chi_k.
+def _chain_matrix(plan, basis):
+    """Sample the modes once and compress a plan onto them: (fields, M).
+
+    M_jk = <chi_j, plan(chi_k)>, with a pupil-fed plan fed F^-1 chi_k.
+    ``basis`` is a FourierZernikeBasis, sampled on ``plan.output_grid`` by
+    ``mode_field_stack``, or a prebuilt ModeFieldSet there.  Either way one
+    pass over the raw samples B (``ModeFieldSet._raw_blocks``) sums what M
+    needs, and the set's transform T (chi = T B) is applied to those sums
+    afterwards, on the small side.
 
     Every chain starts from chi_k in the focal plane: propagate undoes the
     input's inverse transform.  Focal masks met before the first pupil
     element multiply there.  Every pupil element vanishes outside one box,
     the bounding box of their joint support, so from the first pupil
     element on the field is carried on that box only (``_box_step``).  The
-    output is F G_k for the last pupil-plane field G_k, and F is unitary,
-    so M_jk = dx_p^2 sum_box conj(F^-1 chi_j) G_k.  A chain without
-    elements is the identity: M is the stack's Gram matrix.  A projector p
-    subtracts a_j <p, out_k>, where a = <chi, p>.
+    pass sums the row-block MFTs of the raw modes onto the box
+    (``_rows_to_box``), and of the raw modes times a leading focal mask.
+    The output is F G_k for the last pupil-plane field G_k, and F is
+    unitary, so M_jk = dx_p^2 sum_box conj(F^-1 chi_j) G_k.  A chain
+    without elements is the identity: M is the Gram matrix T (B B^T) T^T.
+    A projector p subtracts a_j <p, out_k>, where a = T (B p).
     """
-    n = plan.grid.n_pixels
-    count = stack.count
     box = plan.pupil_box
-    if plan.projector is not None:
-        proj = OpticalField(plan.projector, "focal", stack.grid.half_width)
-        a = stack.project(proj)
-    if box is None:
-        if plan.elements:
-            raise ValueError("a chain of focal masks alone has no box-local form")
-        matrix = stack.gram().astype(complex)
-        if plan.projector is not None:
-            matrix -= np.outer(a, a.conj())
-        return matrix
-    if plan.elements[-1][0] == "focal_mask":
+    if box is None and plan.elements:
+        raise ValueError("a chain of focal masks alone has no box-local form")
+    if box is not None and plan.elements[-1][0] == "focal_mask":
         raise ValueError("the chain must end in a pupil-plane element")
+    grid = plan.output_grid
+    n = grid.n_pixels
+    count = basis.count
+    projector = plan.projector
+    if projector is not None:
+        # real and imaginary parts side by side, one real product per block
+        proj_parts = np.ascontiguousarray(projector, dtype=complex).view(np.float64)
+        proj_parts = proj_parts.reshape(n, n, 2)
+        proj_raw = np.zeros((count, 2))
+    if box is None:
+        gram_raw = np.zeros((count, count))
+    else:
+        pupil_grid = plan.grid if plan.input_domain == "pupil" else plan.grid.conjugate()
+        to_box = _rows_to_box(n, box, grid.dx)
+        runs = []  # consecutive focal masks act in one plane, as apply runs them
+        for kind, arr in plan.elements:
+            if kind == "focal_mask" and runs and runs[-1][0] == kind:
+                arr = runs.pop()[1] * arr
+            runs.append((kind, arr))
+        lead = runs.pop(0)[1] if runs[0][0] == "focal_mask" else None
+        steps = [_box_step(kind, arr, pupil_grid, box) for kind, arr in runs]
+        shape = (count, box[0].stop - box[0].start, box[1].stop - box[1].start)
+        inputs = np.zeros(shape, dtype=complex)  # F^-1 B_j on the box
+        if lead is not None:
+            led = np.zeros(shape, dtype=complex)  # F^-1 (lead B_j) on the box
 
-    pupil_grid = plan.grid if plan.input_domain == "pupil" else plan.grid.conjugate()
-    to_box = _focal_to_box(n, box, plan.output_grid.dx)
-    runs = []  # consecutive focal masks act in one plane, as apply runs them
-    for kind, arr in plan.elements:
-        if kind == "focal_mask" and runs and runs[-1][0] == kind:
-            arr = runs.pop()[1] * arr
-        runs.append((kind, arr))
-    lead = runs.pop(0)[1] if runs[0][0] == "focal_mask" else None
-    steps = [_box_step(kind, arr, pupil_grid, box) for kind, arr in runs]
+    def visit(rows, block):
+        if projector is not None:
+            proj_raw[...] += block @ proj_parts[rows].reshape(-1, 2)
+        if box is None:
+            gram_raw[...] += block @ block.T
+            return
+        part = block.reshape(count, -1, n)
+        inputs[...] += to_box(rows, part)
+        if lead is not None:
+            led[...] += to_box(rows, part, lead[rows])
 
-    shape = (count, box[0].stop - box[0].start, box[1].stop - box[1].start)
-    inputs = np.empty(shape, dtype=complex)  # F^-1 chi_j on the box
+    if isinstance(basis, ModeFieldSet):
+        fields = basis
+        for rows, block in fields._raw_blocks():
+            visit(rows, block)
+    else:
+        fields = mode_field_stack(basis, grid, visit)
+    t = fields.transform
+    if projector is not None:
+        a = (t @ proj_raw).view(complex)[:, 0] * grid.dx**2
+    if box is None:
+        matrix = (t @ (gram_raw * grid.dx**2) @ t.T).astype(complex)
+        if projector is not None:
+            matrix -= np.outer(a, a.conj())
+        return fields, matrix
+
+    inputs = _mix_modes(t, inputs)
+    starts = inputs if lead is None else _mix_modes(t, led)
     outputs = np.empty(shape, dtype=complex)  # last pupil-plane field G_k
     for k in range(count):
-        chi = stack.stack[k].astype(np.float64).reshape(n, n)
-        inputs[k] = to_box(chi)
-        v = inputs[k] if lead is None else to_box(chi * lead)
+        v = starts[k]
         for step in steps:
             v = step(v)
         outputs[k] = v
@@ -674,12 +729,14 @@ def _chain_matrix(plan, stack):
     area = pupil_grid.dx**2
     outputs = outputs.reshape(count, -1).T
     matrix = (inputs.reshape(count, -1).conj() @ outputs) * area
-    if plan.projector is not None:
-        matrix -= np.outer(a, (to_box(plan.projector).ravel().conj() @ outputs) * area)
-    return matrix
+    if projector is not None:
+        whole = slice(0, n)
+        p_box = to_box(whole, projector.real[None]) + 1j * to_box(whole, projector.imag[None])
+        matrix -= np.outer(a, (p_box.ravel().conj() @ outputs) * area)
+    return fields, matrix
 
 
-def _singular_operator(name, stack, matrix):
+def _singular_operator(name, fields, matrix):
     """Factor a compressed chain matrix into its singular-mode operator."""
     try:
         _, sing, vh = np.linalg.svd(matrix)
@@ -690,7 +747,7 @@ def _singular_operator(name, stack, matrix):
     sing = sing[order]
     diag = np.einsum("ij,ij->j", vmat.conj(), matrix @ vmat)
     tau = sing * np.exp(1j * np.angle(diag))
-    return CoronagraphOperator(name, stack, tau, vmat)
+    return CoronagraphOperator(name, fields, tau, vmat)
 
 
 def extract_operator(plan, basis):
@@ -701,32 +758,52 @@ def extract_operator(plan, basis):
     with singular values ascending; each transmission keeps the phase of
     the corresponding diagonal entry of the singular-rotated matrix.  The
     modes live where the plan's output does, on ``plan.output_grid``.
-    ``basis`` may be a FourierZernikeBasis (the stack is then sampled here,
-    which is the expensive step) or a prebuilt ModeFieldSet on that grid.
+    ``basis`` may be a FourierZernikeBasis (the modes are then sampled
+    here) or a prebuilt ModeFieldSet on that grid.
 
-    No full-grid FFT runs.  The transform is unitary and the chain's last
-    pupil-plane field vanishes outside the bounding box of its pupil
-    elements (63 x 63 pixels on the default grid), so M is an inner
-    product over that box (``_chain_matrix``): per mode, one matrix
-    Fourier transform of chi_k onto the box, one more of the focally
-    masked field when a focal mask comes first, and box-sized work for the
-    rest.  On the default grid at n_max 6 the vortex matrix costs about
-    0.7 s and 30 MB beyond the stack.  The perfect chain is the stack's
-    Gram matrix less a rank-one term, two passes over pixel chunks of the
-    stack: about 0.35 s and 42 MB there.  A chain must end in a
-    pupil-plane element or have no element at all.
+    Each mode is sampled once and no mode stack is held.  One pass over
+    the raw samples (``_chain_matrix``) sums, block by block, their Gram
+    matrix (from which ``mode_field_stack`` builds the set's transform for
+    a basis) and their matrix Fourier transforms onto the box of the
+    chain's pupil elements (63 x 63 pixels on the default grid).  No
+    full-grid FFT runs: the transform is unitary and the chain's last
+    pupil-plane field vanishes off that box, so M is an inner product
+    there.  On the default grid at n_max 6 the vortex extraction from a
+    basis peaks at about 36 MiB of ``tracemalloc``.  The perfect chain is
+    the Gram matrix less a rank-one term, summed in the same pass.  A
+    chain must end in a pupil-plane element or have no element at all.
     """
     prebuilt = isinstance(basis, ModeFieldSet)
     if (basis.basis if prebuilt else basis).n_max > _MAX_EXTRACTION_ORDER:
         raise ValueError("basis n_max above the extraction cost guard")
-    stack = basis if prebuilt else mode_field_stack(basis, plan.output_grid)
-    if stack.grid != plan.output_grid:
-        raise ValueError("mode stack grid does not match the plan's output grid")
-    return _singular_operator(plan.name, stack, _chain_matrix(plan, stack))
+    if prebuilt and basis.grid != plan.output_grid:
+        raise ValueError("mode set grid does not match the plan's output grid")
+    fields, matrix = _chain_matrix(plan, basis)
+    return _singular_operator(plan.name, fields, matrix)
 
 
 # ---------------------------------------------------------------------------
 # output-state imaging
+
+
+@functools.cache
+def _pupil_source(grid):
+    """The clear aperture of a pupil-fed image, cut to its bounding box.
+
+    Returns (box, disk, x, y): the box's row and column slices, the
+    unit-norm disk samples on the box, and the box's pixel coordinates,
+    all read-only.  Built once per grid; the full-grid disk costs about
+    43 ms on the default grid.  The disk is normalized once more after
+    ``pupil_disk_field``, whose norm there reads 1.0000000000000002.
+    """
+    full = pupil_disk_field(grid).normalized().samples
+    box = _bounding_box(full != 0.0)
+    disk = full[box].copy()
+    ax = grid.axis()
+    x, y = np.meshgrid(ax[box[1]], ax[box[0]], indexing="xy")
+    for arr in (disk, x, y):
+        arr.flags.writeable = False
+    return box, disk, x, y
 
 
 def output_state_image(target, scene, star_only=False):
@@ -735,7 +812,7 @@ def output_state_image(target, scene, star_only=False):
     ``target`` is either a CoronagraphOperator (source fields enter
     through their analytic mode coefficients) or a PropagatorPlan (full
     grid propagation).  The returned array lives on the target's output
-    grid: the stack grid of an operator, ``PropagatorPlan.output_grid``
+    grid: the mode-set grid of an operator, ``PropagatorPlan.output_grid``
     of a plan (the FFT conjugate of the plan grid for pupil-fed chains).
     Weighted by that grid's dx^2 it integrates to the transmitted energy,
     at most 1.  ``star_only`` renders the b -> 0 limit: the bare star
@@ -756,19 +833,15 @@ def output_state_image(target, scene, star_only=False):
         # on top of the chain's own null floor.  The tilt is evaluated on
         # the disk's bounding box only (65 x 65 pixels on the default grid)
         grid = target.grid
-        disk = pupil_disk_field(grid).normalized().samples
-        box = _bounding_box(disk != 0.0)
-        disk_on_box = disk[box]
-        ax = grid.axis()
-        x, y = np.meshgrid(ax[box[1]], ax[box[0]], indexing="xy")
+        box, disk, x, y = _pupil_source(grid)
 
         def source_intensity(polar):
             r, phi = polar
             tilt = np.exp(
                 2j * math.pi * r * (x * math.cos(phi) + y * math.sin(phi))
             )
-            src = np.zeros_like(disk)
-            src[box] = disk_on_box * tilt
+            src = np.zeros((grid.n_pixels, grid.n_pixels), dtype=complex)
+            src[box] = disk * tilt
             src = OpticalField(src, "pupil", grid.half_width)
             return np.abs(target.apply(src).samples) ** 2
 

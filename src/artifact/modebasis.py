@@ -14,13 +14,16 @@ is its fundamental-mode amplitude.
 Projection coefficients, probabilities, and their gradients are evaluated
 from closed Bessel expressions, never from grids.  Grid realizations of
 the modes (for coronagraph operator extraction) are produced separately by
-`mode_field_stack`, which samples the functions and then symmetrically
-orthonormalizes the stack against the discrete inner product: on a finite
-window the raw samples lose percent-level norm to the truncated Airy tails,
-and the orthonormalization restores an exactly unitary mode set while
-moving each field by only O(1e-3) at low order.
+`mode_field_stack`, which symmetrically orthonormalizes the sampled
+functions against the discrete inner product: on a finite window the raw
+samples lose percent-level norm to the truncated Airy tails, and the
+orthonormalization restores an exactly unitary mode set while moving each
+field by only O(1e-3) at low order.  The set is held as that linear map
+and small sampling tables, never as a stack of fields: every pass over it
+regenerates the samples a block of grid rows at a time.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,8 +43,8 @@ __all__ = [
     "source_coefficients",
 ]
 
-# pixels per block in every pass over a grid mode stack
-_PIXEL_CHUNK = 65536
+# grid rows per block in every pass over the sampled modes
+_ROW_BLOCK = 32
 
 
 def _sin_2m(m_abs, phi):
@@ -108,7 +111,7 @@ def _radial_factor(n, r):
     """Radial factor sqrt(n+1) J_{n+1}(2 pi r)/(pi r), broadcast over n and r.
 
     The one implementation behind the projection coefficients, the grid
-    mode stack (psi_nm is this factor times sqrt(pi) times Theta_m) and, at
+    mode samples (psi_nm is this factor times sqrt(pi) times Theta_m) and, at
     n = 0, the PSF overlap Gamma_0.  Radii must be nonnegative; below 1e-8
     they take the exact on-axis value, 1 for n = 0 and 0 otherwise.
     """
@@ -297,108 +300,162 @@ def all_probability_gradients(basis, scene):
 # grid realizations
 
 
+def _radius_tables(basis, grid):
+    """The radial factor per order per distinct pixel radius, and each pixel's radius.
+
+    Returns (radial, index): ``radial`` has shape (n_max + 1, R) over the R
+    distinct radii (83,122 among the 1,048,576 pixels of the default grid)
+    and ``index`` is the (n, n) int32 map from each pixel to its radius.
+    hypot(x, y) depends on |x| and |y| only, and pixel coordinates are
+    (i - n/2) dx, so the distinct radii are found among the offsets
+    0..n/2 of one quadrant and no full-grid float array is built.  Both
+    tables are read-only.
+    """
+    n = grid.n_pixels
+    offsets = grid.dx * np.arange(n // 2 + 1)
+    # entry [p, q] is hypot(offsets[q], offsets[p]): x runs along the columns
+    radii, quadrant = np.unique(np.hypot(offsets, offsets[:, None]), return_inverse=True)
+    quadrant = quadrant.reshape(offsets.size, offsets.size).astype(np.int32)
+    fold = np.abs(np.arange(n) - n // 2)
+    index = quadrant[fold[:, None], fold]
+    radial = _radial_factor(basis._radial_orders[:, None], radii)
+    radial.flags.writeable = False
+    index.flags.writeable = False
+    return radial, index
+
+
 @dataclass(frozen=True)
 class ModeFieldSet:
-    """Stack of mode fields sampled on a grid, discretely orthonormal.
+    """Mode fields on a grid, discretely orthonormal, with no stack held.
 
-    The stack is stored float32, shape (count, n_pixels**2); inner products
-    are accumulated in float64.  Every pass over the stack runs over
-    blocks of _PIXEL_CHUNK pixels with all modes at once, so beyond the
-    float32 stack it holds about three count x 65,536 float64 blocks.
+    Mode k is chi_k = sum_j transform[k, j] raw_j, where raw_j is the
+    sampled radial factor times Theta_m of mode j (the psi_nm of the module
+    docstring less its sqrt(pi)).  The set keeps only the count x count
+    float64 ``transform`` and the sampling tables of ``_radius_tables``:
+    ``radial`` (the radial factor per order per distinct pixel radius) and
+    ``radius_index`` (int32, one entry per pixel).  Every pass regenerates
+    the raw samples in blocks of _ROW_BLOCK whole grid rows and applies
+    ``transform`` on the small side, so beyond its tables a pass holds
+    one count x (_ROW_BLOCK * n_pixels) float64 block and its angular rows.
     """
 
     basis: FourierZernikeBasis
     grid: GridSpec
-    stack: np.ndarray
+    radial: np.ndarray
+    radius_index: np.ndarray
+    transform: np.ndarray
 
     @property
     def count(self):
-        return self.stack.shape[0]
+        return self.basis.count
 
-    def _blocks(self):
-        """(pixel slice, float64 copy of the stack there), chunk by chunk."""
-        for lo in range(0, self.stack.shape[1], _PIXEL_CHUNK):
-            cols = slice(lo, lo + _PIXEL_CHUNK)
-            yield cols, self.stack[:, cols].astype(np.float64)
+    def _raw_blocks(self):
+        """The raw samples of every mode, _ROW_BLOCK grid rows at a time.
+
+        Yields (rows, block): the slice of grid rows and a float64
+        (count, pixels) array over their pixels, row-major.  The block's
+        buffer is reused, so a caller reduces each block before taking the
+        next.  Theta_m is evaluated once per angular index m, and every
+        sample is the product radial * zernike_angular(m, phi) computed
+        pixel by pixel over the whole grid, bit for bit.
+        """
+        basis, n = self.basis, self.grid.n_pixels
+        ax = self.grid.axis()
+        size = min(_ROW_BLOCK, n) * n
+        buffer = np.empty(self.count * size)
+        angular = np.empty((2 * basis.n_max + 1, size))
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = slice(lo, min(lo + _ROW_BLOCK, n))
+            x, y = np.meshgrid(ax, ax[rows])
+            phi = np.arctan2(y, x).ravel() - basis.rotation
+            pixels = phi.size
+            for m in range(-basis.n_max, basis.n_max + 1):
+                angular[m + basis.n_max, :pixels] = zernike_angular(m, phi)
+            index = self.radius_index[rows].ravel()
+            block = buffer[: self.count * pixels].reshape(self.count, pixels)
+            for order in range(basis.n_max + 1):
+                radial = self.radial[order].take(index)
+                for m in range(-order, order + 1, 2):
+                    np.multiply(
+                        radial,
+                        angular[m + basis.n_max, :pixels],
+                        out=block[ZernikeIndex(order, m).linear],
+                    )
+            yield rows, block
+
+    def _raw_gram(self, visit=None):
+        """Gram matrix of the raw samples; ``visit(rows, block)`` sees every block."""
+        g = np.zeros((self.count, self.count))
+        for rows, block in self._raw_blocks():
+            g += block @ block.T
+            if visit is not None:
+                visit(rows, block)
+        return g * (self.grid.dx * self.grid.dx)
 
     def field(self, k):
         n = self.grid.n_pixels
-        samples = self.stack[k].astype(np.float64).reshape(n, n)
+        samples = np.empty((n, n))
+        for rows, block in self._raw_blocks():
+            samples[rows] = (self.transform[k] @ block).reshape(-1, n)
         return OpticalField(samples, "focal", self.grid.half_width)
 
     def project(self, field):
-        """Coefficients <chi_k, field> for a focal-domain field on the grid."""
+        """Coefficients <chi_k, field> for a focal-domain field on the grid.
+
+        The real and imaginary parts of the field go through one real
+        product per block, so no block is copied to complex.
+        """
         if field.domain != "focal" or field.grid != self.grid:
-            raise ValueError("field must live on the focal grid of the stack")
-        flat = field.samples.ravel()
-        out = np.zeros(self.count, dtype=complex)
-        for cols, b in self._blocks():
-            out += b @ flat[cols]
-        return out * (self.grid.dx * self.grid.dx)
+            raise ValueError("field must live on the focal grid of the mode set")
+        n = self.grid.n_pixels
+        parts = np.ascontiguousarray(field.samples).view(np.float64).reshape(n, n, 2)
+        acc = np.zeros((self.count, 2))
+        for rows, block in self._raw_blocks():
+            acc += block @ parts[rows].reshape(-1, 2)
+        return (self.transform @ acc).view(complex)[:, 0] * (self.grid.dx * self.grid.dx)
 
     def synthesize(self, coeffs):
-        """Field sum_k coeffs_k chi_k on the grid."""
-        coeffs = np.asarray(coeffs, dtype=complex)
+        """Field sum_k coeffs_k chi_k on the grid.
+
+        The coefficients are folded into the raw basis first (c transform,
+        as real and imaginary rows), so each block takes one real product.
+        """
+        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
         if coeffs.shape != (self.count,):
             raise ValueError("one coefficient per mode required")
+        weights = (coeffs.view(np.float64).reshape(-1, 2).T @ self.transform).T
         n = self.grid.n_pixels
-        acc = np.empty(n * n, dtype=complex)
-        for cols, b in self._blocks():
-            acc[cols] = coeffs @ b
-        return OpticalField(acc.reshape(n, n), "focal", self.grid.half_width)
+        samples = np.empty((n, n), dtype=complex)
+        parts = samples.view(np.float64).reshape(n, n, 2)
+        for rows, block in self._raw_blocks():
+            parts[rows] = (block.T @ weights).reshape(-1, n, 2)
+        return OpticalField(samples, "focal", self.grid.half_width)
 
     def gram(self):
-        g = np.zeros((self.count, self.count))
-        for _, b in self._blocks():
-            g += b @ b.T
-        return g * (self.grid.dx * self.grid.dx)
+        t = self.transform
+        return t @ self._raw_gram() @ t.T
 
 
-def mode_field_stack(basis, grid=None):
-    """Sample the basis on a grid and orthonormalize the discrete stack.
+def mode_field_stack(basis, grid=None, visit=None):
+    """Sample the basis on a grid and orthonormalize it against the discrete product.
 
-    Each mode is sampled in the focal plane, renormalized to unit discrete
-    norm, and the whole stack is then rotated by the inverse square root of
-    its Gram matrix (symmetric orthonormalization), which perturbs each
-    field minimally while making the set exactly orthonormal on the grid.
-    The renormalization also drops the constant sqrt(pi) that separates
-    psi_nm from the projection radial factor.  The rotation is done in
-    place, one pixel chunk at a time, so the build holds a single float32
-    stack.
+    One pass over the raw samples sums their Gram matrix G.  Each mode is
+    scaled to unit discrete norm by G's diagonal (which also drops the
+    constant sqrt(pi) that separates psi_nm from the projection radial
+    factor), and the scaled set is then rotated by the inverse square
+    root of its Gram matrix (symmetric orthonormalization), which perturbs
+    each field minimally while making the set exactly orthonormal on the
+    grid.  Both steps live in the returned set's ``transform``; no field
+    is stored.  ``visit(rows, block)``, when given, sees every raw block of
+    that pass (see ``ModeFieldSet._raw_blocks``), so a caller can reduce
+    the samples without generating them again.
     """
     grid = grid or default_grid()
-    x, y = grid.mesh()
-    r = np.hypot(x, y).ravel()
-    phi = (np.arctan2(y, x).ravel() - basis.rotation)
-    dx = grid.dx
-    # the radial factor once per distinct radius (83,122 among the
-    # 1,048,576 pixels of the default grid), scattered back per pixel
-    r_distinct, r_index = np.unique(r, return_inverse=True)
-
-    count = basis.count
-    stack = np.empty((count, r.size), dtype=np.float32)
-    # one radial order at a time, so only one radial row is held
-    for n in range(basis.n_max + 1):
-        radial = _radial_factor(n, r_distinct)[r_index]
-        for m in range(-n, n + 1, 2):
-            samples = radial * zernike_angular(m, phi)
-            samples /= math.sqrt(float(np.dot(samples, samples)) * dx * dx)
-            stack[ZernikeIndex(n, m).linear] = samples.astype(np.float32)
-    # the per-pixel sampling arrays (about 56 MB on the default grid) are
-    # freed before the Gram and the rotation
-    del x, y, r, phi, r_distinct, r_index, radial, samples
-
-    fields = ModeFieldSet(basis, grid, stack)
-    g = fields.gram()
-    vals, vecs = np.linalg.eigh(g)
+    raw = ModeFieldSet(basis, grid, *_radius_tables(basis, grid), np.eye(basis.count))
+    g = raw._raw_gram(visit)
+    scale = 1.0 / np.sqrt(np.diag(g))
+    vals, vecs = np.linalg.eigh(g * scale[:, None] * scale)
     if vals[0] <= 0:
-        raise ValueError("sampled mode stack is numerically degenerate")
-    rot = (vecs / np.sqrt(vals)) @ vecs.T
-    # rotated in place, chunk by chunk; rebinding b frees each input block
-    # before the next is read, and adding 0.0 turns -0.0 into 0.0, as a sum
-    # started from zero does
-    for cols, b in fields._blocks():
-        b = rot @ b
-        b += 0.0
-        stack[:, cols] = b
-    return fields
+        raise ValueError("sampled mode set is numerically degenerate")
+    transform = ((vecs / np.sqrt(vals)) @ vecs.T) * scale
+    return dataclasses.replace(raw, transform=transform)

@@ -1,10 +1,13 @@
 """Shared session fixtures for the heavy modal machinery.
 
-On a shared 2-core machine the order-20 Fourier-Zernike field stack (231
-modes, 924 MB of float32 on the default grid) builds in 17-20 s, and each
-coronagraph extraction against it takes 2-6.5 s (PIAACMC 2-2.5 s, perfect
-and vortex 4-6.5 s).  All of them are session scoped and nothing is kept
-on disk: each session extracts afresh.
+On a shared 2-core machine the order-20 Fourier-Zernike mode set (231
+modes on the default grid) builds in 9.5-10.5 s and holds no field
+stack, only its 231 x 231 transform and sampling tables; the build
+process peaks at 173 MB.  Each coronagraph extraction against it takes
+3.3-5 s (perfect 3.3 s, PIAACMC 3.4 s, vortex 4.8 s), and every other pass
+over the set regenerates the samples: 1.4-3.1 s for one ``field``,
+``project``, ``synthesize`` or ``gram``.  All of them are session scoped
+and nothing is kept on disk: each session extracts afresh.
 """
 
 import pytest

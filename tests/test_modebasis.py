@@ -11,9 +11,9 @@ from numpy.testing import assert_allclose
 
 from _oracles import j1_first_zero, miller_row
 
+from artifact import modebasis
 from artifact.modebasis import (
     FourierZernikeBasis,
-    ModeFieldSet,
     all_mode_probabilities,
     _radial_factor,
     all_probability_gradients,
@@ -306,32 +306,29 @@ def test_rotated_basis_shifts_the_angle_argument():
 # grid realizations
 
 
-def _per_pixel_stack(basis, grid):
-    """The mode stack with the radial factor evaluated at every pixel.
-
-    Orthonormalized as ``mode_field_stack`` does, in one block.
-    """
+def _per_pixel_raw(basis, grid):
+    """The raw mode samples with the radial factor evaluated at every pixel."""
     x, y = grid.mesh()
     r = np.hypot(x, y).ravel()
     phi = np.arctan2(y, x).ravel() - basis.rotation
-    dx = grid.dx
-    stack = np.empty((basis.count, r.size), dtype=np.float32)
+    raw = np.empty((basis.count, r.size))
     for n in range(basis.n_max + 1):
         radial = _radial_factor(n, r)
         for m in range(-n, n + 1, 2):
-            samples = radial * zernike_angular(m, phi)
-            samples /= math.sqrt(float(np.dot(samples, samples)) * dx * dx)
-            stack[ZernikeIndex(n, m).linear] = samples.astype(np.float32)
-    vals, vecs = np.linalg.eigh(ModeFieldSet(basis, grid, stack).gram())
-    rot = (vecs / np.sqrt(vals)) @ vecs.T
-    # accumulated onto zeros as the library does, which maps -0.0 to 0.0
-    acc = np.zeros(stack.shape)
-    acc += rot @ stack.astype(np.float64)
-    return acc.astype(np.float32)
+            raw[ZernikeIndex(n, m).linear] = radial * zernike_angular(m, phi)
+    return raw
 
 
-# n_max 11 is 78 modes; the 300-pixel grid's 90,000 pixels end in a
-# partial chunk
+def _one_block_transform(raw, dx):
+    """Normalization and symmetric orthonormalization of ``raw`` in one block."""
+    g = raw @ raw.T * (dx * dx)
+    scale = 1.0 / np.sqrt(np.diag(g))
+    vals, vecs = np.linalg.eigh(g * scale[:, None] * scale)
+    return ((vecs / np.sqrt(vals)) @ vecs.T) * scale
+
+
+# n_max 11 is 78 modes; the 300 rows of the 300-pixel grid end in a
+# partial block
 @pytest.mark.parametrize(
     "grid_args, n_max",
     [((1024, 16.0), 6), ((256, 8.0), 6), ((256, 8.0), 11), ((300, 8.0), 11)],
@@ -342,8 +339,24 @@ def test_mode_stack_matches_per_pixel_sampling_bit_for_bit(grid_args, n_max, sta
     basis = FourierZernikeBasis(n_max)
     prebuilt = (basis, grid) == (stack6.basis, stack6.grid)
     fields = stack6 if prebuilt else mode_field_stack(basis, grid)
-    expect = _per_pixel_stack(basis, grid)
-    assert np.array_equal(fields.stack.view(np.uint32), expect.view(np.uint32))
+    expect = _per_pixel_raw(basis, grid)
+    n = grid.n_pixels
+    ends = []
+    for rows, block in fields._raw_blocks():
+        cols = slice(rows.start * n, rows.stop * n)
+        assert np.array_equal(block.view(np.uint64), expect[:, cols].view(np.uint64))
+        ends.append(rows.stop)
+    assert ends[-1] == n
+    # each field is the set's transform applied to those samples, bit for bit
+    for k in (0, 1, fields.count // 2, fields.count - 1):
+        samples = fields.field(k).samples
+        assert not samples.imag.any()
+        got = samples.real.ravel()
+        assert np.array_equal(got.view(np.uint64), (fields.transform[k] @ expect).view(np.uint64))
+    # the transform is the one-block orthonormalization up to the order of
+    # the Gram sums
+    ref = _one_block_transform(expect, grid.dx)
+    assert np.max(np.abs(fields.transform - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_mode_stack_gram_is_identity(stack20):
@@ -375,7 +388,7 @@ def test_project_synthesize_roundtrip():
 
 def test_project_and_synthesize_match_dense_products_over_a_partial_chunk():
     fields = mode_field_stack(FourierZernikeBasis(11), GridSpec(300, 8.0))
-    dense = fields.stack.astype(np.float64)
+    dense = np.stack([fields.field(k).samples.real.ravel() for k in range(fields.count)])
     rng = np.random.default_rng(11)
     samples = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
     coeffs = rng.standard_normal(fields.count) + 1j * rng.standard_normal(fields.count)
@@ -388,9 +401,19 @@ def test_project_and_synthesize_match_dense_products_over_a_partial_chunk():
         assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 def test_stack_passes_hold_pixel_chunks_not_stack_copies(stack6):
-    # each pass holds a few 28 x 65,536 float64 blocks; the 64-mode slabs
-    # they replace upcast the whole 28 x 1,048,576 stack, 448-704 MB
+    # each pass holds one 28 x 32,768 float64 block of raw samples and its
+    # angular rows; the 64-mode slabs of the float32 stack upcast all
+    # 28 x 1,048,576 samples, 448-704 MB
     field = stack6.field(3)
     coeffs = np.linspace(1.0, 2.0, stack6.count)
     plan = perfect_plan(stack6.field(0))
@@ -401,26 +424,34 @@ def test_stack_passes_hold_pixel_chunks_not_stack_copies(stack6):
         "extract_operator": lambda: extract_operator(plan, stack6),
     }
     for name, run in passes.items():
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = _traced_peak(run)
         assert peak < 96 * 2**20, name
 
 
+def test_project_and_synthesize_hold_no_complex_block(stack6):
+    # the raw blocks and the transform are real, so the field and the
+    # coefficients enter as real and imaginary parts: projecting peaks no
+    # higher than the Gram pass plus one block, and synthesizing adds only
+    # its complex result (16 MiB on the default grid).  Upcasting each
+    # float64 block to complex took 42 and 59 MB against the Gram's 28 MB
+    rng = np.random.default_rng(3)
+    n = stack6.grid.n_pixels
+    field = OpticalField(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), "focal", 16.0)
+    coeffs = rng.standard_normal(stack6.count) + 1j * rng.standard_normal(stack6.count)
+    block = stack6.count * modebasis._ROW_BLOCK * n * 8
+    gram, _ = _traced_peak(stack6.gram)
+    project, _ = _traced_peak(lambda: stack6.project(field))
+    synthesize, image = _traced_peak(lambda: stack6.synthesize(coeffs))
+    assert project <= gram + block
+    assert synthesize <= gram + block + image.samples.nbytes
+
+
 def test_stack_build_frees_sampling_arrays_before_the_gram():
-    # beyond the 112 MiB float32 stack, the n6 build peaks at 72.6 MiB of
-    # tracemalloc; holding the per-pixel sampling arrays through the Gram
-    # and the rotation peaks at 84.7 MiB
-    tracemalloc.start()
-    try:
-        fields = mode_field_stack(FourierZernikeBasis(6), GridSpec())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - fields.stack.nbytes < 78 * 2**20
+    # the whole n6 build holds the sampling tables and one row block of
+    # raw samples: 20.2 MiB of tracemalloc.  The float32 stack it replaced
+    # was 112 MiB on its own, and its build peaked 72.6 MiB above that
+    peak, _ = _traced_peak(lambda: mode_field_stack(FourierZernikeBasis(6), GridSpec()))
+    assert peak < 32 * 2**20
 
 
 def test_project_rejects_mismatched_field():
