@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 from scipy.special import j0
 
 from .modebasis import (
@@ -306,6 +305,8 @@ def prolate_c_star():
     At this bandwidth a pi-phase spot of focal radius c/(2 pi) cancels the
     apodized pupil field exactly in the continuum limit.
     """
+    from scipy.optimize import brentq  # on use: it is a third of the CLI's start-up
+
     return brentq(
         lambda c: prolate_radial(c)[0] - 1.0 / math.sqrt(2.0),
         1.2,
@@ -439,6 +440,8 @@ def piaacmc_design(grid=None):
     1e-10 inside the root search, 1e-12 at the final radius.  The solve
     takes about 0.1-0.2 s on the default grid, so it is not cached.
     """
+    from scipy.optimize import brentq
+
     grid = grid or default_grid()
     c = prolate_c_star()
     radial = prolate_radial(c)

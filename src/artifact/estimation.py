@@ -7,13 +7,19 @@ localization bound.  Counting intensities depend on the position angle
 only through squared cosines and sines of whole multiples, so the four
 reflections phi, -phi, pi - phi and pi + phi are indistinguishable;
 estimates and reference truths are folded to the first quadrant.
+
+The estimator is a Nelder-Mead simplex written as a generator
+(`_nelder_mead`): it yields each point to evaluate and takes the value
+back.  A trial cluster advances all its searches in lockstep, so each
+round costs one batched modal-kernel call over the pending points; the
+batched rows equal the single-scene ones bit for bit, so an estimate
+does not depend on the cluster it was computed in.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .modebasis import FourierZernikeBasis, all_mode_probabilities
 from .optics import AIRY_SIGMA, Scene, wrap_angle
@@ -45,6 +51,10 @@ _GRID_POINTS = 64
 _LOG_FLOOR = 1e-300
 _SPIRAL_PHI0 = 0.18
 _SPIRAL_TURNS = 0.18
+# the simplex stops when every vertex lies within _XATOL of the best one
+# in each coordinate, or after _MAXFEV objective evaluations
+_XATOL = 1e-6 * AIRY_SIGMA
+_MAXFEV = 500
 
 
 def fold_position_angle(phi):
@@ -176,53 +186,182 @@ def _check_table(table, basis, b):
     return table
 
 
-def mle_localize(record, basis, b_known, table=None):
-    """Maximum-likelihood planet offset from one counting record.
+class _BudgetSpent(Exception):
+    """The evaluation budget ran out inside a simplex step."""
 
-    Seeds a Nelder-Mead refinement with the best point of the coarse
-    grid; the simplex stops at diameter 1e-6 sigma or 500 evaluations.
-    A reusable table from coarse_table speeds up batch runs.  Estimates
-    pinned at the grid's separation floor mean the record carries no
-    offset information and are flagged unconverged.
+
+def _nelder_mead(x0, maxfev):
+    """Nelder-Mead simplex search as a generator of points to evaluate.
+
+    Yields each point (a 1-D float array) and expects its objective value
+    back through ``send``; returns (x, fun, nfev, success) when it stops.
+    This is scipy 1.17's ``_minimize_neldermead`` in the mode
+    ``minimize(method="Nelder-Mead", options={"xatol": _XATOL, "fatol":
+    inf, "maxfev": maxfev})`` runs, step for step and bit for bit: its
+    initial simplex, its non-adaptive coefficients, its sort, and its
+    cut-off, which abandons the step that would exceed maxfev
+    evaluations.  With fatol infinite the test is on the vertices alone:
+    it stops when every vertex lies within _XATOL of the best vertex in
+    each coordinate.  Given maxfev, scipy sets no iteration cap.
     """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return (yield x)
+
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):  # scipy's 5% steps, 0.00025 off a zero coordinate
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full((n + 1,), np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = yield from evaluate(sim[k].copy())
+    except _BudgetSpent:
+        pass
+    # scipy sorts the initial simplex twice; argsort need not be stable
+    # on ties, so the second sort is kept
+    for _ in range(2):
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+
+    while nfev < maxfev:
+        try:
+            # the fatol = inf test fails only on NaN, from inf - inf while
+            # the search still has only infinite values
+            if (
+                np.abs(sim[1:] - sim[0]).max() <= _XATOL
+                and np.abs(fsim[0] - fsim[1:]).max() <= np.inf
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = yield from evaluate(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = yield from evaluate(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = yield from evaluate(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = yield from evaluate(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = yield from evaluate(sim[j].copy())
+        except _BudgetSpent:
+            pass
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    return sim[0], fsim.min(), nfev, nfev < maxfev
+
+
+def _check_record(record, basis):
     counts = record.counts
     if int(counts.sum()) == 0:
         raise ValueError("record carries no photons")
     if counts.shape != (basis.count + 1,):
         raise ValueError("record truncation does not match the basis")
-    table = _check_table(table, basis, b_known)
 
-    scores = table.log_probs @ counts
-    best = int(np.argmax(scores))
-    r0 = table.r_values[best // _GRID_POINTS]
-    phi0 = table.phi_values[best % _GRID_POINTS]
 
-    def negloglik(x):
-        r, phi = x
-        if r <= 0.0 or r > 1.5 * _R_CEILING:
-            return np.inf
-        pv = _outcome_probabilities(basis, Scene(r, wrap_angle(phi), b_known))
-        return -float(counts @ np.log(np.maximum(pv, _LOG_FLOOR)))
+def _seed_point(table, counts):
+    """The coarse-grid point (r, phi) that best explains the counts."""
+    best = int(np.argmax(table.log_probs @ counts))
+    return np.array([table.r_values[best // _GRID_POINTS], table.phi_values[best % _GRID_POINTS]])
 
-    res = minimize(
-        negloglik,
-        np.array([r0, phi0]),
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-6 * AIRY_SIGMA,
-            "fatol": np.inf,
-            "maxfev": 500,
-        },
-    )
-    r_hat = max(float(res.x[0]), 0.0)
-    converged = bool(res.success) and r_hat > 1.5 * _R_FLOOR
-    return LocalizationEstimate(
-        r_hat=r_hat,
-        phi_hat=fold_position_angle(res.x[1]),
-        loglik=-float(res.fun),
-        converged=converged,
-        n_evals=int(res.nfev),
-    )
+
+def _negloglik(basis, b, counts, points):
+    """Negative log-likelihood of counts[s] at points[s] = (r, phi).
+
+    One call of the modal kernel covers every point inside the search
+    domain 0 < r <= 1.5 * _R_CEILING; points outside it read inf.  Each
+    value is the 1-D product counts[s] @ log p, as for a single scene.
+    """
+    r = points[:, 0]
+    values = np.full(len(points), np.inf)
+    inside = np.flatnonzero(~((r <= 0.0) | (r > 1.5 * _R_CEILING)))
+    if inside.size:
+        phi = [wrap_angle(points[s, 1]) for s in inside]
+        pv = _outcome_probabilities(basis, r[inside], phi, b)
+        logp = np.log(np.maximum(pv, _LOG_FLOOR))
+        for row, s in enumerate(inside):
+            values[s] = -float(counts[s] @ logp[row])
+    return values
+
+
+def _localize(records, basis, b, table):
+    """Estimates for records taken at one truncation and contrast.
+
+    Each search is seeded at its record's best coarse-grid point; all
+    searches then advance in lockstep, one batched objective evaluation
+    per round over the points still pending.
+    """
+    counts = [record.counts for record in records]
+    searches = [_nelder_mead(_seed_point(table, c), _MAXFEV) for c in counts]
+    pending = {s: next(search) for s, search in enumerate(searches)}
+    outcomes = [None] * len(searches)
+    while pending:
+        order = list(pending)
+        values = _negloglik(
+            basis, b, [counts[s] for s in order], np.array([pending[s] for s in order])
+        )
+        for s, value in zip(order, values):
+            try:
+                pending[s] = searches[s].send(value)
+            except StopIteration as stop:
+                del pending[s]
+                outcomes[s] = stop.value
+    estimates = []
+    for x, fun, nfev, success in outcomes:
+        r_hat = max(float(x[0]), 0.0)
+        estimates.append(
+            LocalizationEstimate(
+                r_hat=r_hat,
+                phi_hat=fold_position_angle(x[1]),
+                loglik=-float(fun),
+                converged=bool(success) and r_hat > 1.5 * _R_FLOOR,
+                n_evals=int(nfev),
+            )
+        )
+    return estimates
+
+
+def mle_localize(record, basis, b_known, table=None):
+    """Maximum-likelihood planet offset from one counting record.
+
+    Seeds a Nelder-Mead refinement with the best point of the coarse
+    grid.  The simplex stops when every vertex lies within 1e-6 sigma of
+    the best vertex in each coordinate (the angle read in radians), or
+    after 500 evaluations, which flags the estimate unconverged; there is
+    no cap on iterations.  A reusable table from coarse_table speeds up
+    batch runs.  Estimates pinned at the grid's separation floor mean the
+    record carries no offset information and are flagged unconverged.
+    """
+    _check_record(record, basis)
+    return _localize([record], basis, b_known, _check_table(table, basis, b_known))[0]
 
 
 def fit_uncertainty_patch(estimates):
@@ -255,22 +394,23 @@ def run_trials(scene, basis, mean_photons, n_trials, seed, table=None):
     """Sample and estimate n_trials records with per-trial derived seeds.
 
     Trial k uses the seed pair (seed, k), so any subset of trials can be
-    reproduced independently of execution order.
+    reproduced independently of execution order.  All records are drawn
+    first; their searches then run in lockstep, one batched kernel call
+    per simplex round, and each estimate equals mle_localize on its
+    record bit for bit.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
     table = _check_table(table, basis, scene.b)
-    results = []
-    for k in range(n_trials):
-        child = _trial_seed(seed, k)
-        record = sample_measurement(scene, basis, mean_photons, child)
-        est = mle_localize(record, basis, scene.b, table=table)
-        results.append(
-            TrialResult(
-                index=k, seed=child, n_photons=record.total_photons, estimate=est
-            )
-        )
-    return results
+    seeds = [_trial_seed(seed, k) for k in range(n_trials)]
+    records = [sample_measurement(scene, basis, mean_photons, s) for s in seeds]
+    for record in records:
+        _check_record(record, basis)
+    estimates = _localize(records, basis, scene.b, table)
+    return [
+        TrialResult(index=k, seed=s, n_photons=record.total_photons, estimate=est)
+        for k, (s, record, est) in enumerate(zip(seeds, records, estimates))
+    ]
 
 
 def patch_efficiency(scene, results, mean_photons):

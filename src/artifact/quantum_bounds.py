@@ -102,6 +102,21 @@ def qce_high_contrast(r_delta, b):
     return b * (1.0 - g * g)
 
 
+def _qfim_entries(r_delta, b):
+    """(K_rr, K_phiphi) at one separation for a contrast or an array of them.
+
+    The arithmetic of qfim_diagonal, elementwise over b.  Squares of
+    b-dependent terms go through float_power, which rounds as Python's
+    float ** does (numpy's ** 2 is x * x and differs in the last bit of
+    about 1 in 1,200 values), so scalar and array calls agree bit for bit.
+    """
+    b = np.asarray(b, dtype=float)
+    kappa = 1.0 - 2.0 * b
+    weight = 4.0 * b * (1.0 - b) * math.pi**2
+    g = _overlap_slope_factor(r_delta)
+    return weight * (1.0 - np.float_power(kappa * g, 2.0)), weight * r_delta**2
+
+
 def qfim_diagonal(scene):
     """(K_rr, K_phiphi) of the exact quantum Fisher matrix, clear aperture.
 
@@ -110,11 +125,8 @@ def qfim_diagonal(scene):
     separation this is the limit r -> 0: the radial entry 4 b (1-b) pi^2
     survives below the diffraction limit while the angular entry vanishes.
     """
-    b = scene.b
-    kappa = 1.0 - 2.0 * b
-    weight = 4.0 * b * (1.0 - b) * math.pi**2
-    g = _overlap_slope_factor(scene.r_delta)
-    return weight * (1.0 - (kappa * g) ** 2), weight * scene.r_delta**2
+    k_rr, k_phiphi = _qfim_entries(scene.r_delta, scene.b)
+    return float(k_rr), float(k_phiphi)
 
 
 def qfim_polar(scene):
@@ -142,14 +154,17 @@ def qfim_high_contrast(r_delta, b):
     return FisherMatrix(np.diag([k11, k22]), Scene(r_delta, 0.0, b))
 
 
-def _cramer_rao_bracket(fisher):
-    """Per-photon combined variance 1/K_11 + r^2/K_22 at the matrix's scene."""
-    k11 = float(fisher.entries[0, 0])
-    k22 = float(fisher.entries[1, 1])
-    if k11 <= 0.0 or k22 <= 0.0:
+def _cramer_rao_bracket(k11, k22, r_delta):
+    """Per-photon combined variance 1/K_11 + r^2/K_22; takes arrays too."""
+    if np.any(k11 <= 0.0) or np.any(k22 <= 0.0):
         raise ValueError("Fisher matrix is singular for this error combination")
-    r = fisher.scene.r_delta
-    return 1.0 / k11 + r * r / k22
+    return 1.0 / k11 + r_delta * r_delta / k22
+
+
+def _fisher_bracket(fisher):
+    """_cramer_rao_bracket of a FisherMatrix at its stored scene."""
+    e = fisher.entries
+    return _cramer_rao_bracket(float(e[0, 0]), float(e[1, 1]), fisher.scene.r_delta)
 
 
 def sigma_loc(fisher, n_photons):
@@ -160,7 +175,7 @@ def sigma_loc(fisher, n_photons):
     """
     if n_photons <= 0:
         raise ValueError("photon count must be positive")
-    return math.sqrt(_cramer_rao_bracket(fisher) / n_photons)
+    return math.sqrt(_fisher_bracket(fisher) / n_photons)
 
 
 def localization_photons(fisher, rel_error):
@@ -171,7 +186,7 @@ def localization_photons(fisher, rel_error):
     """
     if rel_error <= 0:
         raise ValueError("rel_error must be positive")
-    return _cramer_rao_bracket(fisher) / (rel_error * fisher.scene.r_delta) ** 2
+    return _fisher_bracket(fisher) / (rel_error * fisher.scene.r_delta) ** 2
 
 
 def photon_requirement_map(r_over_sigma_values, b_values, task="detection",
@@ -196,21 +211,28 @@ def photon_requirement_map(r_over_sigma_values, b_values, task="detection",
         raise ValueError(
             f"relative localization error target {target!r} must be positive"
         )
+    b_axis = np.asarray(b_values, dtype=float)
+    if not np.all((b_axis > 0.0) & (b_axis < 1.0)):
+        raise ValueError("relative brightness b must lie in (0, 1)")
     flux = prescription.photon_flux_hz if prescription is not None else None
-    rows = np.empty((len(r_over_sigma_values) * len(b_values), 4))
-    k = 0
-    for r_sigma in r_over_sigma_values:
+    rows = np.empty((len(r_over_sigma_values), len(b_axis), 4))
+    for row, r_sigma in zip(rows, r_over_sigma_values):
         r_delta = separation_from_sigma_units(r_sigma)
-        for b in b_values:
-            scene = Scene(r_delta, 0.0, b)
-            if task == "detection":
-                xi = qce(scene)
-                photons = math.inf if xi == 0.0 else -math.log(target) / xi
-            elif r_delta == 0.0:
-                photons = math.inf
-            else:
-                photons = localization_photons(qfim_polar(scene), target)
-            seconds = photons / flux if flux is not None else math.nan
-            rows[k] = (r_sigma, b, photons, seconds)
-            k += 1
-    return rows
+        if not 0.0 <= r_delta < math.inf:
+            raise ValueError("separation r_delta must be finite and nonnegative")
+        if task == "detection":
+            # per point until qce is an array form (ROADMAP item 2)
+            xi = np.array([qce(Scene(r_delta, 0.0, b)) for b in b_values])
+            with np.errstate(divide="ignore"):
+                photons = -math.log(target) / xi
+        elif r_delta == 0.0:
+            photons = np.full(len(b_axis), math.inf)
+        else:
+            # the rows of localization_photons(qfim_polar(scene), target)
+            k_rr, k_phiphi = _qfim_entries(r_delta, b_axis)
+            photons = _cramer_rao_bracket(k_rr, k_phiphi, r_delta) / (target * r_delta) ** 2
+        row[:, 0] = r_sigma
+        row[:, 1] = b_axis
+        row[:, 2] = photons
+        row[:, 3] = photons / flux if flux is not None else math.nan
+    return rows.reshape(-1, 4)

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +43,18 @@ def spiral_runs(tmp_path_factory):
             _montecarlo(tmp_path_factory.mktemp(name), jobs)
             for name, jobs in (("first", 1), ("rerun", 1), ("pool", 2))
         ]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about a third of the CLI's start-up; only the
+    # PIAACMC design solve needs it, and imports it on use
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, artifact.cli; sys.exit('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr or "artifact.cli imported scipy.optimize"
 
 
 def test_montecarlo_exit_code_and_outputs(spiral_runs):

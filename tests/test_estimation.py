@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from artifact.estimation import (
+    _nelder_mead,
+    _outcome_probabilities,
+    _seed_point,
     LikelihoodTable,
     LocalizationEstimate,
     MeasurementRecord,
@@ -20,7 +24,7 @@ from artifact.estimation import (
     spiral_truths,
 )
 from artifact.modebasis import FourierZernikeBasis, all_mode_probabilities
-from artifact.optics import AIRY_SIGMA, Scene
+from artifact.optics import AIRY_SIGMA, Scene, wrap_angle
 from artifact.quantum_bounds import qfim_polar, sigma_loc
 
 S = AIRY_SIGMA
@@ -120,6 +124,88 @@ def test_mle_noiseless_self_consistency(basis10, b):
     assert est.converged
     assert abs(est.r_hat - truth.r_delta) <= 1e-3 * S
     assert abs(est.phi_hat - truth.phi_delta) <= 1e-3
+
+
+@pytest.fixture(scope="module")
+def basis6():
+    return FourierZernikeBasis(6)
+
+
+@pytest.fixture(scope="module")
+def table6(basis6):
+    return coarse_table(basis6, 1e-9)
+
+
+def _single_scene_negloglik(basis, counts, b):
+    # the objective as one Scene at a time, outside the library's batch
+    def f(x):
+        r, phi = x
+        if r <= 0.0 or r > 4.5 * S:
+            return np.inf
+        pv = _outcome_probabilities(basis, Scene(r, wrap_angle(phi), b))
+        return -float(counts @ np.log(np.maximum(pv, 1e-300)))
+
+    return f
+
+
+def _nelder_mead_matches_scipy(f, x0, maxfev):
+    search = _nelder_mead(x0, maxfev)
+    point = next(search)
+    try:
+        while True:
+            point = search.send(f(point))
+    except StopIteration as stop:
+        x, fun, nfev, success = stop.value
+    ref = minimize(
+        f, x0, method="Nelder-Mead",
+        options={"xatol": 1e-6 * S, "fatol": np.inf, "maxfev": maxfev},
+    )
+    assert np.array_equal(x, ref.x)
+    assert fun == ref.fun
+    assert (nfev, success) == (ref.nfev, ref.success)
+    return nfev, success
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nelder_mead_matches_scipy_on_records(basis6, table6, seed):
+    # 83-94 evaluations each, all converged
+    counts = sample_measurement(Scene(0.3 * S, 0.8, 1e-9), basis6, 3e11, seed).counts
+    f = _single_scene_negloglik(basis6, counts, 1e-9)
+    assert _nelder_mead_matches_scipy(f, _seed_point(table6, counts), 500)[1]
+
+
+def test_nelder_mead_matches_scipy_on_degenerate_record(basis6, table6):
+    # all photons in the fundamental: the search starts at phi = 0 (the
+    # zero-coordinate simplex step), walks to r <= 0 four times and stops
+    # after 57 evaluations; every cut of its budget matches too, among
+    # them cuts inside the shrink steps starting after evaluations 21,
+    # 27 and 31
+    counts = np.zeros(basis6.count + 1, dtype=np.int64)
+    counts[0] = 5000
+    f = _single_scene_negloglik(basis6, counts, 1e-9)
+    x0 = _seed_point(table6, counts)
+    assert x0[1] == 0.0
+    assert _nelder_mead_matches_scipy(f, x0, 500) == (57, True)
+    for maxfev in range(1, 60):
+        _nelder_mead_matches_scipy(f, x0, maxfev)
+
+
+def test_nelder_mead_matches_scipy_cut_inside_shrink(basis6, table6):
+    # the full run shrinks after evaluation 43, so a budget of 44 stops
+    # between the two shrunk vertices, one of them moved but not valued
+    counts = sample_measurement(Scene(0.3 * S, 0.8, 1e-9), basis6, 3e11, 0).counts
+    f = _single_scene_negloglik(basis6, counts, 1e-9)
+    assert _nelder_mead_matches_scipy(f, _seed_point(table6, counts), 44) == (44, False)
+
+
+def test_run_trials_equals_single_record_estimates(basis10, table10):
+    # the lockstep batch changes no bit of any estimate
+    truth = Scene(0.3 * S, 0.8, 1e-9)
+    res = run_trials(truth, basis10, 3e11, 24, seed=11, table=table10)
+    for t in res:
+        rec = sample_measurement(truth, basis10, 3e11, t.seed)
+        assert t.n_photons == rec.total_photons
+        assert t.estimate == mle_localize(rec, basis10, 1e-9, table=table10)
 
 
 def test_mle_degenerate_record_flagged(basis10):

@@ -323,3 +323,33 @@ def test_photon_requirement_map_rows():
     assert math.isnan(loc[0, 3])
     with pytest.raises(ValueError):
         photon_requirement_map(r_sigma, bs, task="discovery")
+
+
+def test_localization_map_rows_equal_single_point_budgets():
+    # each separation row is evaluated as arrays over b; every entry
+    # equals the scalar route bit for bit, and the on-axis row is infinite
+    r_sigma = [0.0, 0.05, 0.37, 1.0, 2.9]
+    bs = np.geomspace(1e-10, 0.4, 23)
+    rows = photon_requirement_map(r_sigma, bs, task="localization", target=1e-3,
+                                  prescription=PRESCRIPTION)
+    assert rows.shape == (len(r_sigma) * len(bs), 4)
+    for (r_s, b, photons, seconds), (r_expect, b_expect) in zip(
+        rows, [(r, b) for r in r_sigma for b in bs]
+    ):
+        assert (r_s, b) == (r_expect, b_expect)
+        if r_s == 0.0:
+            expect = math.inf
+        else:
+            scene = Scene(separation_from_sigma_units(r_s), 0.0, b)
+            expect = localization_photons(qfim_polar(scene), 1e-3)
+        assert photons == expect
+        assert seconds == expect / PRESCRIPTION.photon_flux_hz
+
+
+def test_requirement_map_rejects_out_of_range_axes():
+    for bad_b in ([0.0], [1e-9, 1.0], [math.nan]):
+        for task, target in (("detection", 1e-3), ("localization", 0.1)):
+            with pytest.raises(ValueError, match="relative brightness"):
+                photon_requirement_map([0.5], bad_b, task=task, target=target)
+    with pytest.raises(ValueError, match="separation"):
+        photon_requirement_map([-0.5], [1e-9], task="localization", target=0.1)
