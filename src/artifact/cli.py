@@ -306,6 +306,12 @@ def cmd_tables(args):
     """
     prescription = _load_config(args, required=True)
     flux = prescription.photon_flux_hz
+    if not 0.0 < args.r_delta_over_sigma < math.inf:
+        # on axis the detection exponent vanishes and the polar chart of
+        # the localization matrices is singular: no table has a finite row
+        raise ValueError(
+            f"--r-delta-over-sigma must be positive and finite, got {args.r_delta_over_sigma:g}"
+        )
     scene = Scene(
         separation_from_sigma_units(args.r_delta_over_sigma),
         0.3,

@@ -29,8 +29,11 @@ the orthonormalizing map of the mode set is applied to the box-sized
 sums.  At n_max 6 on the default grid, measured on a shared 2-core
 machine, the vortex extraction from a bare basis takes 1.8 s and peaks at
 36 MiB of ``tracemalloc``.
-``PropagatorPlan.apply`` images with full-grid FFTs, pruned to the rows
-and columns that the chain's supports leave nonzero.
+``PropagatorPlan.apply`` runs the same box steps as extraction: from the
+first pupil element on it carries a field on the Lyot box and transforms
+it to the focal grid once, with full-grid FFTs only where a focal mask
+precedes the first pupil element (the vortex), pruned to the rows and
+columns that the chain's supports leave nonzero.
 
 Mode images can be written as flat binary rasters: a 16 byte header
 (little-endian: 4 byte magic ``FR32``, uint32 width, uint32 height,
@@ -57,6 +60,7 @@ from .optics import (
     GridSpec,
     OpticalField,
     _disk_coverage,
+    _propagate_box,
     default_grid,
     inverse_propagate,
     propagate,
@@ -185,6 +189,11 @@ class PropagatorPlan:
         """
         return self.grid if self.input_domain == "focal" else self.grid.conjugate()
 
+    @property
+    def pupil_grid(self):
+        """Grid of the chain's pupil plane: the conjugate grid for a focal-fed chain."""
+        return self.grid if self.input_domain == "pupil" else self.grid.conjugate()
+
     @functools.cached_property
     def pupil_box(self):
         """Row and column slices bounding the joint support of the pupil elements.
@@ -198,13 +207,44 @@ class PropagatorPlan:
             return None
         return _bounding_box(np.any(pupil, axis=0))
 
+    @functools.cached_property
+    def _box_chain(self):
+        """The chain in its box form, built once per plan: (lead, steps, tail).
+
+        Consecutive focal masks act in one plane and are merged into their
+        product.  ``lead`` is the focal mask met before the first pupil
+        element and ``tail`` the one after the last, None where there is
+        none; a chain without pupil elements has all its masks in ``lead``.
+        ``steps`` holds one ``_box_step`` per element from the first pupil
+        element through the last: each maps a pupil field on ``pupil_box``
+        to the next.  ``apply`` and ``_chain_matrix`` both run these steps.
+        """
+        runs = []
+        for kind, arr in self.elements:
+            if kind == "focal_mask" and runs and runs[-1][0] == kind:
+                arr = runs.pop()[1] * arr
+            runs.append((kind, arr))
+        lead = runs.pop(0)[1] if runs and runs[0][0] == "focal_mask" else None
+        tail = runs.pop()[1] if runs and runs[-1][0] == "focal_mask" else None
+        steps = tuple(
+            _box_step(kind, arr, self.pupil_grid, self.pupil_box) for kind, arr in runs
+        )
+        return lead, steps, tail
+
     def apply(self, field):
         """Run the chain on one field; linear; returns a focal-plane field.
 
-        A focal field is carried into the pupil plane only for a pupil
-        element, which vanishes off ``pupil_box``, so the inverse transform
-        computes that box alone.  Forward transforms skip the all-zero rows
-        of their input.  Both give the full-grid FFT's samples bit for bit.
+        From the first pupil element on, the field is carried on
+        ``pupil_box`` through the plan's box steps, and one transform takes
+        it to the focal grid at the end; that transform's row pass runs on
+        the box rows alone.  A focal mask between pupil elements acts there
+        as a windowed matrix Fourier round trip (``_box_step``), so its
+        output agrees with the full-grid chain to rounding, within 1e-13 of
+        the largest output sample: one FFT renders a PIAACMC image.  Focal
+        masks before the first pupil element multiply on the whole grid, and
+        the inverse transform into the box computes the box alone; a chain
+        whose focal masks all come first, as the vortex's does, runs three
+        FFTs and gives the full-grid chain's samples bit for bit.
         """
         if field.domain != self.input_domain:
             raise ValueError(
@@ -212,17 +252,26 @@ class PropagatorPlan:
             )
         if field.n_pixels != self.grid.n_pixels or field.half_width != self.grid.half_width:
             raise ValueError("field grid does not match the plan grid")
+        lead, steps, tail = self._box_chain
+        box = self.pupil_box
         cur = field
-        for kind, arr in self.elements:
-            need = "focal" if kind == "focal_mask" else "pupil"
-            if cur.domain != need:
-                if cur.domain == "pupil":
-                    cur = propagate(cur)
-                else:
-                    cur = inverse_propagate(cur, self.pupil_box)
-            cur = OpticalField(cur.samples * arr, need, cur.half_width)
-        if cur.domain != "focal":
-            cur = propagate(cur)
+        if lead is not None:
+            if cur.domain == "pupil":
+                cur = propagate(cur)
+            cur = OpticalField(cur.samples * lead, "focal", cur.half_width)
+        if box is None:
+            if cur.domain == "pupil":
+                cur = propagate(cur)
+        else:
+            if cur.domain == "focal":
+                cur = inverse_propagate(cur, box)
+            pupil, v = cur.grid, cur.samples[box]
+            del cur  # no full-grid field outlives the box
+            for step in steps:
+                v = step(v)
+            cur = _propagate_box(v, box, pupil)
+        if tail is not None:
+            cur = OpticalField(cur.samples * tail, "focal", cur.half_width)
         if self.projector is not None:
             dx = self.output_grid.dx
             c = np.vdot(self.projector, cur.samples) * dx * dx
@@ -298,6 +347,73 @@ def prolate_radial(c):
     return gamma, x, w, v
 
 
+_BRENT_RTOL = 4.0 * math.ulp(1.0)  # scipy's default rtol, 4 eps
+
+
+def _brentq(f, a, b, xtol, maxiter=100):
+    """A root of f in [a, b] by Brent's method, as scipy 1.17's ``brentq``.
+
+    A port of scipy's ``brentq.c`` with its wrapper's NaN guard, step for
+    step and bit for bit at scipy's default rtol: the same inverse
+    quadratic interpolation, secant and bisection steps, the same stopping
+    test |blk - x| / 2 < (xtol + rtol |x|) / 2, and the same sequence of
+    points evaluated.  Where C divides by zero the step is not finite and
+    bisection is taken, as it is there.  Raises ValueError when f(a) and
+    f(b) share a sign or f gives NaN, and RuntimeError after maxiter
+    iterations, as scipy does.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 @functools.cache
 def prolate_c_star():
     """Bandwidth where the leading eigenvalue equals 1/sqrt(2).
@@ -305,9 +421,7 @@ def prolate_c_star():
     At this bandwidth a pi-phase spot of focal radius c/(2 pi) cancels the
     apodized pupil field exactly in the continuum limit.
     """
-    from scipy.optimize import brentq  # on use: it is a third of the CLI's start-up
-
-    return brentq(
+    return _brentq(
         lambda c: prolate_radial(c)[0] - 1.0 / math.sqrt(2.0),
         1.2,
         2.2,
@@ -438,10 +552,11 @@ def piaacmc_design(grid=None):
     of two full-grid FFTs per iteration; no FFT runs during the solve.
     Each power iteration starts from the previous eigenvector and runs to
     1e-10 inside the root search, 1e-12 at the final radius.  The solve
-    takes about 0.1-0.2 s on the default grid, so it is not cached.
+    takes about 0.1-0.2 s on the default grid, so it is not cached.  Both
+    root searches (here and in ``prolate_c_star``) run ``_brentq``, a port
+    of scipy's ``brentq`` that gives its roots bit for bit, so the solve
+    imports none of scipy's optimizers.
     """
-    from scipy.optimize import brentq
-
     grid = grid or default_grid()
     c = prolate_c_star()
     radial = prolate_radial(c)
@@ -473,9 +588,10 @@ def piaacmc_design(grid=None):
             f"{lo:.6f} and {ends[hi]:.3e} at {hi:.6f}, the ends of the bracket "
             "[0.94, 1.10] c/(2 pi)"
         )
-    # brentq opens with the two ends; it gets the values just computed, so
-    # the warm-started power iterations run in the same order as without them
-    mask_radius = brentq(
+    # Brent's method opens with the two ends; it gets the values just
+    # computed, so the warm-started power iterations run in the same order
+    # as without them
+    mask_radius = _brentq(
         lambda r: ends.pop(r) if r in ends else objective(r), lo, hi, xtol=5e-7
     )
     gamma_g, spot = eigen_at(mask_radius, 1e-12)
@@ -633,7 +749,11 @@ def _box_step(kind, arr, pupil_grid, box):
     A pupil element multiplies on the box.  A focal element 1 - w maps v
     to v - F^-1(w F v), whose second term ``_spot_roundtrip`` evaluates on
     the box through the bounding box of the nonzero pixels of w (19 x 19
-    for the PIAACMC spot on the default grid).
+    for the PIAACMC spot on the default grid).  That holds only when a
+    pupil element follows, which zeroes the round trip off the box.  The
+    round trip is a matrix Fourier transform, not the FFT pair, so it
+    agrees with the full-grid chain to rounding (about 1e-16 of the field),
+    not bit for bit.  ``PropagatorPlan`` builds these steps once per plan.
     """
     if kind != "focal_mask":
         return functools.partial(np.multiply, arr[box])
@@ -652,21 +772,23 @@ def _chain_matrix(plan, basis):
     afterwards, on the small side.
 
     Every chain starts from chi_k in the focal plane: propagate undoes the
-    input's inverse transform.  Focal masks met before the first pupil
-    element multiply there.  Every pupil element vanishes outside one box,
-    the bounding box of their joint support, so from the first pupil
-    element on the field is carried on that box only (``_box_step``).  The
-    pass sums the row-block MFTs of the raw modes onto the box
-    (``_rows_to_box``), and of the raw modes times a leading focal mask.
-    The output is F G_k for the last pupil-plane field G_k, and F is
-    unitary, so M_jk = dx_p^2 sum_box conj(F^-1 chi_j) G_k.  A chain
-    without elements is the identity: M is the Gram matrix T (B B^T) T^T.
-    A projector p subtracts a_j <p, out_k>, where a = T (B p).
+    input's inverse transform.  The plan's leading focal mask multiplies
+    there.  Every pupil element vanishes outside one box, the bounding box
+    of their joint support, so from the first pupil element on the field is
+    carried on that box only, through the plan's box steps, the ones
+    ``PropagatorPlan.apply`` runs (``_box_step``).  The pass sums the
+    row-block MFTs of the raw modes onto the box (``_rows_to_box``), and of
+    the raw modes times the leading mask.  The output is F G_k for the last
+    pupil-plane field G_k, and F is unitary, so M_jk = dx_p^2 sum_box
+    conj(F^-1 chi_j) G_k.  A chain without elements is the identity: M is
+    the Gram matrix T (B B^T) T^T.  A projector p subtracts a_j <p, out_k>,
+    where a = T (B p).
     """
     box = plan.pupil_box
     if box is None and plan.elements:
         raise ValueError("a chain of focal masks alone has no box-local form")
-    if box is not None and plan.elements[-1][0] == "focal_mask":
+    lead, steps, tail = plan._box_chain
+    if tail is not None:
         raise ValueError("the chain must end in a pupil-plane element")
     grid = plan.output_grid
     n = grid.n_pixels
@@ -680,15 +802,7 @@ def _chain_matrix(plan, basis):
     if box is None:
         gram_raw = np.zeros((count, count))
     else:
-        pupil_grid = plan.grid if plan.input_domain == "pupil" else plan.grid.conjugate()
         to_box = _rows_to_box(n, box, grid.dx)
-        runs = []  # consecutive focal masks act in one plane, as apply runs them
-        for kind, arr in plan.elements:
-            if kind == "focal_mask" and runs and runs[-1][0] == kind:
-                arr = runs.pop()[1] * arr
-            runs.append((kind, arr))
-        lead = runs.pop(0)[1] if runs[0][0] == "focal_mask" else None
-        steps = [_box_step(kind, arr, pupil_grid, box) for kind, arr in runs]
         shape = (count, box[0].stop - box[0].start, box[1].stop - box[1].start)
         inputs = np.zeros(shape, dtype=complex)  # F^-1 B_j on the box
         if lead is not None:
@@ -729,7 +843,7 @@ def _chain_matrix(plan, basis):
             v = step(v)
         outputs[k] = v
 
-    area = pupil_grid.dx**2
+    area = plan.pupil_grid.dx**2
     outputs = outputs.reshape(count, -1).T
     matrix = (inputs.reshape(count, -1).conj() @ outputs) * area
     if projector is not None:
@@ -813,10 +927,13 @@ def output_state_image(target, scene, star_only=False):
     """Detected intensity of a two-point scene through a coronagraph.
 
     ``target`` is either a CoronagraphOperator (source fields enter
-    through their analytic mode coefficients) or a PropagatorPlan (full
-    grid propagation).  The returned array lives on the target's output
-    grid: the mode-set grid of an operator, ``PropagatorPlan.output_grid``
-    of a plan (the FFT conjugate of the plan grid for pupil-fed chains).
+    through their analytic mode coefficients) or a PropagatorPlan, whose
+    ``apply`` renders each source: the vortex image is the full-grid
+    chain's bit for bit, and the PIAACMC image, one FFT per source, agrees
+    with it to within 1e-13 of its peak.  The returned array lives on the
+    target's output grid: the mode-set grid of an operator,
+    ``PropagatorPlan.output_grid`` of a plan (the FFT conjugate of the plan
+    grid for pupil-fed chains).
     Weighted by that grid's dx^2 it integrates to the transmitted energy,
     at most 1.  ``star_only`` renders the b -> 0 limit: the bare star
     term at unit weight.

@@ -343,8 +343,8 @@ def pupil_disk_field(grid=None):
 def psf_field(grid=None):
     """Airy amplitude sampled on the focal grid, unit discrete norm."""
     grid = grid or default_grid()
-    x, y = grid.mesh()
-    amp = _airy_amplitude(np.hypot(x, y))
+    ax = grid.axis()
+    amp = _airy_amplitude(np.hypot(ax, ax[:, None]))
     f = OpticalField(amp.astype(complex), "focal", grid.half_width)
     return f.normalized()
 
@@ -354,13 +354,15 @@ def shifted_source_field(s, grid=None):
 
     Requires half_width >= |s| + 3 so the bulk of the shifted Airy energy
     stays on the grid; the samples are renormalized to unit discrete norm.
+    The radii broadcast the shifted axes, which gives the samples of the
+    shifted ``mesh`` bit for bit without building it.
     """
     grid = grid or default_grid()
     s_arr = np.asarray(s, dtype=float)
     if grid.half_width < float(np.hypot(*s_arr)) + 3.0:
         raise ValueError("grid half_width must be at least |s| + 3")
-    x, y = grid.mesh()
-    amp = _airy_amplitude(np.hypot(x - s_arr[0], y - s_arr[1]))
+    ax = grid.axis()
+    amp = _airy_amplitude(np.hypot(ax - s_arr[0], (ax - s_arr[1])[:, None]))
     f = OpticalField(amp.astype(complex), "focal", grid.half_width)
     return f.normalized()
 
@@ -369,7 +371,7 @@ def shifted_source_field(s, grid=None):
 # propagation and inner products
 
 
-def _centered_fft(samples, dx, inverse=False, box=None):
+def _centered_fft(samples, dx, inverse=False, box=None, at=None):
     # physical-scaling DFT: forward approximates int f exp(-i 2 pi u.r) d2u,
     # inverse the conjugate kernel; both preserve the discrete L2 norm.
     # numpy's fft2 and ifft2 transform the last axis row by row and then
@@ -377,24 +379,36 @@ def _centered_fft(samples, dx, inverse=False, box=None):
     # is known, so it equals fftshift(fft2(ifftshift(x))) bit for bit: an
     # all-zero row transforms to zeros, and with ``box`` (row and column
     # slices of the output) only the box's columns get the axis-0 pass and
-    # the output is zero off the box
-    n = samples.shape[0]
-    one_d = np.fft.ifft if inverse else np.fft.fft
-    live = np.flatnonzero(samples.any(axis=1))
-    if live.size < n:
-        # ifftshift moves row r to (r + n/2) mod n; only live rows are moved
-        rows = np.zeros(samples.shape, dtype=complex)
-        rows[(live + n // 2) % n] = one_d(np.fft.ifftshift(samples[live], axes=1), axis=1)
+    # the output is zero off the box.  ``at`` = ((rows, cols), n) says that
+    # ``samples`` holds that box of an n x n input which is zero elsewhere;
+    # the row pass then runs on the box rows alone and no n x n input is
+    # built
+    if at is None:
+        n = samples.shape[0]
+        live = np.flatnonzero(samples.any(axis=1))
+        block = samples[live] if live.size < n else None
     else:
+        (row_sl, col_sl), n = at
+        live = np.arange(row_sl.start, row_sl.stop)
+        block = np.zeros((live.size, n), dtype=complex)
+        block[:, col_sl] = samples
+    one_d = np.fft.ifft if inverse else np.fft.fft
+    if block is None:
         rows = one_d(np.fft.ifftshift(samples), axis=1)
+    else:
+        # ifftshift moves row r to (r + n/2) mod n; only the given rows are moved
+        rows = np.zeros((n, n), dtype=complex)
+        rows[(live + n // 2) % n] = one_d(np.fft.ifftshift(block, axes=1), axis=1)
+        del block
     scale = n * n * dx * dx if inverse else dx * dx
     if box is None:
         out = one_d(rows, axis=0)
+        del rows
         out *= scale
         return np.fft.fftshift(out)
     # fftshift puts transform index (k + n/2) mod n at output pixel k
     row_idx, col_idx = ((np.arange(s.start, s.stop) + n // 2) % n for s in box)
-    out = np.zeros(samples.shape, dtype=complex)
+    out = np.zeros((n, n), dtype=complex)
     out[box] = one_d(rows[:, col_idx], axis=0)[row_idx] * scale
     return out
 
@@ -411,6 +425,18 @@ def propagate(field):
     out = _centered_fft(field.samples, grid.dx)
     new_domain = "focal" if field.domain == "pupil" else "pupil"
     return OpticalField(out, new_domain, grid.conjugate().half_width)
+
+
+def _propagate_box(samples, box, grid):
+    """propagate of a pupil field on ``grid`` that is zero off ``box``.
+
+    ``samples`` are the field on the box (row and column slices of the
+    grid); the field is never built on the whole grid, and the row pass of
+    the transform runs on the box rows alone.  The focal field is that of
+    ``propagate`` bit for bit.
+    """
+    out = _centered_fft(samples, grid.dx, at=(box, grid.n_pixels))
+    return OpticalField(out, "focal", grid.conjugate().half_width)
 
 
 def inverse_propagate(field, box=None):

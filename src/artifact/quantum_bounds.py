@@ -105,16 +105,19 @@ def qce_high_contrast(r_delta, b):
 def _qfim_entries(r_delta, b):
     """(K_rr, K_phiphi) at one separation for a contrast or an array of them.
 
-    The arithmetic of qfim_diagonal, elementwise over b.  Squares of
-    b-dependent terms go through float_power, which rounds as Python's
-    float ** does (numpy's ** 2 is x * x and differs in the last bit of
-    about 1 in 1,200 values), so scalar and array calls agree bit for bit.
+    The arithmetic of qfim_diagonal, elementwise over b.  Squares go
+    through float_power, which rounds as Python's float ** does (numpy's
+    ** 2 is x * x and differs in the last bit of about 1 in 1,200 values),
+    so scalar and array calls agree bit for bit; unlike **, it overflows a
+    huge separation's square to inf instead of raising.
     """
     b = np.asarray(b, dtype=float)
     kappa = 1.0 - 2.0 * b
     weight = 4.0 * b * (1.0 - b) * math.pi**2
     g = _overlap_slope_factor(r_delta)
-    return weight * (1.0 - np.float_power(kappa * g, 2.0)), weight * r_delta**2
+    with np.errstate(over="ignore"):
+        r_sq = np.float_power(r_delta, 2.0)
+    return weight * (1.0 - np.float_power(kappa * g, 2.0)), weight * r_sq
 
 
 def qfim_diagonal(scene):

@@ -46,15 +46,20 @@ def spiral_runs(tmp_path_factory):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about a third of the CLI's start-up; only the
-    # PIAACMC design solve needs it, and imports it on use
+    # scipy.optimize costs about a third of the CLI's start-up and 22 MB;
+    # the PIAACMC design solve runs a port of its brentq instead
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, artifact.cli; sys.exit('scipy.optimize' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    design = (
+        "from artifact.coronagraph import piaacmc_design; "
+        "from artifact.optics import GridSpec; piaacmc_design(GridSpec(512, 16.0)); "
     )
-    assert proc.returncode == 0, proc.stderr or "artifact.cli imported scipy.optimize"
+    for work in ("", design):
+        code = f"import sys, artifact.cli; {work}sys.exit('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr or f"scipy.optimize was imported by {code!r}"
 
 
 def test_montecarlo_exit_code_and_outputs(spiral_runs):
@@ -250,6 +255,21 @@ def test_tables_without_config_exits_2(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("table", ["2", "3"])
+def test_tables_at_zero_separation_exits_2(table, tmp_path, monkeypatch, capsys):
+    # no table has a finite row on axis; the option is checked before any
+    # plan is built (detection divided by a zero exponent here)
+    def no_plan(design):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(cli, "_get_plan", no_plan)
+    argv = ["tables", "--table", table, "--r-delta-over-sigma", "0", "--config", str(_CONFIG)]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --r-delta-over-sigma must be positive and finite, got 0\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
     def stalled(*args, **kwargs):
         raise RuntimeError("grid prolate power iteration did not converge")
@@ -380,6 +400,19 @@ def test_bounds_budget_map_zero_separation_reads_inf(task, tmp_path):
     assert lines[2] == "0,1.0000000000000001e-09,inf,inf"
     photons, seconds = (float(v) for v in lines[3].split(",")[2:])
     assert 0.0 < photons < math.inf and 0.0 < seconds < math.inf
+
+
+def test_bounds_qfim_huge_separation_writes_inf(tmp_path):
+    # the angular entry 4 b (1-b) pi^2 r^2 overflows to inf, as the CSV
+    # writes it; r^2 as a Python float raised OverflowError here
+    argv = ["bounds", "--target", "qfim", "--r-delta-over-sigma", "1e200"]
+    argv += ["--contrast-b", "0.1", "--jobs", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "bounds_qfim.csv").read_text().splitlines()
+    assert len(lines) == 3
+    k_rr, k_phiphi = lines[2].split(",")[2:]
+    assert 0.0 < float(k_rr) < math.inf
+    assert k_phiphi == "inf"
 
 
 def test_bounds_qfim_zero_separation_row(tmp_path):

@@ -253,6 +253,19 @@ def test_shifted_source_at_origin_equals_psf(grid, airy):
     assert np.allclose(sh.samples, airy.samples, atol=1e-14)
 
 
+@pytest.mark.parametrize("s", [(0.0, 0.0), (0.3, 0.1), (-1.7, 2.45)])
+def test_source_samples_are_the_mesh_samples(grid, s):
+    # the broadcast radii give the samples of the full mesh construction
+    x, y = grid.mesh()
+    mesh = _airy_amplitude(np.hypot(x - s[0], y - s[1]))
+    expect = OpticalField(mesh.astype(complex), "focal", grid.half_width).normalized()
+    assert np.array_equal(shifted_source_field(s, grid).samples, expect.samples)
+    if s == (0.0, 0.0):
+        mesh = _airy_amplitude(np.hypot(x, y))
+        expect = OpticalField(mesh.astype(complex), "focal", grid.half_width).normalized()
+        assert np.array_equal(psf_field(grid).samples, expect.samples)
+
+
 def test_shifted_source_peak_location(grid):
     sh = shifted_source_field((0.5, 0.0), grid)
     i, j = np.unravel_index(np.argmax(np.abs(sh.samples)), sh.samples.shape)
@@ -351,6 +364,10 @@ def test_pruned_transform_is_the_full_transform(grid_args, kind, inverse):
         off = np.ones((n, n), dtype=bool)
         off[box] = False
         assert not pruned[off].any()
+    if kind == "box":  # the input given on its box alone
+        sl = slice(n // 2 - 32, n // 2 + 33)
+        at = ((sl, sl), n)
+        assert np.array_equal(_centered_fft(samples[sl, sl], grid.dx, inverse, at=at), full)
     if inverse:
         field = OpticalField(samples, "focal", grid.half_width)
         boxed = inverse_propagate(field, box)
