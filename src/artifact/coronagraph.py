@@ -59,8 +59,8 @@ from .modebasis import (
 from .optics import (
     GridSpec,
     OpticalField,
+    _centered_fft,
     _disk_coverage,
-    _propagate_box,
     default_grid,
     inverse_propagate,
     propagate,
@@ -269,7 +269,9 @@ class PropagatorPlan:
             del cur  # no full-grid field outlives the box
             for step in steps:
                 v = step(v)
-            cur = _propagate_box(v, box, pupil)
+            # propagate, with the row pass on the box rows alone
+            out = _centered_fft(v, pupil.dx, at=(box, pupil.n_pixels))
+            cur = OpticalField(out, "focal", pupil.conjugate().half_width)
         if tail is not None:
             cur = OpticalField(cur.samples * tail, "focal", cur.half_width)
         if self.projector is not None:
@@ -348,9 +350,10 @@ def prolate_radial(c):
 
 
 _BRENT_RTOL = 4.0 * math.ulp(1.0)  # scipy's default rtol, 4 eps
+_BRENT_MAXITER = 100  # scipy's default maxiter
 
 
-def _brentq(f, a, b, xtol, maxiter=100):
+def _brentq(f, a, b, xtol):
     """A root of f in [a, b] by Brent's method, as scipy 1.17's ``brentq``.
 
     A port of scipy's ``brentq.c`` with its wrapper's NaN guard, step for
@@ -359,8 +362,8 @@ def _brentq(f, a, b, xtol, maxiter=100):
     test |blk - x| / 2 < (xtol + rtol |x|) / 2, and the same sequence of
     points evaluated.  Where C divides by zero the step is not finite and
     bisection is taken, as it is there.  Raises ValueError when f(a) and
-    f(b) share a sign or f gives NaN, and RuntimeError after maxiter
-    iterations, as scipy does.
+    f(b) share a sign or f gives NaN, and RuntimeError after scipy's
+    default 100 iterations, as scipy does.
     """
 
     def value(x):
@@ -378,7 +381,7 @@ def _brentq(f, a, b, xtol, maxiter=100):
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -411,7 +414,7 @@ def _brentq(f, a, b, xtol, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
 @functools.cache

@@ -427,18 +427,6 @@ def propagate(field):
     return OpticalField(out, new_domain, grid.conjugate().half_width)
 
 
-def _propagate_box(samples, box, grid):
-    """propagate of a pupil field on ``grid`` that is zero off ``box``.
-
-    ``samples`` are the field on the box (row and column slices of the
-    grid); the field is never built on the whole grid, and the row pass of
-    the transform runs on the box rows alone.  The focal field is that of
-    ``propagate`` bit for bit.
-    """
-    out = _centered_fft(samples, grid.dx, at=(box, grid.n_pixels))
-    return OpticalField(out, "focal", grid.conjugate().half_width)
-
-
 def inverse_propagate(field, box=None):
     """Inverse of propagate (kernel exp(+i 2 pi u.r)); unitary.
 

@@ -249,7 +249,7 @@ def test_pupil_fed_image_is_the_full_grid_image(grid_args, design, plan_piaacmc,
 
 
 def _counting_fft(monkeypatch):
-    """Count optics._centered_fft calls into the returned list."""
+    """Count optics._centered_fft calls, also those made from coronagraph."""
     calls = []
     fft = optics._centered_fft
 
@@ -257,7 +257,8 @@ def _counting_fft(monkeypatch):
         calls.append(1)
         return fft(*args, **kwargs)
 
-    monkeypatch.setattr(optics, "_centered_fft", counting_fft)
+    for module in (optics, coronagraph):
+        monkeypatch.setattr(module, "_centered_fft", counting_fft)
     return calls
 
 
@@ -273,11 +274,12 @@ def test_image_fft_counts(monkeypatch, plan_piaacmc, plan_vortex):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("design", ["piaacmc", "vortex"])
-def test_image_memory(design, plan_piaacmc, plan_vortex):
+@pytest.mark.parametrize("design, bound_mib", [("piaacmc", 64), ("vortex", 80)])
+def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex):
     # one two-source image on the default grid: the full-grid chain before
     # the box route peaked at 88.1 MiB of tracemalloc for either design;
-    # the box route measured 56 MiB (PIAACMC) and 74 MiB (vortex)
+    # the box route measured 56.1 MiB (PIAACMC) and 74.0 MiB (vortex).  One
+    # more full-grid complex field is 16 MiB and breaks either bound
     plan = plan_piaacmc if design == "piaacmc" else plan_vortex
     scene = Scene(0.7, 5.0, 0.2)
     output_state_image(plan, scene)  # the source disk is built once per grid
@@ -287,7 +289,7 @@ def test_image_memory(design, plan_piaacmc, plan_vortex):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 88 * 2**20
+    assert peak <= bound_mib * 2**20
 
 
 def test_pupil_fed_images_build_the_disk_once_per_grid(monkeypatch):
@@ -421,12 +423,8 @@ def test_brent_port_matches_scipy_brentq(xtol):
         else:  # the steep quintic at the smallest xtol: the same last point
             with pytest.raises(RuntimeError, match=re.escape(f"value is {ref!r}") + "$"):
                 _brentq(f, a, b, xtol)
-    # a short budget ends with scipy's RuntimeError, a bracket without a
-    # sign change and a NaN with its ValueError
-    f, a, b = _brent_cases()[0]
-    for root in (_brentq, lambda f, a, b, xtol, **kw: brentq(f, a, b, xtol=xtol, **kw)):
-        with pytest.raises(RuntimeError):
-            root(f, a, b, xtol, maxiter=3)
+    # a bracket without a sign change and a NaN end with scipy's ValueError
+    for root in (_brentq, lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol)):
         with pytest.raises(ValueError, match="different signs"):
             root(f, 3.0, 4.0, xtol)
         with pytest.raises(ValueError, match="NaN"):
