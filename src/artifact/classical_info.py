@@ -168,12 +168,13 @@ def cfim_direct_imaging(target, scene, step=None):
     else:
         grid = target.fields.grid
     base = output_state_image(target, scene)
+    # each difference is formed in the buffer of its first image
     diff_r = output_state_image(target, Scene(r + h, phi, b))
-    diff_r = diff_r - output_state_image(target, Scene(r - h, phi, b))
+    diff_r -= output_state_image(target, Scene(r - h, phi, b))
     # angles wrap, so the difference straddles 0 = 2 pi; for interior
     # angles the wrapped value equals phi +- h exactly
     diff_phi = output_state_image(target, Scene(r, wrap_angle(phi + h), b))
-    diff_phi = diff_phi - output_state_image(target, Scene(r, wrap_angle(phi - h), b))
+    diff_phi -= output_state_image(target, Scene(r, wrap_angle(phi - h), b))
     live = base > 1e-18 * float(base.max())
     p = base[live]
     g_r = diff_r[live] / (2.0 * h)

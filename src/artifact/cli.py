@@ -30,7 +30,6 @@ header: magic ``FR32``, then uint32 width, height and a reserved zero.
 
 import argparse
 import concurrent.futures
-import functools
 import json
 import math
 import os
@@ -77,6 +76,10 @@ _REL_ERRORS = (1.0, 0.5, 0.1, 0.01)
 _SPADE_TABLE_ORDER = 60
 _EXTRACTION_DEFAULT_ORDER = 6
 _CONVERGENCE_FLOOR = 0.9
+# largest bounds separation for the qce and budget-map targets: the PSF
+# overlaps there are about 1e-150, and their squares, which those targets
+# take, underflow to zero by 1e108 sigma
+_MAX_BOUNDS_R_SIGMA = 1e100
 _TRIALS_COMMENT = "localization trials; angles folded to the first quadrant"
 _TRIALS_HEADER = "trial,seed,truth_r,truth_phi,est_r,est_phi,loglik,converged,n_photons"
 _SUMMARY_HEADER = (
@@ -168,10 +171,13 @@ def _format_cell(value):
     return str(value)
 
 
-# plans are deterministic per design on the default grid; cache across
-# subcommand calls within one process
-@functools.cache
 def _get_plan(design):
+    """A fresh plan of one design on the default grid.
+
+    Not cached: a process uses each design's plan once, and a table
+    computes its chains one at a time, so each plan's arrays are freed
+    before the next design is built.
+    """
     maker = {
         "perfect": perfect_plan,
         "piaacmc": piaacmc_plan,
@@ -221,6 +227,15 @@ def cmd_bounds(args):
     """Sweep quantum limits over a (separation, contrast) grid to CSV."""
     prescription = _load_config(args, required=False)
     r_values = parse_axis(args.r_delta_over_sigma)
+    # the qfim entries have closed forms that overflow to inf honestly
+    limit = math.inf if args.target == "qfim" else _MAX_BOUNDS_R_SIGMA
+    bad = r_values[~((r_values >= 0.0) & (r_values <= limit) & np.isfinite(r_values))]
+    if bad.size:
+        span = "finite and nonnegative" if limit == math.inf else f"in [0, {limit:g}]"
+        raise ValueError(
+            f"--r-delta-over-sigma values must be {span} for --target "
+            f"{args.target}, got {bad[0]:g}"
+        )
     b_values = parse_axis(args.contrast_b)
     out = _out_dir(args)
     comment = _comment(args.seed)
@@ -273,8 +288,10 @@ def _detection_exponents(scene):
     """Detection exponent per system; nulling chains use b * throughput."""
     out = {"quantum": qce(scene), "spade": float(cce_spade_binary(scene))}
     for design in ("perfect", "piaacmc", "vortex"):
-        plan = _get_plan(design)
-        out[design] = scene.b * planet_throughput(plan, scene.r_delta, scene.phi_delta)
+        # no name holds the plan, so it is freed before the next is built
+        out[design] = scene.b * planet_throughput(
+            _get_plan(design), scene.r_delta, scene.phi_delta
+        )
     return out
 
 
@@ -576,7 +593,8 @@ def build_parser():
     bounds.add_argument(
         "--r-delta-over-sigma",
         default="0.1:2:20",
-        help="separation axis in diffraction-width units",
+        help="separation axis in diffraction-width units; at most "
+        f"{_MAX_BOUNDS_R_SIGMA:g} except for --target qfim",
     )
     bounds.add_argument(
         "--contrast-b", default="1e-10:1e-5:20:log", help="brightness-ratio axis"

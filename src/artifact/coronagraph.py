@@ -494,7 +494,8 @@ def _spot_roundtrip(grid, box, spot):
     ex = _centered_dft_matrix(n, spot_cols, box[1])
     ey_inv = ey.conj().T
     ex_inv = ex.conj()
-    weight = spot[spot_rows, spot_cols]
+    # a copy: a view would keep the whole full-grid spot array alive
+    weight = spot[spot_rows, spot_cols].copy()
     pupil_area = grid.dx**2
     focal_area = grid.conjugate().dx ** 2
 
@@ -926,6 +927,13 @@ def _pupil_source(grid):
     return box, disk, x, y
 
 
+def _intensity(samples):
+    """|samples|^2 in one new buffer, bit for bit np.abs(samples) ** 2."""
+    out = np.abs(samples)
+    out *= out
+    return out
+
+
 def output_state_image(target, scene, star_only=False):
     """Detected intensity of a two-point scene through a coronagraph.
 
@@ -948,7 +956,7 @@ def output_state_image(target, scene, star_only=False):
             coeffs = target.apply_coefficients(
                 source_coefficients(target.fields.basis, polar[0], polar[1])
             )
-            return np.abs(target.fields.synthesize(coeffs).samples) ** 2
+            return _intensity(target.fields.synthesize(coeffs).samples)
 
     elif target.input_domain == "pupil":
         # source pupil-fed chains with the exact tilted aperture field; a
@@ -966,7 +974,7 @@ def output_state_image(target, scene, star_only=False):
             src = np.zeros((grid.n_pixels, grid.n_pixels), dtype=complex)
             src[box] = disk * tilt
             src = OpticalField(src, "pupil", grid.half_width)
-            return np.abs(target.apply(src).samples) ** 2
+            return _intensity(target.apply(src).samples)
 
     else:
         grid = target.grid
@@ -974,10 +982,14 @@ def output_state_image(target, scene, star_only=False):
         def source_intensity(polar):
             r, phi = polar
             src = shifted_source_field((r * math.cos(phi), r * math.sin(phi)), grid)
-            return np.abs(target.apply(src).samples) ** 2
+            return _intensity(target.apply(src).samples)
 
     star = source_intensity(scene.star_polar)
     if star_only:
         return star
+    # (1 - b) star + b planet, in the buffers of the two images
+    star *= 1.0 - scene.b
     planet = source_intensity(scene.planet_polar)
-    return (1.0 - scene.b) * star + scene.b * planet
+    planet *= scene.b
+    star += planet
+    return star

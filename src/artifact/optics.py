@@ -371,6 +371,9 @@ def shifted_source_field(s, grid=None):
 # propagation and inner products
 
 
+_CHUNK = 64  # rows or columns per batch of a transform pass
+
+
 def _centered_fft(samples, dx, inverse=False, box=None, at=None):
     # physical-scaling DFT: forward approximates int f exp(-i 2 pi u.r) d2u,
     # inverse the conjugate kernel; both preserve the discrete L2 norm.
@@ -380,36 +383,40 @@ def _centered_fft(samples, dx, inverse=False, box=None, at=None):
     # all-zero row transforms to zeros, and with ``box`` (row and column
     # slices of the output) only the box's columns get the axis-0 pass and
     # the output is zero off the box.  ``at`` = ((rows, cols), n) says that
-    # ``samples`` holds that box of an n x n input which is zero elsewhere;
-    # the row pass then runs on the box rows alone and no n x n input is
-    # built
+    # ``samples`` holds that box of an n x n input which is zero elsewhere,
+    # so no n x n input is built.  Both passes run in batches of _CHUNK
+    # rows or columns, and the shifts are index maps: the only n x n array
+    # built is the output, and the row pass keeps just the columns that
+    # the output needs
     if at is None:
         n = samples.shape[0]
         live = np.flatnonzero(samples.any(axis=1))
-        block = samples[live] if live.size < n else None
+        block, block_rows = samples, live
     else:
         (row_sl, col_sl), n = at
         live = np.arange(row_sl.start, row_sl.stop)
         block = np.zeros((live.size, n), dtype=complex)
         block[:, col_sl] = samples
+        block_rows = np.arange(live.size)
     one_d = np.fft.ifft if inverse else np.fft.fft
-    if block is None:
-        rows = one_d(np.fft.ifftshift(samples), axis=1)
-    else:
-        # ifftshift moves row r to (r + n/2) mod n; only the given rows are moved
-        rows = np.zeros((n, n), dtype=complex)
-        rows[(live + n // 2) % n] = one_d(np.fft.ifftshift(block, axes=1), axis=1)
-        del block
     scale = n * n * dx * dx if inverse else dx * dx
-    if box is None:
-        out = one_d(rows, axis=0)
-        del rows
-        out *= scale
-        return np.fft.fftshift(out)
+    box = box or (slice(0, n), slice(0, n))
     # fftshift puts transform index (k + n/2) mod n at output pixel k
     row_idx, col_idx = ((np.arange(s.start, s.stop) + n // 2) % n for s in box)
+    rows = np.empty((live.size, col_idx.size), dtype=complex)
+    for start in range(0, live.size, _CHUNK):
+        batch = slice(start, start + _CHUNK)
+        part = one_d(np.fft.ifftshift(block[block_rows[batch]], axes=1), axis=1)
+        rows[batch] = part[:, col_idx]
+    # ifftshift moves input row r to transform row (r + n/2) mod n
+    shifted = (live + n // 2) % n
     out = np.zeros((n, n), dtype=complex)
-    out[box] = one_d(rows[:, col_idx], axis=0)[row_idx] * scale
+    on_box = out[box]
+    for start in range(0, col_idx.size, _CHUNK):
+        part = rows[:, start : start + _CHUNK]
+        cols = np.zeros((n, part.shape[1]), dtype=complex)
+        cols[shifted] = part
+        on_box[:, start : start + _CHUNK] = one_d(cols, axis=0)[row_idx] * scale
     return out
 
 

@@ -78,14 +78,22 @@ def qce(scene):
 
     Returns -log of the fundamental-mode survival probability of the
     two-source mixture; nonnegative, and exactly zero at zero separation
-    where the two hypotheses coincide.
+    where the two hypotheses coincide.  The overlaps fall as r^-3/2, so
+    by 1e108 sigma the survival probability underflows to zero; a
+    ValueError naming r_delta is raised there.
     """
     if scene.r_delta == 0.0:
         return 0.0
     b = scene.b
     g_star = _gamma0(b * scene.r_delta)
     g_planet = _gamma0((1.0 - b) * scene.r_delta)
-    return max(0.0, -math.log((1.0 - b) * g_star**2 + b * g_planet**2))
+    survival = (1.0 - b) * g_star**2 + b * g_planet**2
+    if survival == 0.0:
+        raise ValueError(
+            f"separation r_delta={scene.r_delta:g} is too large: the "
+            "fundamental-mode survival probability underflows"
+        )
+    return max(0.0, -math.log(survival))
 
 
 def qce_high_contrast(r_delta, b):
@@ -233,7 +241,11 @@ def photon_requirement_map(r_over_sigma_values, b_values, task="detection",
         else:
             # the rows of localization_photons(qfim_polar(scene), target)
             k_rr, k_phiphi = _qfim_entries(r_delta, b_axis)
-            photons = _cramer_rao_bracket(k_rr, k_phiphi, r_delta) / (target * r_delta) ** 2
+            # float_power squares as ** does, but a huge target's square
+            # overflows to inf (no photons needed) instead of raising
+            with np.errstate(over="ignore"):
+                scale = np.float_power(target * r_delta, 2.0)
+            photons = _cramer_rao_bracket(k_rr, k_phiphi, r_delta) / scale
         row[:, 0] = r_sigma
         row[:, 1] = b_axis
         row[:, 2] = photons

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from artifact.cli import CONFIG_ENV_VAR, main, parse_axis
 from artifact.coronagraph import extract_operator, read_raster
 from artifact.estimation import spiral_truths
 from artifact.modebasis import FourierZernikeBasis
-from artifact.optics import Scene, load_prescription, separation_from_sigma_units, wrap_angle
+from artifact.optics import (
+    GridSpec,
+    Scene,
+    load_prescription,
+    separation_from_sigma_units,
+    wrap_angle,
+)
 from artifact.quantum_bounds import photon_requirement_map, qfim_polar
 
 _CONFIG = pathlib.Path(__file__).resolve().parents[1] / "telescope.cfg"
@@ -190,7 +197,6 @@ def _table2(out_dir):
 def table2_runs(tmp_path_factory):
     first = _table2(tmp_path_factory.mktemp("first"))
     # the rerun solves the design and builds the plans afresh
-    cli._get_plan.cache_clear()
     return [first, _table2(tmp_path_factory.mktemp("rerun"))]
 
 
@@ -247,6 +253,31 @@ def test_tables_localization_rows(tmp_path):
         assert seconds[s][0] >= seconds["quantum"][0]
 
 
+def test_tables_hold_one_plan_at_a_time(monkeypatch):
+    # plans are not cached: each chain's plan is freed before the next
+    # design's is built, and none outlives its table
+    grid = GridSpec(128, 8.0)
+    made = []
+
+    def tracked(maker):
+        def make():
+            assert all(ref() is None for ref in made), "an earlier plan is alive"
+            plan = maker(grid=grid)
+            made.append(weakref.ref(plan))
+            return plan
+
+        return make
+
+    for name in ("perfect_plan", "piaacmc_plan", "vortex_plan"):
+        monkeypatch.setattr(cli, name, tracked(getattr(cli, name)))
+    scene = Scene(separation_from_sigma_units(0.1), 0.3, 1e-9)
+    for table_rows in (cli._detection_exponents, cli._localization_matrices):
+        made.clear()
+        table_rows(scene)
+        assert len(made) == 3
+        assert all(ref() is None for ref in made)
+
+
 def test_tables_without_config_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     code = main(["tables", "--table", "2", "--out-dir", str(tmp_path)])
@@ -275,7 +306,6 @@ def test_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
         raise RuntimeError("grid prolate power iteration did not converge")
 
     # a fresh process state: no cached plan
-    cli._get_plan.cache_clear()
     monkeypatch.setattr(coronagraph, "_grid_prolate", stalled)
     code = main(
         ["tables", "--table", "2", "--config", str(_CONFIG), "--out-dir", str(tmp_path)]
@@ -415,6 +445,39 @@ def test_bounds_qfim_huge_separation_writes_inf(tmp_path):
     assert k_phiphi == "inf"
 
 
+@pytest.mark.parametrize(
+    "target",
+    [
+        ["budget-map", "--task", "localization", "--r-delta-over-sigma", "1e200"],
+        ["qce", "--r-delta-over-sigma", "1e300"],
+    ],
+)
+def test_bounds_huge_separation_exits_2(target, tmp_path):
+    # these once ended in an OverflowError traceback (exit 1) and in a bare
+    # "math domain error"; run as a process, so stderr is the real one
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(src)
+    argv = [sys.executable, "-m", "artifact.cli", "bounds", "--target", *target]
+    argv += ["--contrast-b", "0.1", "--jobs", "1", "--out-dir", str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"error: --r-delta-over-sigma values must be in [0, 1e+100] for --target {target[0]}"
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_bounds_localization_huge_target_needs_no_photons(tmp_path):
+    # (target r)^2 overflows to inf, where the Python float square raised
+    argv = ["bounds", "--target", "budget-map", "--task", "localization"]
+    argv += ["--r-delta-over-sigma", "0.1", "--contrast-b", "0.1", "--rel-loc-error", "1e300"]
+    assert main(argv + ["--jobs", "1", "--out-dir", str(tmp_path)]) == 0
+    row = (tmp_path / "bounds_budget_map.csv").read_text().splitlines()[2]
+    assert row == "0.10000000000000001,0.10000000000000001,0,nan"
+
+
 def test_bounds_qfim_zero_separation_row(tmp_path):
     # on axis the radial entry keeps its limit 4 b (1-b) pi^2 and the
     # angular entry vanishes; rows off axis are qfim_polar's diagonal
@@ -476,7 +539,6 @@ def _coronagraph(output, out_dir):
 def vortex_runs(request, tmp_path_factory):
     first = _coronagraph(request.param, tmp_path_factory.mktemp("first"))
     # the rerun builds the plan afresh
-    cli._get_plan.cache_clear()
     return request.param, [first, _coronagraph(request.param, tmp_path_factory.mktemp("rerun"))]
 
 

@@ -274,12 +274,14 @@ def test_image_fft_counts(monkeypatch, plan_piaacmc, plan_vortex):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("design, bound_mib", [("piaacmc", 64), ("vortex", 80)])
+@pytest.mark.parametrize("design, bound_mib", [("piaacmc", 52), ("vortex", 64)])
 def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex):
     # one two-source image on the default grid: the full-grid chain before
     # the box route peaked at 88.1 MiB of tracemalloc for either design;
-    # the box route measured 56.1 MiB (PIAACMC) and 74.0 MiB (vortex).  One
-    # more full-grid complex field is 16 MiB and breaks either bound
+    # the box route measured 56.1 MiB (PIAACMC) and 74.0 MiB (vortex).  With
+    # both transform passes in batches (no shifted copy or n x n row array)
+    # and the image formed in place, 48.1 and 60.1 MiB.  One more full-grid
+    # complex field is 16 MiB and breaks either bound
     plan = plan_piaacmc if design == "piaacmc" else plan_vortex
     scene = Scene(0.7, 5.0, 0.2)
     output_state_image(plan, scene)  # the source disk is built once per grid

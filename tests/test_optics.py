@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from _oracles import j1_first_zero
 
+from artifact import optics
 from artifact.optics import (
     AIRY_SIGMA,
     GridSpec,
@@ -347,23 +348,29 @@ def _test_field(kind, n):
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("kind", ["box", "dense", "row"])
 @pytest.mark.parametrize("grid_args", [(1024, 16.0), (256, 8.0)])
-def test_pruned_transform_is_the_full_transform(grid_args, kind, inverse):
+def test_pruned_transform_is_the_full_transform(grid_args, kind, inverse, monkeypatch):
     grid = GridSpec(*grid_args)
     n = grid.n_pixels
     samples = _test_field(kind, n)
     full = _full_sandwich(samples, grid.dx, inverse)
     assert np.array_equal(_centered_fft(samples, grid.dx, inverse), full)
-    # a box around the centre (its transform indices wrap through 0) and one
-    # in a corner; the output is the full one there and zero elsewhere
-    for box in (
+    # a box around the centre (its transform indices wrap through 0), one
+    # in a corner and one of whole columns; the output is the full one there
+    # and zero elsewhere.  The row pass onto a box runs in batches of input
+    # rows: the default batch and one that leaves a remainder
+    boxes = (
         (slice(n // 2 - 31, n // 2 + 32), slice(n // 2 - 30, n // 2 + 33)),
         (slice(0, 5), slice(n - 9, n)),
-    ):
-        pruned = _centered_fft(samples, grid.dx, inverse, box)
-        assert np.array_equal(pruned[box], full[box])
-        off = np.ones((n, n), dtype=bool)
-        off[box] = False
-        assert not pruned[off].any()
+        (slice(0, n), slice(n // 2 - 3, n // 2 + 4)),
+    )
+    for chunk in (optics._CHUNK, 7):
+        monkeypatch.setattr(optics, "_CHUNK", chunk)
+        for box in boxes:
+            pruned = _centered_fft(samples, grid.dx, inverse, box)
+            assert np.array_equal(pruned[box], full[box])
+            off = np.ones((n, n), dtype=bool)
+            off[box] = False
+            assert not pruned[off].any()
     if kind == "box":  # the input given on its box alone
         sl = slice(n // 2 - 32, n // 2 + 33)
         at = ((sl, sl), n)

@@ -120,6 +120,14 @@ def test_qce_matches_projection_route():
     assert qce(Scene(r, 0.0, b)) == pytest.approx(other, rel=1e-10)
 
 
+def test_qce_huge_separation():
+    # the overlaps fall as r^-3/2: at 1e100 sigma the survival probability
+    # is still above 1e-301, by 1e108 sigma it underflows to zero
+    assert 0.0 < qce(Scene(separation_from_sigma_units(1e100), 0.0, 0.5)) < math.inf
+    with pytest.raises(ValueError, match="r_delta=6.09835e\\+299 is too large"):
+        qce(Scene(separation_from_sigma_units(1e300), 0.0, 0.5))
+
+
 def test_qce_ignores_position_angle():
     assert qce(Scene(0.4, 1.234, 1e-3)) == qce(Scene(0.4, 0.0, 1e-3))
 
