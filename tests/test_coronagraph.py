@@ -280,7 +280,7 @@ def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex):
     # the box route peaked at 88.1 MiB of tracemalloc for either design;
     # the box route measured 56.1 MiB (PIAACMC) and 74.0 MiB (vortex).  With
     # both transform passes in batches (no shifted copy or n x n row array)
-    # and the image formed in place, 48.1 and 60.1 MiB.  One more full-grid
+    # and the image formed in place, 48.1 and 59.1 MiB.  One more full-grid
     # complex field is 16 MiB and breaks either bound
     plan = plan_piaacmc if design == "piaacmc" else plan_vortex
     scene = Scene(0.7, 5.0, 0.2)
