@@ -177,13 +177,24 @@ def cfim_direct_imaging(target, scene, step=None):
     diff_phi -= output_state_image(target, Scene(r, wrap_angle(phi - h), b))
     live = base > 1e-18 * float(base.max())
     p = base[live]
-    g_r = diff_r[live] / (2.0 * h)
-    g_phi = diff_phi[live] / (2.0 * h)
-    cross = float(np.sum(g_r * g_phi / p))
+    # the gathers are new arrays: scale them in place, and form each
+    # product and quotient in one scratch array
+    g_r = diff_r[live]
+    g_r /= 2.0 * h
+    g_phi = diff_phi[live]
+    g_phi /= 2.0 * h
+    scratch = np.empty_like(p)
+
+    def quotient_sum(a, b):
+        np.multiply(a, b, out=scratch)
+        np.divide(scratch, p, out=scratch)
+        return float(np.sum(scratch))
+
+    cross = quotient_sum(g_r, g_phi)
     entries = np.array(
         [
-            [float(np.sum(g_r * g_r / p)), cross],
-            [cross, float(np.sum(g_phi * g_phi / p))],
+            [quotient_sum(g_r, g_r), cross],
+            [cross, quotient_sum(g_phi, g_phi)],
         ]
     ) * grid.dx**2
     return FisherMatrix(entries, scene)

@@ -16,8 +16,9 @@ CSVs of ``montecarlo``, which open with ``# localization trials; angles
 folded to the first quadrant``.  After a subcommand returns, ``main``
 writes a ``<command>_manifest.json`` run manifest next to its outputs:
 the command, ``config`` (``--config`` as given, or null), ``seed``,
-``version``, the ``outputs`` written, the wall-clock ``duration_s``, and
-under ``parameters`` every other parsed option except ``--out-dir``
+``version``, the Python, numpy and scipy versions under ``libraries``,
+the ``outputs`` written, the wall-clock ``duration_s``, and under
+``parameters`` every other parsed option except ``--out-dir``
 (``tables`` adds the ``kind`` its ``--table`` selects).  Exit code 0
 means success, 2 a configuration or usage error, 3 numerical
 non-convergence.  Telescope prescriptions come from ``--config`` or,
@@ -34,10 +35,12 @@ import json
 import math
 import os
 import pathlib
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .classical_info import cce_spade_binary, cfim_direct_imaging, cfim_spade
@@ -433,10 +436,13 @@ def cmd_coronagraph(args):
 
 
 def _cluster_worker(payload):
-    """Run one trial cluster; safe to ship to a worker process."""
-    index, r_delta, phi, b, photons, trials, seed, n_max = payload
+    """Run one trial cluster; safe to ship to a worker process.
+
+    The payload carries the run's one likelihood table (2.2 MB at n_max
+    10), which depends only on the truncation, rotation and contrast.
+    """
+    index, r_delta, phi, b, photons, trials, seed, n_max, table = payload
     basis = FourierZernikeBasis(n_max)
-    table = coarse_table(basis, b)
     scene = Scene(r_delta, phi, b)
     results = run_trials(scene, basis, photons, trials, seed, table=table)
     return index, results
@@ -477,6 +483,7 @@ def cmd_montecarlo(args):
                 "where the quantum localization floor is undefined"
             )
     out = _out_dir(args)
+    table = coarse_table(FourierZernikeBasis(args.n_max), b)
 
     payloads = [
         (
@@ -488,6 +495,7 @@ def cmd_montecarlo(args):
             args.trials,
             args.seed + k,
             args.n_max,
+            table,
         )
         for k, scene in enumerate(scenes)
     ]
@@ -693,8 +701,9 @@ def _write_manifest(args, outputs, duration_s):
     """Write the run manifest of a finished subcommand next to its outputs.
 
     Re-running the same command with the options recorded here
-    regenerates byte-identical CSVs on the same build; the wall-clock
-    duration is the only field expected to differ between such runs.
+    regenerates byte-identical CSVs on the same build and libraries; the
+    wall-clock duration is the only field expected to differ between such
+    runs.
     """
     parameters = {
         key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS
@@ -705,6 +714,11 @@ def _write_manifest(args, outputs, duration_s):
         "parameters": parameters,
         "outputs": outputs,
         "version": __version__,
+        "libraries": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "seed": args.seed,
         "duration_s": round(duration_s, 3),
     }

@@ -257,8 +257,11 @@ class PropagatorPlan:
         cur = field
         if lead is not None:
             if cur.domain == "pupil":
+                # the propagated field is this call's own: mask it in place
                 cur = propagate(cur)
-            cur = OpticalField(cur.samples * lead, "focal", cur.half_width)
+                np.multiply(cur.samples, lead, out=cur.samples)
+            else:
+                cur = OpticalField(cur.samples * lead, "focal", cur.half_width)
         if box is None:
             if cur.domain == "pupil":
                 cur = propagate(cur)
@@ -277,7 +280,12 @@ class PropagatorPlan:
         if self.projector is not None:
             dx = self.output_grid.dx
             c = np.vdot(self.projector, cur.samples) * dx * dx
-            cur = OpticalField(cur.samples - c * self.projector, "focal", cur.half_width)
+            # samples - c * projector in one new buffer; the operand order
+            # of the product matters, since numpy's complex multiply does
+            # not round the imaginary part symmetrically
+            out = c * self.projector
+            np.subtract(cur.samples, out, out=out)
+            cur = OpticalField(out, "focal", cur.half_width)
         return cur
 
 

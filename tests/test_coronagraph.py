@@ -227,6 +227,37 @@ def test_apply_is_the_full_grid_chain(grid_args, design, plan_piaacmc, plan_vort
         assert got.half_width == half_width
 
 
+@pytest.mark.parametrize("input_domain", ["pupil", "focal"])
+def test_apply_in_place_steps_are_the_out_of_place_formulas(input_domain):
+    # a leading focal mask multiplies a propagated field in place and a
+    # copy of a focal input; the projector step forms samples - c * projector
+    # in one new buffer.  Both give the out-of-place products bit for bit,
+    # and the caller's field is left as it was
+    grid = GridSpec(256, 8.0)
+    (_, phase), (_, stop) = vortex_plan(grid).elements
+    rng = np.random.default_rng(5)
+    samples, fundamental = (
+        rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)) for _ in "ab"
+    )
+    # a complex projector: with a real one the product's operand order
+    # would not show in the bits
+    fundamental = OpticalField(fundamental, "focal", grid.half_width).normalized().samples
+    plans = [
+        PropagatorPlan("x", grid, (("focal_mask", phase),), input_domain, fundamental),
+        PropagatorPlan(
+            "x", grid, (("focal_mask", phase), ("lyot_stop", stop)), input_domain, fundamental
+        ),
+    ]
+    if input_domain == "focal":
+        plans.append(perfect_plan(OpticalField(fundamental, "focal", grid.half_width), grid))
+    for plan in plans:
+        kept = samples.copy()
+        got = plan.apply(OpticalField(samples, input_domain, grid.half_width))
+        assert np.array_equal(samples, kept)
+        ref, _ = _reference_apply(plan, samples)
+        assert np.array_equal(got.samples, ref)
+
+
 @pytest.mark.parametrize("design", ["vortex", "piaacmc"])
 @pytest.mark.parametrize("grid_args", [(1024, 16.0), (256, 8.0)])
 def test_pupil_fed_image_is_the_full_grid_image(grid_args, design, plan_piaacmc, plan_vortex):
@@ -274,15 +305,24 @@ def test_image_fft_counts(monkeypatch, plan_piaacmc, plan_vortex):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("design, bound_mib", [("piaacmc", 52), ("vortex", 64)])
-def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex):
+@pytest.mark.parametrize(
+    "design, bound_mib", [("perfect", 52), ("piaacmc", 52), ("vortex", 64)]
+)
+def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex, grid):
     # one two-source image on the default grid: the full-grid chain before
     # the box route peaked at 88.1 MiB of tracemalloc for either design;
     # the box route measured 56.1 MiB (PIAACMC) and 74.0 MiB (vortex).  With
     # both transform passes in batches (no shifted copy or n x n row array)
-    # and the image formed in place, 48.1 and 59.1 MiB.  One more full-grid
-    # complex field is 16 MiB and breaks either bound
-    plan = plan_piaacmc if design == "piaacmc" else plan_vortex
+    # and the image formed in place, 48.1 and 59.1 MiB.  The vortex's lead
+    # mask now multiplies in place, but its peak stays at 59.1 MiB: the peak
+    # sits in the inverse transform to the box, whose full-grid output meets
+    # the source and the propagated field.  The in-place Airy sampler and
+    # projector step took the perfect image from 56.0 to 48.0 MiB.  One
+    # more full-grid complex field is 16 MiB and breaks every bound
+    if design == "perfect":
+        plan = perfect_plan(grid=grid)
+    else:
+        plan = plan_piaacmc if design == "piaacmc" else plan_vortex
     scene = Scene(0.7, 5.0, 0.2)
     output_state_image(plan, scene)  # the source disk is built once per grid
     tracemalloc.start()

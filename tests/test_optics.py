@@ -7,6 +7,7 @@ rather than being widened.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -254,17 +255,37 @@ def test_shifted_source_at_origin_equals_psf(grid, airy):
     assert np.allclose(sh.samples, airy.samples, atol=1e-14)
 
 
-@pytest.mark.parametrize("s", [(0.0, 0.0), (0.3, 0.1), (-1.7, 2.45)])
+# the two sources of the `tables` scene (0.1 sigma, phi 0.3, b = 1e-9):
+# the star sits 6.1e-11 from the origin pixel, inside the on-axis radius
+_TABLES_SCENE = Scene(0.1 * AIRY_SIGMA, 0.3, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        (0.0, 0.0),
+        (0.3, 0.1),
+        (-1.7, 2.45),
+        tuple(_TABLES_SCENE.star_position),
+        tuple(_TABLES_SCENE.planet_position),
+        (0.5, -0.25),  # exactly on a pixel centre: a 0/0 there stays silent
+    ],
+)
 def test_source_samples_are_the_mesh_samples(grid, s):
-    # the broadcast radii give the samples of the full mesh construction
+    # the in-place sampler gives the samples of the full mesh construction
+    # through _airy_amplitude, cast and normalized, bit for bit
     x, y = grid.mesh()
     mesh = _airy_amplitude(np.hypot(x - s[0], y - s[1]))
     expect = OpticalField(mesh.astype(complex), "focal", grid.half_width).normalized()
-    assert np.array_equal(shifted_source_field(s, grid).samples, expect.samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = shifted_source_field(s, grid)
+    assert np.array_equal(got.samples, expect.samples)
     if s == (0.0, 0.0):
-        mesh = _airy_amplitude(np.hypot(x, y))
-        expect = OpticalField(mesh.astype(complex), "focal", grid.half_width).normalized()
-        assert np.array_equal(psf_field(grid).samples, expect.samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = psf_field(grid)
+        assert np.array_equal(got.samples, expect.samples)
 
 
 def test_shifted_source_peak_location(grid):
