@@ -30,6 +30,7 @@ __all__ = [
     "cce_spade_binary",
     "cfim_direct_imaging",
     "cfim_spade",
+    "imaging_step",
     "per_mode_information",
     "psf_throughput",
 ]
@@ -145,29 +146,45 @@ def cfim_spade(basis, scene):
     return FisherMatrix(contrib.sum(axis=0), scene)
 
 
+def imaging_step(r_delta, step=None):
+    """Central-difference step of cfim_direct_imaging at separation r_delta.
+
+    1e-4 * max(sigma, r_delta) unless ``step`` overrides it.  Raises
+    ValueError naming both where the separation does not exceed the step,
+    since the radial difference would then reach zero separation.
+    """
+    h = 1e-4 * max(AIRY_SIGMA, r_delta) if step is None else float(step)
+    if r_delta <= h:
+        raise ValueError(
+            f"separation {r_delta:.6g} must exceed the difference step {h:.6g}"
+        )
+    return h
+
+
 def cfim_direct_imaging(target, scene, step=None):
     """Localization information of ideal photon counting on the image grid.
 
     Intensity derivatives over (separation, position angle) come from
     central differences of full-scene images with step
-    1e-4 * max(sigma, separation) unless overridden.  The quotient sum
-    runs over pixels above 1e-18 of the image peak, which perturbs the
-    integrals far less than the difference error; it is weighted by the
-    pixel area of the target's output grid.  Every position angle in
-    [0, 2 pi) is accepted: the angular difference wraps through 0.
+    1e-4 * max(sigma, separation) unless overridden (``imaging_step``).
+    The quotient sum runs over pixels above 1e-18 of the image peak, which
+    perturbs the integrals far less than the difference error; it is
+    weighted by the pixel area of the target's output grid.  Every position
+    angle in [0, 2 pi) is accepted: the angular difference wraps through 0.
     ``target`` is a propagation plan or an extracted operator; plans are
     the spatially faithful choice for the chains whose compressed
     matrices are non-normal.
+
+    The two differences are rendered before the base image, and each full
+    image is freed once its live pixels are gathered, so at most three
+    full-grid images are held at a time besides the one being rendered.
     """
     r, phi, b = scene.r_delta, scene.phi_delta, scene.b
-    h = 1e-4 * max(AIRY_SIGMA, r) if step is None else float(step)
-    if r <= h:
-        raise ValueError("separation must exceed the difference step")
+    h = imaging_step(r, step)
     if isinstance(target, PropagatorPlan):
         grid = target.output_grid
     else:
         grid = target.fields.grid
-    base = output_state_image(target, scene)
     # each difference is formed in the buffer of its first image
     diff_r = output_state_image(target, Scene(r + h, phi, b))
     diff_r -= output_state_image(target, Scene(r - h, phi, b))
@@ -175,13 +192,18 @@ def cfim_direct_imaging(target, scene, step=None):
     # angles the wrapped value equals phi +- h exactly
     diff_phi = output_state_image(target, Scene(r, wrap_angle(phi + h), b))
     diff_phi -= output_state_image(target, Scene(r, wrap_angle(phi - h), b))
+    base = output_state_image(target, scene)
     live = base > 1e-18 * float(base.max())
+    # the gathers are new arrays: each full image goes once it is gathered,
+    # the differences are scaled in place, and each product and quotient
+    # is formed in one scratch array
     p = base[live]
-    # the gathers are new arrays: scale them in place, and form each
-    # product and quotient in one scratch array
+    del base
     g_r = diff_r[live]
+    del diff_r
     g_r /= 2.0 * h
     g_phi = diff_phi[live]
+    del diff_phi
     g_phi /= 2.0 * h
     scratch = np.empty_like(p)
 

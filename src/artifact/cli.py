@@ -43,7 +43,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .classical_info import cce_spade_binary, cfim_direct_imaging, cfim_spade
+from .classical_info import (
+    cce_spade_binary,
+    cfim_direct_imaging,
+    cfim_spade,
+    imaging_step,
+)
 from .coronagraph import (
     extract_operator,
     output_state_image,
@@ -60,7 +65,14 @@ from .estimation import (
     spiral_truths,
 )
 from .modebasis import FourierZernikeBasis
-from .optics import Scene, load_prescription, separation_from_sigma_units, wrap_angle
+from .optics import (
+    Scene,
+    check_source_in_window,
+    default_grid,
+    load_prescription,
+    separation_from_sigma_units,
+    wrap_angle,
+)
 from .quantum_bounds import (
     localization_photons,
     photon_requirement_map,
@@ -309,6 +321,24 @@ def _localization_matrices(scene):
     return out
 
 
+def _check_table_sources(scene, kind, r_sigma):
+    """Reject a table scene whose images leave the grid, before any plan is built.
+
+    The detection rows render a unit source at the scene's separation
+    (``planet_throughput``); the localization rows render both sources of
+    the scenes one difference step out (``cfim_direct_imaging``), which
+    also needs the separation to exceed that step.
+    """
+    reach = scene.r_delta
+    try:
+        if kind == "localization":
+            h = imaging_step(scene.r_delta)
+            reach = max(scene.b, 1.0 - scene.b) * (scene.r_delta + h)
+        check_source_in_window(reach, default_grid())
+    except ValueError as exc:
+        raise ValueError(f"--r-delta-over-sigma {r_sigma:g}: {exc}") from None
+
+
 def _print_table(title, col_labels, rows):
     width = max(len(s) for s, _ in rows) + 2
     print(title)
@@ -337,14 +367,24 @@ def cmd_tables(args):
         0.3,
         args.contrast_b,
     )
-    out = _out_dir(args)
     kind = "detection" if args.table in ("2", "detection") else "localization"
+    _check_table_sources(scene, kind, args.r_delta_over_sigma)
+    out = _out_dir(args)
     args.kind = kind  # recorded among the manifest's parameters
 
     if kind == "detection":
-        exponents = _detection_exponents(scene)
+        rates = {name: e * flux for name, e in _detection_exponents(scene).items()}
+        # an exponent that rounds to zero takes forever: the quantum and
+        # SPADE ones do at b = 1e-9 below about 1e-3 sigma, where the
+        # survival probability rounds to 1
         rows = [
-            (sys_name, [-math.log(pe) / (exponents[sys_name] * flux) for pe in _PE_TARGETS])
+            (
+                sys_name,
+                [
+                    -math.log(pe) / rates[sys_name] if rates[sys_name] > 0.0 else math.inf
+                    for pe in _PE_TARGETS
+                ],
+            )
             for sys_name in _TABLE_SYSTEMS
         ]
         col_labels = [f"Pe={pe:g}" for pe in _PE_TARGETS]
@@ -393,16 +433,23 @@ def cmd_tables(args):
 
 
 def cmd_coronagraph(args):
-    """Emit a raster, mode spectrum or throughput sweep for one design."""
-    plan = _get_plan(args.design)
-    out = _out_dir(args)
-    comment = _comment(args.seed)
+    """Emit a raster, mode spectrum or throughput sweep for one design.
 
+    The scene options are parsed before the plan is built; a source beyond
+    the grid window raises while its image is rendered.
+    """
     if args.output == "image":
         r_sigma = _scalar_axis(args.r_delta_over_sigma, "--r-delta-over-sigma")
         scene = Scene(
             separation_from_sigma_units(r_sigma), wrap_angle(args.phi), args.contrast_b
         )
+    elif args.output == "throughput":
+        r_values = parse_axis(args.r_delta_over_sigma)
+    plan = _get_plan(args.design)
+    out = _out_dir(args)
+    comment = _comment(args.seed)
+
+    if args.output == "image":
         image = output_state_image(plan, scene, star_only=args.star_only)
         path = out / f"{args.design}_image.f32"
         write_raster(path, image)
@@ -418,7 +465,6 @@ def cmd_coronagraph(args):
         )
         detail = f"{op.fields.count} modes"
     else:
-        r_values = parse_axis(args.r_delta_over_sigma)
         rows = [
             (r_sigma, planet_throughput(plan, separation_from_sigma_units(r_sigma)))
             for r_sigma in r_values
@@ -448,18 +494,30 @@ def _cluster_worker(payload):
     return index, results
 
 
+def _truth_option(args, k, count):
+    """The option that sets the separation of truth scene k of count."""
+    if args.spiral == 0:
+        return "--r-delta-over-sigma"
+    if k == 0:
+        return "--r-start"
+    return "--r-end" if k == count - 1 else "--r-start and --r-end"
+
+
 def cmd_montecarlo(args):
     """Sample and estimate trial clusters; summarize patch efficiency.
 
     One cluster per truth scene: either the single scene given by the
     scene flags or ``--spiral N`` truth points along an arc.  Cluster k
     runs with seed ``--seed + k`` so any cluster reproduces in
-    isolation.  Exits 2 before the first trial when a truth sits at zero
-    separation, where the quantum floor is undefined, and 3 when any
+    isolation.  Exits 2 before the first trial when ``--photons`` is not
+    finite and positive or a truth's quantum floor is undefined (at zero
+    separation, or where its Fisher matrix is singular), and 3 when any
     cluster converges on fewer than 90% of its trials.
     """
     if args.trials < 1:
         raise ValueError("need at least one trial")
+    if not 0.0 < args.photons < math.inf:
+        raise ValueError(f"--photons must be finite and positive, got {args.photons:g}")
     if args.spiral < 0:
         raise ValueError(f"--spiral must be nonnegative, got {args.spiral}")
     b = args.contrast_b
@@ -476,14 +534,26 @@ def cmd_montecarlo(args):
                 separation_from_sigma_units(args.r_delta_over_sigma), wrap_angle(args.phi), b
             )
         ]
+    table = coarse_table(FourierZernikeBasis(args.n_max), b)
+    # each truth's quantum floor is checked here, before any trial.  After
+    # the table: evaluated first, its small arrays raised the peak RSS of a
+    # three-truth n_max 10 run by 0.6 MB
+    floors = []
     for k, scene in enumerate(scenes):
         if scene.r_delta == 0.0:
             raise ValueError(
                 f"truth scene {k} (phi {scene.phi_delta:g}) is at zero separation, "
                 "where the quantum localization floor is undefined"
             )
+        try:
+            floors.append(sigma_loc(qfim_polar(scene), args.photons))
+        except ValueError as exc:
+            raise ValueError(
+                f"truth scene {k} (r {scene.r_delta / separation_from_sigma_units(1.0):g} "
+                f"sigma, phi {scene.phi_delta:g}, from {_truth_option(args, k, len(scenes))}) "
+                f"has no quantum localization floor: {exc}"
+            ) from None
     out = _out_dir(args)
-    table = coarse_table(FourierZernikeBasis(args.n_max), b)
 
     payloads = [
         (
@@ -526,8 +596,7 @@ def cmd_montecarlo(args):
         if len(results) >= PATCH_MIN_ESTIMATES:
             patch, floor, ratio = patch_efficiency(scene, results, args.photons)
         else:
-            patch, ratio = math.nan, math.nan
-            floor = sigma_loc(qfim_polar(scene), args.photons)
+            patch, floor, ratio = math.nan, floors[k], math.nan
         summary_rows.append(
             (
                 k,

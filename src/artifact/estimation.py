@@ -113,25 +113,42 @@ class LocalizationEstimate:
             raise ValueError("position angle estimate must lie in [0, 2 pi)")
 
 
-def sample_measurement(scene, basis, mean_photons, rng_seed):
-    """Draw one photon-counting record for a scene, deterministic per seed.
+def _check_mean_photons(mean_photons):
+    if not 0.0 < mean_photons < math.inf:
+        raise ValueError(
+            f"mean photon number must be finite and positive, got {mean_photons!r}"
+        )
 
-    The total photon number is Poisson with the given mean and the split
-    over sorted modes plus the leakage bucket is multinomial.  A leakage
-    mass above 5% means the truncation cannot represent the scene and is
-    rejected.
+
+def _truth_weights(scene, basis):
+    """Outcome weights of a truth scene: mode probabilities plus leak, summing to 1.
+
+    Raises when the leak exceeds _DEFECT_CEILING.
     """
-    if mean_photons <= 0:
-        raise ValueError("mean photon number must be positive")
     pv = _outcome_probabilities(basis, scene)
     if pv[-1] > _DEFECT_CEILING:
         raise ValueError(
             "truncation leaves %.3f of the scene unsorted; raise n_max" % pv[-1]
         )
+    return pv / pv.sum()
+
+
+def _draw_record(weights, mean_photons, rng_seed):
     rng = np.random.default_rng(rng_seed)
     total = int(rng.poisson(mean_photons))
-    counts = rng.multinomial(total, pv / pv.sum())
-    return MeasurementRecord(counts, total)
+    return MeasurementRecord(rng.multinomial(total, weights), total)
+
+
+def sample_measurement(scene, basis, mean_photons, rng_seed):
+    """Draw one photon-counting record for a scene, deterministic per seed.
+
+    The total photon number is Poisson with the given mean, which must be
+    finite and positive, and the split over sorted modes plus the leakage
+    bucket is multinomial.  A leakage mass above 5% means the truncation
+    cannot represent the scene and is rejected.
+    """
+    _check_mean_photons(mean_photons)
+    return _draw_record(_truth_weights(scene, basis), mean_photons, rng_seed)
 
 
 @dataclass(frozen=True)
@@ -395,15 +412,20 @@ def run_trials(scene, basis, mean_photons, n_trials, seed, table=None):
 
     Trial k uses the seed pair (seed, k), so any subset of trials can be
     reproduced independently of execution order.  All records are drawn
-    first; their searches then run in lockstep, one batched kernel call
-    per simplex round, and each estimate equals mle_localize on its
-    record bit for bit.
+    first, from one evaluation of the truth scene's outcome probabilities,
+    and each equals sample_measurement's record at its seed.  Their
+    searches then run in lockstep, one batched kernel call per simplex
+    round, and each estimate equals mle_localize on its record bit for
+    bit.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    _check_mean_photons(mean_photons)
     table = _check_table(table, basis, scene.b)
     seeds = [_trial_seed(seed, k) for k in range(n_trials)]
-    records = [sample_measurement(scene, basis, mean_photons, s) for s in seeds]
+    # the truth scene is evaluated once; every record draws from its weights
+    weights = _truth_weights(scene, basis)
+    records = [_draw_record(weights, mean_photons, s) for s in seeds]
     for record in records:
         _check_record(record, basis)
     estimates = _localize(records, basis, scene.b, table)

@@ -34,6 +34,7 @@ __all__ = [
     "psf",
     "pupil_disk_field",
     "psf_field",
+    "check_source_in_window",
     "shifted_source_field",
     "propagate",
     "inverse_propagate",
@@ -381,11 +382,29 @@ def psf_field(grid=None):
     return _airy_field(np.hypot(ax, ax[:, None]), grid)
 
 
+def check_source_in_window(separation, grid):
+    """Raise ValueError unless a point source at ``separation`` fits the grid.
+
+    A source at focal distance |s| from the grid centre keeps the bulk of
+    its Airy energy on the grid when half_width >= |s| + 3.  The rule holds
+    for both kinds of source: a focal-plane source loses the rest off the
+    window, and a pupil-fed (tilted aperture) source, whose image is
+    periodic in the window, wraps to the opposite side.  The message names
+    the separation.
+    """
+    if not separation + 3.0 <= grid.half_width:
+        raise ValueError(
+            f"a source at separation {separation:.6g} (focal units) needs a grid "
+            f"half_width of at least separation + 3, and this grid's is {grid.half_width:g}"
+        )
+
+
 def shifted_source_field(s, grid=None):
     """Field of a point source at focal position s: samples of psf(r - s).
 
-    Requires half_width >= |s| + 3 so the bulk of the shifted Airy energy
-    stays on the grid; the samples are renormalized to unit discrete norm.
+    Requires half_width >= |s| + 3 (``check_source_in_window``) so the bulk
+    of the shifted Airy energy stays on the grid; the samples are
+    renormalized to unit discrete norm.
     The radii broadcast the shifted axes, which gives the samples of the
     shifted ``mesh`` bit for bit without building it, and ``_airy_field``
     turns them into the field in place: 53-89 ms on the default grid on a
@@ -393,8 +412,7 @@ def shifted_source_field(s, grid=None):
     """
     grid = grid or default_grid()
     s_arr = np.asarray(s, dtype=float)
-    if grid.half_width < float(np.hypot(*s_arr)) + 3.0:
-        raise ValueError("grid half_width must be at least |s| + 3")
+    check_source_in_window(float(np.hypot(*s_arr)), grid)
     ax = grid.axis()
     return _airy_field(np.hypot(ax - s_arr[0], (ax - s_arr[1])[:, None]), grid)
 
@@ -414,41 +432,42 @@ def _centered_fft(samples, dx, inverse=False, box=None, at=None):
     # is known, so it equals fftshift(fft2(ifftshift(x))) bit for bit: an
     # all-zero row transforms to zeros, and with ``box`` (row and column
     # slices of the output) only the box's columns get the axis-0 pass and
-    # the output is zero off the box.  ``at`` = ((rows, cols), n) says that
-    # ``samples`` holds that box of an n x n input which is zero elsewhere,
-    # so no n x n input is built.  Both passes run in batches of _CHUNK
-    # rows or columns, and the shifts are index maps: the only n x n array
-    # built is the output, and the row pass keeps just the columns that
-    # the output needs
+    # only the box's block of the output is returned.  ``at`` = ((rows,
+    # cols), n) is the mirror: ``samples`` holds that box of an n x n input
+    # which is zero elsewhere, so no n x n input is built.  Both passes run
+    # in batches of _CHUNK rows or columns, and the shifts are index maps:
+    # the only array of the output's size is the output, and the row pass
+    # keeps just the columns that the output needs
     if at is None:
         n = samples.shape[0]
-        live = np.flatnonzero(samples.any(axis=1))
-        block, block_rows = samples, live
+        row_sl = col_sl = slice(0, n)
     else:
         (row_sl, col_sl), n = at
-        live = np.arange(row_sl.start, row_sl.stop)
-        block = np.zeros((live.size, n), dtype=complex)
-        block[:, col_sl] = samples
-        block_rows = np.arange(live.size)
+    live = np.flatnonzero(samples.any(axis=1))
     one_d = np.fft.ifft if inverse else np.fft.fft
     scale = n * n * dx * dx if inverse else dx * dx
     box = box or (slice(0, n), slice(0, n))
     # fftshift puts transform index (k + n/2) mod n at output pixel k
     row_idx, col_idx = ((np.arange(s.start, s.stop) + n // 2) % n for s in box)
+    # ifftshift moves input column c to (c + n/2) mod n: the input's
+    # columns left of n/2 move right by n/2 and the others left by n/2
+    mid = min(max(col_sl.start, n // 2), col_sl.stop) - col_sl.start
+    head = slice(col_sl.start + n // 2, col_sl.start + n // 2 + mid)
+    tail = slice(col_sl.start + mid - n // 2, col_sl.stop - n // 2)
     rows = np.empty((live.size, col_idx.size), dtype=complex)
     for start in range(0, live.size, _CHUNK):
-        batch = slice(start, start + _CHUNK)
-        part = one_d(np.fft.ifftshift(block[block_rows[batch]], axes=1), axis=1)
-        rows[batch] = part[:, col_idx]
-    # ifftshift moves input row r to transform row (r + n/2) mod n
-    shifted = (live + n // 2) % n
-    out = np.zeros((n, n), dtype=complex)
-    on_box = out[box]
+        batch = samples[live[start : start + _CHUNK]]
+        line = np.zeros((batch.shape[0], n), dtype=complex)
+        line[:, head] = batch[:, :mid]
+        line[:, tail] = batch[:, mid:]
+        rows[start : start + batch.shape[0]] = one_d(line, axis=1)[:, col_idx]
+    shifted = (live + row_sl.start + n // 2) % n
+    out = np.empty((row_idx.size, col_idx.size), dtype=complex)
     for start in range(0, col_idx.size, _CHUNK):
         part = rows[:, start : start + _CHUNK]
         cols = np.zeros((n, part.shape[1]), dtype=complex)
         cols[shifted] = part
-        on_box[:, start : start + _CHUNK] = one_d(cols, axis=0)[row_idx] * scale
+        out[:, start : start + _CHUNK] = one_d(cols, axis=0)[row_idx] * scale
     return out
 
 
@@ -472,10 +491,15 @@ def inverse_propagate(field, box=None):
     ``box`` (row and column slices of the output grid) computes the
     output on that box only and leaves it zero elsewhere, for a field
     about to meet an element that vanishes off the box; on the box the
-    samples are those of the full transform, bit for bit.
+    samples are those of the full transform, bit for bit.  The transform
+    returns the box's block, which is embedded in a zero grid here, so the
+    result always covers the whole grid.
     """
     grid = field.grid
     out = _centered_fft(field.samples, grid.dx, inverse=True, box=box)
+    if box is not None:
+        block, out = out, np.zeros((grid.n_pixels, grid.n_pixels), dtype=complex)
+        out[box] = block
     new_domain = "focal" if field.domain == "pupil" else "pupil"
     return OpticalField(out, new_domain, grid.conjugate().half_width)
 

@@ -1,6 +1,7 @@
 """Tests for the per-measurement classical information measures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from artifact.classical_info import (
     per_mode_information,
     psf_throughput,
 )
-from artifact.coronagraph import CoronagraphOperator, perfect_plan, vortex_plan
+from artifact.coronagraph import (
+    CoronagraphOperator,
+    output_state_image,
+    perfect_plan,
+    vortex_plan,
+)
 from artifact.modebasis import FourierZernikeBasis
 from artifact.optics import AIRY_SIGMA, GridSpec, Scene
 from artifact.quantum_bounds import qce, qfim_high_contrast, qfim_polar
@@ -323,8 +329,33 @@ def test_imaging_step_insensitive(plan_perfect_analytic):
 
 
 def test_imaging_separation_below_step_rejected(plan_perfect_analytic):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"separation 1e-09 must exceed the difference step 6\.09"):
         cfim_direct_imaging(plan_perfect_analytic, Scene(1e-9, 0.3, 1e-3))
+
+
+@pytest.mark.parametrize(
+    "design, bound_mib", [("perfect", 60), ("piaacmc", 52), ("vortex", 52)]
+)
+def test_imaging_memory(design, bound_mib, plan_perfect_analytic, plan_piaacmc, plan_vortex):
+    # at the `tables` scene: the two differences (8 MiB each) are rendered
+    # before the base image, and each full image is freed once its live
+    # pixels are gathered, so the peak is one image render on top of the
+    # two differences.  Measured 57.0 / 48.1 / 48.1 MiB of tracemalloc for
+    # perfect / PIAACMC / vortex (72.0 / 72.1 / 83.1 MiB with the base image
+    # rendered first and every full image held to the end).  One more
+    # full-grid image (8 MiB) breaks every bound
+    plan = {"perfect": plan_perfect_analytic, "piaacmc": plan_piaacmc, "vortex": plan_vortex}[
+        design
+    ]
+    scene = Scene(0.1 * S, 0.3, 1e-9)
+    output_state_image(plan, scene)  # the source disk is built once per grid
+    tracemalloc.start()
+    try:
+        cfim_direct_imaging(plan, scene)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 def test_imaging_accepts_angles_at_the_wrap():

@@ -171,6 +171,29 @@ def test_montecarlo_zero_separation_truth_exits_2_before_trials(
     assert not list(tmp_path.iterdir())
 
 
+def test_montecarlo_infinite_photons_exits_2_before_trials(tmp_path, monkeypatch, capsys):
+    # numpy's Poisson draw once raised a bare "lam value too large"
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    argv = ["montecarlo", "--photons", "inf", "--trials", "2", "--n-max", "4", "--jobs", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: --photons must be finite and positive, got inf\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_montecarlo_singular_floor_exits_2_before_trials(tmp_path, monkeypatch, capsys):
+    # just above zero separation the truth's quantum Fisher matrix is
+    # singular; the run once wrote trials_cluster0.csv before it failed
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    argv = ["montecarlo", "--spiral", "2", "--r-start", "2.2250738585072014e-308"]
+    argv += ["--trials", "3", "--n-max", "2", "--jobs", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: truth scene 0 (r 2.22507e-308 sigma, phi 0.18, from --r-start) has no "
+        "quantum localization floor: Fisher matrix is singular for this error combination\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
 def test_montecarlo_wraps_phi(tmp_path, monkeypatch):
     # a position angle past 2 pi is wrapped, not rejected
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
@@ -307,6 +330,51 @@ def test_tables_at_zero_separation_exits_2(table, tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err == "error: --r-delta-over-sigma must be positive and finite, got 0\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "table, r_sigma, complaint",
+    [
+        # the probe source of the detection rows and the planet one
+        # difference step out in the localization rows: the window holds
+        # |s| + 3 <= 16 focal units, and 30 sigma is 18.3
+        ("2", "30", "a source at separation 18.295 (focal units)"),
+        ("3", "30", "a source at separation 18.2969 (focal units)"),
+        ("3", "1e300", "a source at separation 6.09896e+299 (focal units)"),
+        # the radial difference step is 1e-4 sigma at small separations
+        ("3", "1e-300", "separation 6.09835e-301 must exceed the difference step"),
+    ],
+)
+def test_tables_scene_outside_the_images_exits_2_before_a_plan(
+    table, r_sigma, complaint, tmp_path, monkeypatch, capsys
+):
+    # these once exited 2 only after a plan was built, and the messages
+    # named no separation; the pupil-fed images of the detection rows
+    # once wrapped a far source silently to the other side of the window
+    def no_plan(design):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(cli, "_get_plan", no_plan)
+    argv = ["tables", "--table", table, "--r-delta-over-sigma", r_sigma, "--config", str(_CONFIG)]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --r-delta-over-sigma {float(r_sigma):g}: {complaint}")
+    assert not list(tmp_path.iterdir())
+
+
+def test_tables_detection_time_of_a_vanishing_exponent_reads_inf(tmp_path):
+    # at 1e-300 sigma the quantum and SPADE exponents round to zero, whose
+    # times once raised ZeroDivisionError; the chains' exponents are their
+    # null residuals, which stay positive
+    argv = ["tables", "--table", "2", "--r-delta-over-sigma", "1e-300", "--config", str(_CONFIG)]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "detection_times.csv").read_text().splitlines()[2:]
+    seconds = {}
+    for row in rows:
+        system, _, value = row.split(",")
+        seconds.setdefault(system, []).append(float(value))
+    assert seconds["quantum"] == seconds["spade"] == [math.inf] * 4
+    assert all(0.0 < v < math.inf for s in ("perfect", "piaacmc", "vortex") for v in seconds[s])
 
 
 def test_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
@@ -806,3 +874,33 @@ def test_montecarlo_exits_as_documented_over_its_domain(
     values = (n_max, photons, r_delta, phi, b, spiral, r_start, r_end)
     options = {"trials": trials, **dict(zip(_MONTECARLO_NUMBERS, values))}
     _exit_code_is_documented("montecarlo", options, off)
+
+
+# the scene edges of tables and coronagraph, one at a time: beyond the grid
+# window (30 and 1e300 sigma), below the difference step (1e-300 sigma), NaN,
+# and contrasts at the ends of (0, 1).  Each run exits 0, 2 or 3 without a
+# traceback and writes no manifest on exit 2
+_SCENE_EDGES = [
+    {"r-delta-over-sigma": "30"},
+    {"r-delta-over-sigma": "1e-300"},
+    {"r-delta-over-sigma": "1e300"},
+    {"r-delta-over-sigma": "nan"},
+    {"contrast-b": "0"},
+    {"contrast-b": "1"},
+]
+
+
+@pytest.mark.parametrize("edge", _SCENE_EDGES, ids=lambda e: "=".join(*e.items()))
+@pytest.mark.parametrize("table", ["2", "3"])
+def test_tables_exits_as_documented_at_the_scene_edges(table, edge):
+    _exit_code_is_documented("tables", {"table": table, "config": _CONFIG}, next(iter(edge.items())))
+
+
+@pytest.mark.parametrize("edge", _SCENE_EDGES, ids=lambda e: "=".join(*e.items()))
+@pytest.mark.parametrize(
+    "design, output",
+    [("perfect", "image"), ("piaacmc", "image"), ("vortex", "image"), ("vortex", "throughput")],
+)
+def test_coronagraph_exits_as_documented_at_the_scene_edges(design, output, edge):
+    options = {"design": design, "output": output, "phi": "0.3"}
+    _exit_code_is_documented("coronagraph", options, next(iter(edge.items())))

@@ -46,6 +46,7 @@ from artifact.optics import (
     overlap,
     propagate,
     pupil_disk_field,
+    separation_from_sigma_units,
     shifted_source_field,
 )
 from artifact.coronagraph import output_state_image
@@ -214,7 +215,16 @@ def test_apply_is_the_full_grid_chain(grid_args, design, plan_piaacmc, plan_vort
     plan = _chain(design, grid, plan_piaacmc, plan_vortex)
     n = grid.n_pixels
     rng = np.random.default_rng(3)
-    fields = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))]
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    fields = [dense]
+    # apply reduces an input to its support box: one box that overlaps the
+    # pupil box in part and one that misses it; the chain fills zeros on
+    # the pupil box where the support does not reach, as the full grid has
+    for rows, cols in ((slice(n // 2 - 40, n // 2 - 20), slice(n // 2 + 5, n // 2 + 50)),
+                       (slice(3, 9), slice(n - 7, n - 2))):
+        part = np.zeros_like(dense)
+        part[rows, cols] = dense[rows, cols]
+        fields.append(part)
     if plan.input_domain == "pupil":
         fields.append(_reference_source(grid, (0.4, 2.0)))
     for samples in fields:
@@ -306,19 +316,19 @@ def test_image_fft_counts(monkeypatch, plan_piaacmc, plan_vortex):
 
 
 @pytest.mark.parametrize(
-    "design, bound_mib", [("perfect", 52), ("piaacmc", 52), ("vortex", 64)]
+    "design, bound_mib", [("perfect", 44), ("piaacmc", 36), ("vortex", 36)]
 )
 def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex, grid):
-    # one two-source image on the default grid: the full-grid chain before
-    # the box route peaked at 88.1 MiB of tracemalloc for either design;
-    # the box route measured 56.1 MiB (PIAACMC) and 74.0 MiB (vortex).  With
-    # both transform passes in batches (no shifted copy or n x n row array)
-    # and the image formed in place, 48.1 and 59.1 MiB.  The vortex's lead
-    # mask now multiplies in place, but its peak stays at 59.1 MiB: the peak
-    # sits in the inverse transform to the box, whose full-grid output meets
-    # the source and the propagated field.  The in-place Airy sampler and
-    # projector step took the perfect image from 56.0 to 48.0 MiB.  One
-    # more full-grid complex field is 16 MiB and breaks every bound
+    # one two-source image on the default grid holds one full-grid complex
+    # field (16 MiB) at a time besides the finished star image (8 MiB):
+    # the chain's output while |output|^2 (8 MiB) is formed, since a
+    # pupil-fed source enters on its disk box and the vortex's inverse
+    # transform returns the Lyot box alone.  Measured 32.1 MiB of
+    # tracemalloc for PIAACMC and the vortex (48.1 and 59.1 MiB when the
+    # source and the inverse transform's output were full-grid).  The
+    # perfect chain peaks at 41.0 MiB (48.0 before its source was freed
+    # ahead of the intensity), while the Airy sampler's real buffers meet
+    # its complex cast.  One more full-grid complex field breaks every bound
     if design == "perfect":
         plan = perfect_plan(grid=grid)
     else:
@@ -332,6 +342,45 @@ def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex, grid):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20
+
+
+def test_vortex_phase_is_the_mesh_formula(grid):
+    # built from broadcast axes with the product and exp in one complex
+    # buffer: 25.0 MiB of tracemalloc where the mesh form took 48.0 MiB
+    x, y = grid.mesh()
+    expect = np.exp(1j * coronagraph.VORTEX_CHARGE * np.arctan2(y, x))
+    expect[grid.n_pixels // 2, grid.n_pixels // 2] = 0.0
+    del x, y
+    tracemalloc.start()
+    try:
+        plan = vortex_plan(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    phase = plan.elements[0][1]
+    assert np.array_equal(phase.view(np.float64), expect.view(np.float64))
+    assert np.array_equal(np.signbit(phase.view(np.float64)), np.signbit(expect.view(np.float64)))
+    assert peak <= 32 * 2**20
+
+
+@pytest.mark.parametrize("design", ["perfect", "piaacmc", "vortex"])
+def test_sources_beyond_the_window_are_rejected(design, plan_piaacmc, plan_vortex, grid):
+    # a pupil-fed source images periodically in the window: at 30 sigma
+    # (18.3 focal units) a unit source once imaged at -13.7, wrapped by the
+    # 32-unit period.  Both kinds of source keep |s| + 3 <= half_width, and
+    # the message names the separation
+    if design == "perfect":
+        plan = perfect_plan(grid=grid)
+    else:
+        plan = plan_piaacmc if design == "piaacmc" else plan_vortex
+    r = separation_from_sigma_units(30.0)
+    with pytest.raises(ValueError, match=r"separation 18\.29\d* \(focal units\)"):
+        output_state_image(plan, Scene(2.0 * r, 0.0, 0.5), star_only=True)
+    with pytest.raises(ValueError, match=r"separation 18\.29"):  # the planet
+        output_state_image(plan, Scene(r / 0.8, 0.0, 0.2))
+    # the edge itself is inside: a unit source at 13 focal units
+    edge = output_state_image(plan, Scene(26.0, math.pi, 0.5), star_only=True)
+    assert np.isfinite(edge).all()
 
 
 def test_pupil_fed_images_build_the_disk_once_per_grid(monkeypatch):

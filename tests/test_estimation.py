@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
+from artifact import estimation
 from artifact.estimation import (
     _nelder_mead,
     _outcome_probabilities,
@@ -78,6 +79,15 @@ def test_sample_truncation_defect_rejected():
 def test_sample_mean_must_be_positive(basis10):
     with pytest.raises(ValueError):
         sample_measurement(Scene(0.3 * S, 0.3, 1e-9), basis10, 0.0, 1)
+
+
+@pytest.mark.parametrize("mean", [-1.0, math.inf, math.nan])
+def test_sample_mean_must_be_finite(basis10, mean):
+    # an infinite mean once reached numpy's bare "lam value too large"
+    with pytest.raises(ValueError, match=f"finite and positive, got {mean!r}"):
+        sample_measurement(Scene(0.3 * S, 0.3, 1e-9), basis10, mean, 1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        run_trials(Scene(0.3 * S, 0.3, 1e-9), basis10, mean, 1, seed=0)
 
 
 def test_record_invariants():
@@ -206,6 +216,37 @@ def test_run_trials_equals_single_record_estimates(basis10, table10):
         rec = sample_measurement(truth, basis10, 3e11, t.seed)
         assert t.n_photons == rec.total_photons
         assert t.estimate == mle_localize(rec, basis10, 1e-9, table=table10)
+
+
+def test_run_trials_draws_sample_measurement_records_from_one_truth_evaluation(
+    basis10, table10, monkeypatch
+):
+    # the truth scene's probabilities are evaluated once per cluster, and
+    # every record equals sample_measurement's at its trial seed
+    truth = Scene(0.3 * S, 0.8, 1e-9)
+    seen = []
+    localize = estimation._localize
+    evaluate = estimation.all_mode_probabilities
+
+    def keep_records(records, *args):
+        seen.extend(records)
+        return localize(records, *args)
+
+    def count_truth(basis, *scene):
+        truths.append(len(scene) == 1 and scene[0] is truth)
+        return evaluate(basis, *scene)
+
+    truths = []
+    monkeypatch.setattr(estimation, "_localize", keep_records)
+    monkeypatch.setattr(estimation, "all_mode_probabilities", count_truth)
+    res = run_trials(truth, basis10, 3e11, 12, seed=5, table=table10)
+    assert sum(truths) == 1
+    monkeypatch.undo()
+    assert len(seen) == len(res) == 12
+    for t, rec in zip(res, seen):
+        ref = sample_measurement(truth, basis10, 3e11, t.seed)
+        assert rec.total_photons == ref.total_photons == t.n_photons
+        assert np.array_equal(rec.counts, ref.counts)
 
 
 def test_mle_degenerate_record_flagged(basis10):

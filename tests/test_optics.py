@@ -302,8 +302,11 @@ def test_shifted_source_self_overlap(grid):
 
 
 def test_shifted_source_grid_margin_enforced(grid):
-    with pytest.raises(ValueError):
+    # the message names the separation
+    with pytest.raises(ValueError, match=r"separation 14 \(focal units\)"):
         shifted_source_field((14.0, 0.0), grid)
+    with pytest.raises(ValueError, match="separation nan"):
+        shifted_source_field((math.nan, 0.0), grid)
     # |s| + 3 exactly at the edge is allowed
     shifted_source_field((13.0, 0.0), grid)
 
@@ -376,30 +379,46 @@ def test_pruned_transform_is_the_full_transform(grid_args, kind, inverse, monkey
     full = _full_sandwich(samples, grid.dx, inverse)
     assert np.array_equal(_centered_fft(samples, grid.dx, inverse), full)
     # a box around the centre (its transform indices wrap through 0), one
-    # in a corner and one of whole columns; the output is the full one there
-    # and zero elsewhere.  The row pass onto a box runs in batches of input
-    # rows: the default batch and one that leaves a remainder
+    # in a corner and one of whole columns: the transform returns the full
+    # transform's block on the box.  The input given on a box alone (``at``)
+    # gives the full transform of the zero-padded input, for boxes that
+    # straddle the centre column, lie left or right of it, or cover whole
+    # rows.  Both passes run in batches: the default batch and one that
+    # leaves a remainder
     boxes = (
         (slice(n // 2 - 31, n // 2 + 32), slice(n // 2 - 30, n // 2 + 33)),
         (slice(0, 5), slice(n - 9, n)),
         (slice(0, n), slice(n // 2 - 3, n // 2 + 4)),
     )
+    ats = (
+        (slice(n // 2 - 32, n // 2 + 33), slice(n // 2 - 32, n // 2 + 33)),
+        (slice(3, 40), slice(0, 11)),
+        (slice(n - 20, n), slice(n // 2, n - 1)),
+        (slice(0, n), slice(0, n)),
+    )
+    padded = []
+    for at in ats:
+        part = np.zeros_like(samples)
+        part[at] = samples[at]
+        padded.append(_full_sandwich(part, grid.dx, inverse))
     for chunk in (optics._CHUNK, 7):
         monkeypatch.setattr(optics, "_CHUNK", chunk)
         for box in boxes:
-            pruned = _centered_fft(samples, grid.dx, inverse, box)
-            assert np.array_equal(pruned[box], full[box])
-            off = np.ones((n, n), dtype=bool)
-            off[box] = False
-            assert not pruned[off].any()
-    if kind == "box":  # the input given on its box alone
-        sl = slice(n // 2 - 32, n // 2 + 33)
-        at = ((sl, sl), n)
-        assert np.array_equal(_centered_fft(samples[sl, sl], grid.dx, inverse, at=at), full)
+            assert np.array_equal(_centered_fft(samples, grid.dx, inverse, box), full[box])
+        box = boxes[0]
+        for at, ref in zip(ats, padded):
+            got = _centered_fft(samples[at], grid.dx, inverse, at=(at, n))
+            assert np.array_equal(got, ref)
+            got = _centered_fft(samples[at], grid.dx, inverse, box, at=(at, n))
+            assert np.array_equal(got, ref[box])
     if inverse:
+        # inverse_propagate embeds the box's block in a zero grid
         field = OpticalField(samples, "focal", grid.half_width)
         boxed = inverse_propagate(field, box)
         assert np.array_equal(boxed.samples[box], inverse_propagate(field).samples[box])
+        off = np.ones((n, n), dtype=bool)
+        off[box] = False
+        assert not boxed.samples[off].any()
         assert boxed.half_width == grid.conjugate().half_width
 
 
