@@ -58,6 +58,7 @@ from .coronagraph import (
     write_raster,
 )
 from .estimation import (
+    _POISSON_MAX,
     PATCH_MIN_ESTIMATES,
     coarse_table,
     patch_efficiency,
@@ -510,14 +511,16 @@ def cmd_montecarlo(args):
     scene flags or ``--spiral N`` truth points along an arc.  Cluster k
     runs with seed ``--seed + k`` so any cluster reproduces in
     isolation.  Exits 2 before the first trial when ``--photons`` is not
-    finite and positive or a truth's quantum floor is undefined (at zero
-    separation, or where its Fisher matrix is singular), and 3 when any
-    cluster converges on fewer than 90% of its trials.
+    positive or exceeds numpy's Poisson limit (about 9.2e18) or a truth's
+    quantum floor is undefined (at zero separation, or where its Fisher
+    matrix is singular), and 3 when any cluster converges on fewer than
+    90% of its trials.
     """
     if args.trials < 1:
         raise ValueError("need at least one trial")
-    if not 0.0 < args.photons < math.inf:
-        raise ValueError(f"--photons must be finite and positive, got {args.photons:g}")
+    if not 0.0 < args.photons <= _POISSON_MAX:
+        limit = f"(0, {_POISSON_MAX!r}], numpy's Poisson limit"
+        raise ValueError(f"--photons must lie in {limit}, got {args.photons:g}")
     if args.spiral < 0:
         raise ValueError(f"--spiral must be nonnegative, got {args.spiral}")
     b = args.contrast_b

@@ -11,12 +11,12 @@ Three stellar-rejection designs share one propagation backbone:
 * ``vortex``: a charge-2 spiral phase in the focal plane followed by a
   Lyot stop; on-axis light diffracts outside the clear aperture.
 
-A chain is a ``PropagatorPlan`` (ordered multiplicative elements with
-automatic plane-to-plane propagation).  ``extract_operator`` compresses a
-plan onto a truncated mode basis and factors it into singular modes with
-complex per-mode transmissions; the resulting ``CoronagraphOperator``
-applies in coefficient space.  ``output_state_image`` renders the
-detected intensity of a two-point scene through either representation.
+A chain is a ``PropagatorPlan`` in one of the three designs' layouts.
+``extract_operator`` compresses a plan onto a truncated mode basis and
+factors it into singular modes with complex per-mode transmissions; the
+resulting ``CoronagraphOperator`` applies in coefficient space.
+``output_state_image`` renders the detected intensity of a two-point
+scene through either representation.
 
 Extraction never transforms a full grid and holds no mode stack.  The
 centered DFT is unitary, so <chi_j, plan(chi_k)> equals an inner product
@@ -31,9 +31,9 @@ machine, the vortex extraction from a bare basis takes 1.8 s and peaks at
 36 MiB of ``tracemalloc``.
 ``PropagatorPlan.apply`` runs the same box steps as extraction: from the
 first pupil element on it carries a field on the Lyot box and transforms
-it to the focal grid once, with full-grid FFTs only where a focal mask
-precedes the first pupil element (the vortex), pruned to the rows and
-columns that the chain's supports leave nonzero.
+it to the focal grid once, with full-grid FFTs only for the vortex's
+leading mask, pruned to the rows and columns that the chain's supports
+leave nonzero.
 
 Mode images can be written as flat binary rasters: a 16 byte header
 (little-endian: 4 byte magic ``FR32``, uint32 width, uint32 height,
@@ -149,14 +149,16 @@ def lyot_stop_array(grid):
 
 @dataclass(frozen=True)
 class PropagatorPlan:
-    """Ordered multiplicative element chain with automatic propagation.
+    """A coronagraph chain in one of the three designs' layouts.
 
     Elements are (kind, array) pairs; pupil-plane kinds (apodizer,
     lyot_stop, inverse_apodizer) and the focal_mask trigger a propagation
     whenever the running field is in the other plane.  The output is
-    always returned in the focal plane.  ``projector`` (used by the
-    perfect design) subtracts the component along a fixed focal field
-    after the element chain.
+    always returned in the focal plane.  Only the designs' layouts are
+    built, others raise ValueError: focal-fed, a ``projector`` that
+    subtracts the component along a fixed focal field and no elements
+    (perfect); pupil-fed, no projector, a leading focal mask (vortex) or
+    pupil element (PIAACMC), no two masks side by side, a pupil element last.
     """
 
     name: str
@@ -176,6 +178,18 @@ class PropagatorPlan:
                 raise ValueError("element %r array must match the grid" % kind)
         if self.projector is not None and self.projector.shape != (n, n):
             raise ValueError("projector must match the grid")
+        kinds = [kind for kind, _ in self.elements]
+        if self.input_domain == "focal":
+            if kinds or self.projector is None:
+                raise ValueError("a focal-fed plan takes a projector and no elements")
+        elif self.projector is not None:
+            raise ValueError("a pupil-fed plan takes no projector")
+        elif set(kinds) <= {"focal_mask"}:
+            raise ValueError("a pupil-fed plan needs a pupil-plane element")
+        elif ("focal_mask", "focal_mask") in zip(kinds, kinds[1:]):
+            raise ValueError("two focal masks side by side")
+        elif kinds[-1] == "focal_mask":
+            raise ValueError("the chain must end in a pupil-plane element")
 
     @property
     def output_grid(self):
@@ -187,11 +201,6 @@ class PropagatorPlan:
         as the default one.
         """
         return self.grid if self.input_domain == "focal" else self.grid.conjugate()
-
-    @property
-    def pupil_grid(self):
-        """Grid of the chain's pupil plane: the conjugate grid for a focal-fed chain."""
-        return self.grid if self.input_domain == "pupil" else self.grid.conjugate()
 
     @functools.cached_property
     def pupil_box(self):
@@ -208,27 +217,16 @@ class PropagatorPlan:
 
     @functools.cached_property
     def _box_chain(self):
-        """The chain in its box form, built once per plan: (lead, steps, tail).
+        """A pupil-fed chain in its box form, built once per plan: (lead, steps).
 
-        Consecutive focal masks act in one plane and are merged into their
-        product.  ``lead`` is the focal mask met before the first pupil
-        element and ``tail`` the one after the last, None where there is
-        none; a chain without pupil elements has all its masks in ``lead``.
-        ``steps`` holds one ``_box_step`` per element from the first pupil
-        element through the last: each maps a pupil field on ``pupil_box``
-        to the next.  ``apply`` and ``_chain_matrix`` both run these steps.
+        ``lead`` is the vortex's leading focal mask, None for PIAACMC;
+        ``steps`` holds one ``_box_step`` per other element, each mapping a
+        pupil field on ``pupil_box`` to the next.  ``apply`` and
+        ``_chain_matrix`` both run these steps.
         """
-        runs = []
-        for kind, arr in self.elements:
-            if kind == "focal_mask" and runs and runs[-1][0] == kind:
-                arr = runs.pop()[1] * arr
-            runs.append((kind, arr))
-        lead = runs.pop(0)[1] if runs and runs[0][0] == "focal_mask" else None
-        tail = runs.pop()[1] if runs and runs[-1][0] == "focal_mask" else None
-        steps = tuple(
-            _box_step(kind, arr, self.pupil_grid, self.pupil_box) for kind, arr in runs
-        )
-        return lead, steps, tail
+        lead = self.elements[0][1] if self.elements[0][0] == "focal_mask" else None
+        rest = self.elements if lead is None else self.elements[1:]
+        return lead, tuple(_box_step(kind, arr, self.grid, self.pupil_box) for kind, arr in rest)
 
     def apply(self, field):
         """Run the chain on one field; linear; returns a focal-plane field.
@@ -239,14 +237,10 @@ class PropagatorPlan:
         the box rows alone.  A focal mask between pupil elements acts there
         as a windowed matrix Fourier round trip (``_box_step``), so its
         output agrees with the full-grid chain to rounding, within 1e-13 of
-        the largest output sample: one FFT renders a PIAACMC image.  Focal
-        masks before the first pupil element multiply on the whole grid, and
-        the inverse transform into the box returns the box's block alone; a
-        chain whose focal masks all come first, as the vortex's does, runs
-        three FFTs and gives the full-grid chain's samples bit for bit.  The
-        input is reduced to its support box and runs the chain path that
-        pupil-fed images take from the source's own box (``_run``); a dense
-        input is read in place, not copied.
+        the largest output sample: one FFT renders a PIAACMC image.  The
+        vortex's leading mask multiplies on the whole grid, and its three
+        FFTs give the full-grid chain's samples bit for bit.  The input is
+        read in place, not copied (``_run``).
         """
         if field.domain != self.input_domain:
             raise ValueError(
@@ -254,83 +248,47 @@ class PropagatorPlan:
             )
         if field.n_pixels != self.grid.n_pixels or field.half_width != self.grid.half_width:
             raise ValueError("field grid does not match the plan grid")
-        at = _bounding_box(field.samples != 0.0)
-        return self._run(field.samples[at], at)
+        whole = slice(0, self.grid.n_pixels)
+        return self._run(field.samples, (whole, whole))
 
     def _run(self, block, at):
         """The chain on an input given as its ``block`` on the box ``at``.
 
-        ``at`` holds row and column slices of the plan grid, and the input
-        is zero off them.  Only full-grid arrays that the chain needs are
-        built: the focal field of a leading mask, which the inverse
-        transform to ``pupil_box`` frees, and the output.  Where ``at`` and
-        ``pupil_box`` differ, the box is filled with zeros, as a full-grid
-        input has there.
+        ``at`` holds row and column slices of the plan grid; the input is
+        zero off them.  One path per design: perfect takes the whole grid;
+        the vortex transforms from ``at``, masks in place and transforms
+        back to ``pupil_box`` alone, which frees its focal field; PIAACMC
+        cuts the input to ``pupil_box``, inside ``at``.  Each transform
+        runs at its own plane's pitch; the output is labelled with
+        ``output_grid``, which three crossings miss on GridSpec(40, 3.0).
         """
-        lead, steps, tail = self._box_chain
-        box = self.pupil_box
         grid = self.grid
+        if self.input_domain == "focal":
+            # block - c * projector in one new buffer; the operand order of
+            # the product matters, since numpy's complex multiply does not
+            # round the imaginary part symmetrically
+            c = np.vdot(self.projector, block) * grid.dx * grid.dx
+            samples = c * self.projector
+            np.subtract(block, samples, out=samples)
+            return OpticalField(samples, "focal", grid.half_width)
+        lead, steps = self._box_chain
+        box = self.pupil_box
         n = grid.n_pixels
-        whole = (slice(0, n), slice(0, n))
-        samples, domain = block, self.input_domain
-        if lead is not None:
-            if domain == "pupil":
-                # propagate; the transform is this call's own, so mask it in place
-                samples = _centered_fft(block, grid.dx, at=(at, n))
-                samples *= lead
-                grid, domain = grid.conjugate(), "focal"
-            else:
-                samples = np.zeros((n, n), dtype=complex)
-                np.multiply(block, lead[at], out=samples[at])
-            at = whole
-        if box is None:
-            if domain == "pupil":
-                samples = _centered_fft(samples, grid.dx, at=(at, n))
-                grid = grid.conjugate()
-            else:
-                samples = _reframe(samples, at, whole)
+        if lead is None:
+            v = block[tuple(slice(b.start - a.start, b.stop - a.start) for a, b in zip(at, box))]
         else:
-            if domain == "focal":
-                v = _centered_fft(samples, grid.dx, inverse=True, box=box, at=(at, n))
-                grid = grid.conjugate()
-            else:
-                v = _reframe(samples, at, box)
-            del samples  # no full-grid field outlives the box
-            for step in steps:
-                v = step(v)
-            # propagate, with the row pass on the box rows alone
-            samples = _centered_fft(v, grid.dx, at=(box, n))
+            # propagate; the transform is this call's own, so mask it in place
+            focal = _centered_fft(block, grid.dx, at=(at, n))
+            focal *= lead
             grid = grid.conjugate()
-        if tail is not None:
-            samples = samples * tail
-        if self.projector is not None:
-            dx = self.output_grid.dx
-            c = np.vdot(self.projector, samples) * dx * dx
-            # samples - c * projector in one new buffer; the operand order
-            # of the product matters, since numpy's complex multiply does
-            # not round the imaginary part symmetrically
-            out = c * self.projector
-            np.subtract(samples, out, out=out)
-            samples = out
-        return OpticalField(samples, "focal", grid.half_width)
-
-
-def _reframe(block, at, box):
-    """The samples on ``box`` of a field given as its ``block`` on ``at``.
-
-    Both are row and column slices of one grid, and the field is zero off
-    ``at``.  Where ``box`` lies inside ``at`` this is a view of ``block``.
-    """
-    inner = [
-        slice(max(a.start, b.start), max(min(a.stop, b.stop), a.start, b.start))
-        for a, b in zip(at, box)
-    ]
-    src = tuple(slice(s.start - a.start, s.stop - a.start) for s, a in zip(inner, at))
-    if inner == list(box):
-        return block[src]
-    out = np.zeros((box[0].stop - box[0].start, box[1].stop - box[1].start), dtype=complex)
-    out[tuple(slice(s.start - b.start, s.stop - b.start) for s, b in zip(inner, box))] = block[src]
-    return out
+            v = _centered_fft(focal, grid.dx, inverse=True, box=box)
+            del focal  # no full-grid field outlives the box
+            grid = grid.conjugate()
+        for step in steps:
+            v = step(v)
+        # propagate, with the row pass on the box rows alone
+        samples = _centered_fft(v, grid.dx, at=(box, n))
+        return OpticalField(samples, "focal", self.output_grid.half_width)
 
 
 def perfect_plan(fundamental=None, grid=None):
@@ -811,8 +769,8 @@ def _box_step(kind, arr, pupil_grid, box):
     A pupil element multiplies on the box.  A focal element 1 - w maps v
     to v - F^-1(w F v), whose second term ``_spot_roundtrip`` evaluates on
     the box through the bounding box of the nonzero pixels of w (19 x 19
-    for the PIAACMC spot on the default grid).  That holds only when a
-    pupil element follows, which zeroes the round trip off the box.  The
+    for the PIAACMC spot on the default grid); the pupil element that
+    every plan puts after it zeroes the round trip off the box.  The
     round trip is a matrix Fourier transform, not the FFT pair, so it
     agrees with the full-grid chain to rounding (about 1e-16 of the field),
     not bit for bit.  ``PropagatorPlan`` builds these steps once per plan.
@@ -833,25 +791,18 @@ def _chain_matrix(plan, basis):
     needs, and the set's transform T (chi = T B) is applied to those sums
     afterwards, on the small side.
 
-    Every chain starts from chi_k in the focal plane: propagate undoes the
-    input's inverse transform.  The plan's leading focal mask multiplies
-    there.  Every pupil element vanishes outside one box, the bounding box
-    of their joint support, so from the first pupil element on the field is
+    The perfect chain is the Gram matrix T (B B^T) T^T less a_j <p, chi_k>
+    for its projector p, where a = T (B p).  A pupil-fed chain starts from
+    chi_k in the focal plane, where the vortex's leading mask multiplies.
+    Every pupil element vanishes outside one box, the bounding box of
+    their joint support, so from the first pupil element on the field is
     carried on that box only, through the plan's box steps, the ones
     ``PropagatorPlan.apply`` runs (``_box_step``).  The pass sums the
     row-block MFTs of the raw modes onto the box (``_rows_to_box``), and of
     the raw modes times the leading mask.  The output is F G_k for the last
     pupil-plane field G_k, and F is unitary, so M_jk = dx_p^2 sum_box
-    conj(F^-1 chi_j) G_k.  A chain without elements is the identity: M is
-    the Gram matrix T (B B^T) T^T.  A projector p subtracts a_j <p, out_k>,
-    where a = T (B p).
+    conj(F^-1 chi_j) G_k.
     """
-    box = plan.pupil_box
-    if box is None and plan.elements:
-        raise ValueError("a chain of focal masks alone has no box-local form")
-    lead, steps, tail = plan._box_chain
-    if tail is not None:
-        raise ValueError("the chain must end in a pupil-plane element")
     grid = plan.output_grid
     n = grid.n_pixels
     count = basis.count
@@ -861,9 +812,10 @@ def _chain_matrix(plan, basis):
         proj_parts = np.ascontiguousarray(projector, dtype=complex).view(np.float64)
         proj_parts = proj_parts.reshape(n, n, 2)
         proj_raw = np.zeros((count, 2))
-    if box is None:
         gram_raw = np.zeros((count, count))
     else:
+        lead, steps = plan._box_chain
+        box = plan.pupil_box
         to_box = _rows_to_box(n, box, grid.dx)
         shape = (count, box[0].stop - box[0].start, box[1].stop - box[1].start)
         inputs = np.zeros(shape, dtype=complex)  # F^-1 B_j on the box
@@ -873,7 +825,6 @@ def _chain_matrix(plan, basis):
     def visit(rows, block):
         if projector is not None:
             proj_raw[...] += block @ proj_parts[rows].reshape(-1, 2)
-        if box is None:
             gram_raw[...] += block @ block.T
             return
         part = block.reshape(count, -1, n)
@@ -890,10 +841,8 @@ def _chain_matrix(plan, basis):
     t = fields.transform
     if projector is not None:
         a = (t @ proj_raw).view(complex)[:, 0] * grid.dx**2
-    if box is None:
         matrix = (t @ (gram_raw * grid.dx**2) @ t.T).astype(complex)
-        if projector is not None:
-            matrix -= np.outer(a, a.conj())
+        matrix -= np.outer(a, a.conj())
         return fields, matrix
 
     inputs = _mix_modes(t, inputs)
@@ -904,14 +853,8 @@ def _chain_matrix(plan, basis):
         for step in steps:
             v = step(v)
         outputs[k] = v
-
-    area = plan.pupil_grid.dx**2
     outputs = outputs.reshape(count, -1).T
-    matrix = (inputs.reshape(count, -1).conj() @ outputs) * area
-    if projector is not None:
-        whole = slice(0, n)
-        p_box = to_box(whole, projector.real[None]) + 1j * to_box(whole, projector.imag[None])
-        matrix -= np.outer(a, (p_box.ravel().conj() @ outputs) * area)
+    matrix = (inputs.reshape(count, -1).conj() @ outputs) * plan.grid.dx**2
     return fields, matrix
 
 
@@ -949,8 +892,7 @@ def extract_operator(plan, basis):
     pupil-plane field vanishes off that box, so M is an inner product
     there.  On the default grid at n_max 6 the vortex extraction from a
     basis peaks at about 36 MiB of ``tracemalloc``.  The perfect chain is
-    the Gram matrix less a rank-one term, summed in the same pass.  A
-    chain must end in a pupil-plane element or have no element at all.
+    the Gram matrix less a rank-one term, summed in the same pass.
     """
     prebuilt = isinstance(basis, ModeFieldSet)
     if (basis.basis if prebuilt else basis).n_max > _MAX_EXTRACTION_ORDER:
@@ -1041,7 +983,7 @@ def output_state_image(target, scene, star_only=False):
             tilt = np.exp(
                 2j * math.pi * r * (x * math.cos(phi) + y * math.sin(phi))
             )
-            # the source enters the chain on the disk's box
+            # the source enters the chain on the disk's box, around the stop's
             return _intensity(target._run(disk * tilt, box).samples)
 
     else:

@@ -113,10 +113,14 @@ class LocalizationEstimate:
             raise ValueError("position angle estimate must lie in [0, 2 pi)")
 
 
+# numpy's Poisson sampler rejects a larger mean with a bare "lam value too large"
+_POISSON_MAX = 9.223372006484771e18
+
+
 def _check_mean_photons(mean_photons):
-    if not 0.0 < mean_photons < math.inf:
+    if not 0.0 < mean_photons <= _POISSON_MAX:
         raise ValueError(
-            f"mean photon number must be finite and positive, got {mean_photons!r}"
+            f"mean photon number must lie in (0, {_POISSON_MAX!r}], got {mean_photons!r}"
         )
 
 

@@ -485,21 +485,15 @@ def propagate(field):
     return OpticalField(out, new_domain, grid.conjugate().half_width)
 
 
-def inverse_propagate(field, box=None):
+def inverse_propagate(field):
     """Inverse of propagate (kernel exp(+i 2 pi u.r)); unitary.
 
-    ``box`` (row and column slices of the output grid) computes the
-    output on that box only and leaves it zero elsewhere, for a field
-    about to meet an element that vanishes off the box; on the box the
-    samples are those of the full transform, bit for bit.  The transform
-    returns the box's block, which is embedded in a zero grid here, so the
-    result always covers the whole grid.
+    The coronagraph chains run their inverse transforms onto the Lyot box
+    directly (``_centered_fft`` with ``box``); this full-grid form serves
+    callers outside them, such as feeding a focal field to a pupil-fed plan.
     """
     grid = field.grid
-    out = _centered_fft(field.samples, grid.dx, inverse=True, box=box)
-    if box is not None:
-        block, out = out, np.zeros((grid.n_pixels, grid.n_pixels), dtype=complex)
-        out[box] = block
+    out = _centered_fft(field.samples, grid.dx, inverse=True)
     new_domain = "focal" if field.domain == "pupil" else "pupil"
     return OpticalField(out, new_domain, grid.conjugate().half_width)
 

@@ -63,12 +63,15 @@ class FisherMatrix:
 
 def _gamma0(r):
     """Overlap of the aperture PSF with a copy displaced radially by r."""
+    # it and _overlap_slope_factor fall as r^-3/2: 0 long before 2 pi r overflows
+    if 2.0 * math.pi * float(r) == math.inf:
+        return 0.0
     return float(_radial_factor(0, r))
 
 
 def _overlap_slope_factor(r):
     """2 J_2(2 pi r)/(pi r); the radial slope of the PSF overlap over -pi."""
-    if r < _R_EPS:
+    if r < _R_EPS or 2.0 * math.pi * float(r) == math.inf:
         return 0.0
     return float(2.0 * bessel_j(2, 2.0 * math.pi * r) / (math.pi * r))
 
@@ -166,10 +169,31 @@ def qfim_high_contrast(r_delta, b):
 
 
 def _cramer_rao_bracket(k11, k22, r_delta):
-    """Per-photon combined variance 1/K_11 + r^2/K_22; takes arrays too."""
+    """Per-photon combined variance 1/K_11 + r^2/K_22; takes arrays too.
+
+    Raises ValueError naming r_delta where an entry is not positive (at
+    1e-300 sigma the quantum K_22 underflows to 0) or where r^2 or K_22
+    overflows (from about 1e153 sigma) into inf/inf or a false 0.  r * r
+    is not float_power: pow rounds 1 in 1,200 squares differently.
+    """
     if np.any(k11 <= 0.0) or np.any(k22 <= 0.0):
-        raise ValueError("Fisher matrix is singular for this error combination")
-    return 1.0 / k11 + r_delta * r_delta / k22
+        raise ValueError(f"Fisher matrix is singular at r_delta={r_delta:g}")
+    r_sq = r_delta * r_delta
+    if r_sq == math.inf or np.any(k22 == math.inf):
+        raise ValueError(f"separation r_delta={r_delta:g} is too large: r^2/K_22 overflows")
+    with np.errstate(over="ignore"):  # a tiny K_22 gives an infinite variance
+        return 1.0 / k11 + r_sq / k22
+
+
+def _target_photons(bracket, rel_error, r_delta):
+    """Photons bracket / (rel_error r)^2 for a sigma_loc/r target; takes arrays.
+
+    The square rounds as ** does but overflows to inf (no photons) or to 0
+    instead of raising; an infinite variance needs infinitely many photons.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        photons = bracket / np.float_power(rel_error * r_delta, 2.0)
+    return np.where(bracket == math.inf, math.inf, photons)
 
 
 def _fisher_bracket(fisher):
@@ -197,7 +221,7 @@ def localization_photons(fisher, rel_error):
     """
     if rel_error <= 0:
         raise ValueError("rel_error must be positive")
-    return _fisher_bracket(fisher) / (rel_error * fisher.scene.r_delta) ** 2
+    return float(_target_photons(_fisher_bracket(fisher), rel_error, fisher.scene.r_delta))
 
 
 def photon_requirement_map(r_over_sigma_values, b_values, task="detection",
@@ -241,11 +265,8 @@ def photon_requirement_map(r_over_sigma_values, b_values, task="detection",
         else:
             # the rows of localization_photons(qfim_polar(scene), target)
             k_rr, k_phiphi = _qfim_entries(r_delta, b_axis)
-            # float_power squares as ** does, but a huge target's square
-            # overflows to inf (no photons needed) instead of raising
-            with np.errstate(over="ignore"):
-                scale = np.float_power(target * r_delta, 2.0)
-            photons = _cramer_rao_bracket(k_rr, k_phiphi, r_delta) / scale
+            bracket = _cramer_rao_bracket(k_rr, k_phiphi, r_delta)
+            photons = _target_photons(bracket, target, r_delta)
         row[:, 0] = r_sigma
         row[:, 1] = b_axis
         row[:, 2] = photons

@@ -171,13 +171,19 @@ def test_montecarlo_zero_separation_truth_exits_2_before_trials(
     assert not list(tmp_path.iterdir())
 
 
-def test_montecarlo_infinite_photons_exits_2_before_trials(tmp_path, monkeypatch, capsys):
-    # numpy's Poisson draw once raised a bare "lam value too large"
+@pytest.mark.parametrize("photons", ["inf", "1e19", "1e300"])
+def test_montecarlo_infinite_photons_exits_2_before_trials(photons, tmp_path, monkeypatch, capsys):
+    # numpy's Poisson draw once raised a bare "lam value too large", and
+    # a finite mean above its limit left an empty --out-dir behind
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    argv = ["montecarlo", "--photons", "inf", "--trials", "2", "--n-max", "4", "--jobs", "1"]
-    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: --photons must be finite and positive, got inf\n"
-    assert not list(tmp_path.iterdir())
+    out = tmp_path / "out"
+    argv = ["montecarlo", "--photons", photons, "--trials", "2", "--n-max", "4", "--jobs", "1"]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --photons must lie in (0, 9.223372006484771e+18], numpy's Poisson limit, "
+        f"got {float(photons):g}\n"
+    )
+    assert not out.exists()
 
 
 def test_montecarlo_singular_floor_exits_2_before_trials(tmp_path, monkeypatch, capsys):
@@ -189,7 +195,7 @@ def test_montecarlo_singular_floor_exits_2_before_trials(tmp_path, monkeypatch, 
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         "error: truth scene 0 (r 2.22507e-308 sigma, phi 0.18, from --r-start) has no "
-        "quantum localization floor: Fisher matrix is singular for this error combination\n"
+        "quantum localization floor: Fisher matrix is singular at r_delta=1.35693e-308\n"
     )
     assert not list(tmp_path.iterdir())
 

@@ -1,6 +1,7 @@
 """Tests for the photon-counting localization harness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,13 +82,21 @@ def test_sample_mean_must_be_positive(basis10):
         sample_measurement(Scene(0.3 * S, 0.3, 1e-9), basis10, 0.0, 1)
 
 
-@pytest.mark.parametrize("mean", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize("mean", [-1.0, math.inf, math.nan, 1e19, 1e300])
 def test_sample_mean_must_be_finite(basis10, mean):
-    # an infinite mean once reached numpy's bare "lam value too large"
-    with pytest.raises(ValueError, match=f"finite and positive, got {mean!r}"):
+    # an infinite mean, or a finite one above numpy's Poisson limit, once
+    # reached numpy's bare "lam value too large"
+    limit = re.escape("must lie in (0, 9.223372006484771e+18]")
+    with pytest.raises(ValueError, match=f"{limit}, got {re.escape(repr(mean))}$"):
         sample_measurement(Scene(0.3 * S, 0.3, 1e-9), basis10, mean, 1)
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match=limit):
         run_trials(Scene(0.3 * S, 0.3, 1e-9), basis10, mean, 1, seed=0)
+
+
+def test_sample_mean_at_the_poisson_limit():
+    limit = 9.223372006484771e18
+    rec = sample_measurement(Scene(0.3 * S, 0.3, 1e-9), FourierZernikeBasis(2), limit, 1)
+    assert rec.total_photons > 9e18
 
 
 def test_record_invariants():

@@ -411,15 +411,6 @@ def test_pruned_transform_is_the_full_transform(grid_args, kind, inverse, monkey
             assert np.array_equal(got, ref)
             got = _centered_fft(samples[at], grid.dx, inverse, box, at=(at, n))
             assert np.array_equal(got, ref[box])
-    if inverse:
-        # inverse_propagate embeds the box's block in a zero grid
-        field = OpticalField(samples, "focal", grid.half_width)
-        boxed = inverse_propagate(field, box)
-        assert np.array_equal(boxed.samples[box], inverse_propagate(field).samples[box])
-        off = np.ones((n, n), dtype=bool)
-        off[box] = False
-        assert not boxed.samples[off].any()
-        assert boxed.half_width == grid.conjugate().half_width
 
 
 def test_disk_transform_matches_analytic_psf(grid):

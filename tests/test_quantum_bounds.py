@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import j1
@@ -19,6 +19,7 @@ from artifact.quantum_bounds import (
     photon_requirement_map,
     qce,
     qce_high_contrast,
+    qfim_diagonal,
     qfim_high_contrast,
     qfim_polar,
     sigma_loc,
@@ -257,6 +258,63 @@ def test_localization_photons_round_trip():
     singular = FisherMatrix(np.diag([1.0, 0.0]), scene)
     with pytest.raises(ValueError):
         localization_photons(singular, 0.1)
+
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+S1 = separation_from_sigma_units(1.0)
+
+
+@given(
+    r=st.floats(min_value=0.0, allow_infinity=False),
+    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+    b=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+@example(r=separation_from_sigma_units(1e-300), phi=0.3, b=0.5)
+@example(r=1e200, phi=0.3, b=0.5)
+@example(r=separation_from_sigma_units(1e300), phi=0.3, b=0.5)
+@example(r=separation_from_sigma_units(1.7e308), phi=0.3, b=0.5)
+@example(r=0.3, phi=0.3, b=_BELOW_ONE)
+@example(r=1e200, phi=0.3, b=_BELOW_ONE)
+@example(r=1e10, phi=0.3, b=1e-320)  # r^2/K_22 = inf, (1e300 r)^2 = inf
+@settings(max_examples=200, deadline=None)
+def test_bounds_over_the_whole_scene_domain(r, phi, b):
+    # every bound is a number or inf, or a ValueError naming r_delta: at
+    # 1e200 the angular entry's r^2 overflowed into inf/inf = NaN, at
+    # 1e-300 sigma it underflows to a singular matrix, and at 1.7e308
+    # sigma 2 pi r overflowed into "Bessel argument must be finite"
+    scene = Scene(r, phi, b)
+    # the matrix qfim_polar builds, here also on axis, where it refuses
+    fisher = FisherMatrix(np.diag(qfim_diagonal(scene)), scene)
+    bounds = (
+        lambda: qce(scene),
+        lambda: qfim_diagonal(scene)[0],
+        lambda: qfim_diagonal(scene)[1],
+        lambda: sigma_loc(fisher, 1e10),
+        lambda: localization_photons(fisher, 0.1),
+        lambda: localization_photons(fisher, 1e300),
+        lambda: photon_requirement_map([r / S1], [b], "localization", 1e300)[0, 2],
+    )
+    for bound in bounds:
+        try:
+            value = bound()
+        except ValueError as exc:
+            assert "r_delta" in str(exc)
+        else:
+            assert value >= 0.0  # False for NaN
+
+
+def test_bounds_keep_finite_values_at_the_domain_edges():
+    # the guards change no finite value: these are the closed forms
+    scene = Scene(1e153, 0.3, 0.3)
+    weight = 4.0 * 0.3 * 0.7 * math.pi**2
+    assert qfim_diagonal(scene) == (weight, weight * 1e153**2)
+    fisher = qfim_polar(scene)
+    assert sigma_loc(fisher, 1e10) == math.sqrt((1.0 / weight + 1e306 / (weight * 1e306)) / 1e10)
+    assert qfim_diagonal(Scene(separation_from_sigma_units(1.7e308), 0.3, 0.3))[0] == weight
+    with pytest.raises(ValueError, match="r_delta=1e\\+200 is too large"):
+        sigma_loc(qfim_polar(Scene(1e200, 0.3, 0.3)), 1e10)
+    with pytest.raises(ValueError, match="singular at r_delta=6.09835e-301"):
+        localization_photons(qfim_polar(Scene(separation_from_sigma_units(1e-300), 0.3, 0.3)), 0.1)
 
 
 def _budget(r_over_sigma, b, task, target, prescription=PRESCRIPTION):
