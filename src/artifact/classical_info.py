@@ -16,6 +16,7 @@ import numpy as np
 from .coronagraph import PropagatorPlan, output_state_image
 from .modebasis import (
     FourierZernikeBasis,
+    _sin_2m,
     all_mode_probabilities,
     all_probability_gradients,
     source_coefficients,
@@ -38,7 +39,10 @@ __all__ = [
 # largest on-axis leak for which detect-or-absorb counting is meaningful
 PSF_THROUGHPUT_CEILING = 1e-3
 
-_QUARTER = 0.5 * math.pi
+# rotation of the sorter that cfim_spade falls back to on a lattice angle: a
+# generic angle, so the rotated sorter's own lattice misses every lattice
+# angle (checked to n_max 60)
+_LATTICE_ROTATION = 0.1
 
 
 def _fundamental_miss(r):
@@ -49,14 +53,6 @@ def _fundamental_miss(r):
         return u2 * (0.25 - u2 * (5.0 / 192.0 - u2 * (7.0 / 4608.0)))
     g = _gamma0(r)
     return 1.0 - g * g
-
-
-def _quarter_distance(phi):
-    """Distance from phi to the nearest multiple of a quarter turn."""
-    rem = math.fmod(phi, _QUARTER)
-    if rem < 0.0:
-        rem += _QUARTER
-    return min(rem, _QUARTER - rem)
 
 
 def cce_spade_binary(scene):
@@ -135,13 +131,16 @@ def cfim_spade(basis, scene):
     """Localization information of ideal mode-sorted photon counting.
 
     Sums the analytic per-outcome contributions over the truncated
-    basis.  Position angles within 1e-6 of a quarter turn carry no
-    angular signal in an axis-aligned basis, so an unrotated basis is
-    silently swapped for one rotated by an eighth turn there; pass a
-    basis built with nonzero rotation to take responsibility instead.
+    basis.  On a lattice angle, where some angular factor Theta_m with
+    1 <= m <= n_max vanishes (|sin(2 m phi)| < 1e-6, so phi is near
+    k pi/(2m)), outcomes of zero probability still carry information
+    that the sum cannot read; an unrotated basis is silently swapped
+    there for one rotated by 0.1 rad.  Pass a basis built with nonzero
+    rotation to take responsibility instead.
     """
-    if basis.rotation == 0.0 and _quarter_distance(scene.phi_delta) < 1e-6:
-        basis = FourierZernikeBasis(basis.n_max, rotation=0.25 * math.pi)
+    m = np.arange(1, basis.n_max + 1)
+    if basis.rotation == 0.0 and np.any(np.abs(_sin_2m(m, scene.phi_delta)) < 1e-6):
+        basis = FourierZernikeBasis(basis.n_max, rotation=_LATTICE_ROTATION)
     contrib = per_mode_information(basis, scene)
     return FisherMatrix(contrib.sum(axis=0), scene)
 

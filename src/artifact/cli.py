@@ -21,7 +21,8 @@ the ``outputs`` written, the wall-clock ``duration_s``, and under
 ``parameters`` every other parsed option except ``--out-dir``
 (``tables`` adds the ``kind`` its ``--table`` selects).  Exit code 0
 means success, 2 a configuration or usage error, 3 numerical
-non-convergence.  Telescope prescriptions come from ``--config`` or,
+non-convergence or another numerical failure (any ``ArithmeticError``,
+such as an overflow).  Telescope prescriptions come from ``--config`` or,
 when that is absent, the ``ARTIFACT_TELESCOPE_CONFIG`` environment
 variable.  Sweep axes are given as ``v1,v2,...`` lists or
 ``start:stop:count`` ranges (append ``:log`` for geometric spacing).
@@ -61,15 +62,15 @@ from .estimation import (
     _POISSON_MAX,
     PATCH_MIN_ESTIMATES,
     coarse_table,
-    patch_efficiency,
+    fit_uncertainty_patch,
     run_trials,
     spiral_truths,
 )
 from .modebasis import FourierZernikeBasis
 from .optics import (
+    GridSpec,
     Scene,
     check_source_in_window,
-    default_grid,
     load_prescription,
     separation_from_sigma_units,
     wrap_angle,
@@ -335,7 +336,7 @@ def _check_table_sources(scene, kind, r_sigma):
         if kind == "localization":
             h = imaging_step(scene.r_delta)
             reach = max(scene.b, 1.0 - scene.b) * (scene.r_delta + h)
-        check_source_in_window(reach, default_grid())
+        check_source_in_window(reach, GridSpec())
     except ValueError as exc:
         raise ValueError(f"--r-delta-over-sigma {r_sigma:g}: {exc}") from None
 
@@ -511,7 +512,8 @@ def cmd_montecarlo(args):
     scene flags or ``--spiral N`` truth points along an arc.  Cluster k
     runs with seed ``--seed + k`` so any cluster reproduces in
     isolation.  Exits 2 before the first trial when ``--photons`` is not
-    positive or exceeds numpy's Poisson limit (about 9.2e18) or a truth's
+    positive or exceeds numpy's Poisson limit (about 9.2e18), a spiral's
+    ``--r-start`` or ``--r-end`` is negative or not finite, or a truth's
     quantum floor is undefined (at zero separation, or where its Fisher
     matrix is singular), and 3 when any cluster converges on fewer than
     90% of its trials.
@@ -525,6 +527,9 @@ def cmd_montecarlo(args):
         raise ValueError(f"--spiral must be nonnegative, got {args.spiral}")
     b = args.contrast_b
     if args.spiral > 0:
+        for flag, value in (("--r-start", args.r_start), ("--r-end", args.r_end)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{flag} must be finite and nonnegative, got {value:g}")
         scenes = spiral_truths(
             args.spiral,
             separation_from_sigma_units(args.r_start),
@@ -597,16 +602,17 @@ def cmd_montecarlo(args):
         n_conv = sum(int(t.estimate.converged) for t in results)
         worst_fraction = min(worst_fraction, n_conv / len(results))
         if len(results) >= PATCH_MIN_ESTIMATES:
-            patch, floor, ratio = patch_efficiency(scene, results, args.photons)
+            patch = fit_uncertainty_patch([t.estimate for t in results])
         else:
-            patch, floor, ratio = math.nan, floors[k], math.nan
+            patch = math.nan
+        ratio = patch / floors[k]  # 1 for an estimator saturating the quantum floor
         summary_rows.append(
             (
                 k,
                 scene.r_delta / separation_from_sigma_units(1.0),
                 scene.phi_delta,
                 patch,
-                floor,
+                floors[k],
                 ratio,
                 n_conv,
                 len(results),
@@ -819,8 +825,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # the numerical solvers raise RuntimeError when they do not converge
+    except (RuntimeError, ArithmeticError) as exc:
+        # the numerical solvers raise RuntimeError when they do not converge;
+        # an overflow or a division by zero is a numerical failure too
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

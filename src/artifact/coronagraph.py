@@ -50,19 +50,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
-from .modebasis import (
-    FourierZernikeBasis,
-    ModeFieldSet,
-    mode_field_stack,
-    source_coefficients,
-)
+from .modebasis import ModeFieldSet, mode_field_stack, source_coefficients
 from .optics import (
     GridSpec,
     OpticalField,
     _centered_fft,
     _disk_coverage,
     check_source_in_window,
-    default_grid,
     psf_field,
     pupil_disk_field,
     shifted_source_field,
@@ -299,7 +293,7 @@ def perfect_plan(fundamental=None, grid=None):
     fundamental (pass ``stack.field(0)``), whose grid orthonormalization
     differs from the raw PSF samples at the 1e-2 level.
     """
-    grid = grid or default_grid()
+    grid = grid or GridSpec()
     if fundamental is None:
         fundamental = psf_field(grid)
     if fundamental.domain != "focal":
@@ -571,7 +565,7 @@ def piaacmc_design(grid=None):
     of scipy's ``brentq`` that gives its roots bit for bit, so the solve
     imports none of scipy's optimizers.
     """
-    grid = grid or default_grid()
+    grid = grid or GridSpec()
     c = prolate_c_star()
     radial = prolate_radial(c)
     stop = lyot_stop_array(grid)
@@ -634,7 +628,7 @@ def piaacmc_design(grid=None):
 
 def piaacmc_plan(grid=None):
     """Apodizer, pi-phase spot, Lyot stop, inverse apodizer chain."""
-    grid = grid or default_grid()
+    grid = grid or GridSpec()
     d = piaacmc_design(grid)
     elements = (
         ("apodizer", d.apodizer),
@@ -655,7 +649,7 @@ def vortex_plan(grid=None):
     The phase is sampled at pixel centers with the singular center pixel
     zeroed.
     """
-    grid = grid or default_grid()
+    grid = grid or GridSpec()
     ax = grid.axis()
     # the mesh's angles from broadcast axes, and the product and exp in one
     # complex buffer: the values of exp(1j * charge * arctan2(y, x)) on the
@@ -706,10 +700,6 @@ class CoronagraphOperator:
             raise ValueError("mode coefficient matrix must be square over the mode set")
         if np.max(np.abs(self.transmissions)) > _TRANSMISSION_CEILING:
             raise ValueError("transmissions exceed the remap-model ceiling")
-
-    def mode_field(self, k):
-        """Singular mode k as a focal-plane field."""
-        return self.fields.synthesize(self.mode_coefficients[:, k])
 
     def apply_coefficients(self, coeffs):
         """Stack coefficients of C applied to a field with given coefficients."""

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modebasis import FourierZernikeBasis, all_mode_probabilities
+from .modebasis import all_mode_probabilities
 from .optics import AIRY_SIGMA, Scene, wrap_angle
-from .quantum_bounds import qfim_polar, sigma_loc
 
 __all__ = [
     "PATCH_MIN_ESTIMATES",
@@ -35,7 +34,6 @@ __all__ = [
     "fit_uncertainty_patch",
     "fold_position_angle",
     "mle_localize",
-    "patch_efficiency",
     "run_trials",
     "sample_measurement",
     "spiral_truths",
@@ -437,18 +435,6 @@ def run_trials(scene, basis, mean_photons, n_trials, seed, table=None):
         TrialResult(index=k, seed=s, n_photons=record.total_photons, estimate=est)
         for k, (s, record, est) in enumerate(zip(seeds, records, estimates))
     ]
-
-
-def patch_efficiency(scene, results, mean_photons):
-    """(patch size, quantum floor, their ratio) for one trial cluster.
-
-    The floor is the combined localization error of the exact quantum
-    matrix at the truth scene for the mean photon budget, so the ratio
-    reads 1 for an estimator saturating the bound.
-    """
-    patch = fit_uncertainty_patch([t.estimate for t in results])
-    floor = sigma_loc(qfim_polar(scene), mean_photons)
-    return patch, floor, patch / floor
 
 
 def spiral_truths(count, r_start, r_end, b):

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .optics import _R_EPS, GridSpec, OpticalField, Scene, default_grid
+from .optics import _R_EPS, GridSpec, OpticalField, Scene
 from .specfun import ZernikeIndex, bessel_j, zernike_angular
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "all_mode_probabilities",
     "all_probability_gradients",
     "mode_field_stack",
-    "source_coefficient_gradients",
     "source_coefficients",
 ]
 
@@ -124,31 +123,18 @@ def _radial_factor(n, r):
     return out
 
 
-def _check_sources(r, phi):
-    if not (r >= 0.0).all():
-        raise ValueError("source radius must be nonnegative")
-    if not np.isfinite(phi).all():
-        raise ValueError("source angle must be finite")
-
-
-def _theta_rows(basis, phi, derivative=False):
+def _theta_rows(basis, phi):
     """Real angular factors Theta_m(phi - rotation), shape (S, 2 n_max + 1).
 
     ``phi`` has shape (S,); column n_max + m holds the factor of angular
-    index m = -n_max..n_max, or its phi-derivative when ``derivative``.
+    index m = -n_max..n_max.
     """
-    mu = basis._radial_orders[1:]
-    arg = (phi - basis.rotation)[:, None] * mu
+    arg = (phi - basis.rotation)[:, None] * basis._radial_orders[1:]
     root2 = math.sqrt(2.0)
     rows = np.empty((phi.size, 2 * basis.n_max + 1))
-    if derivative:
-        rows[:, : basis.n_max] = (mu * root2 * np.cos(arg))[:, ::-1]
-        rows[:, basis.n_max] = 0.0
-        rows[:, basis.n_max + 1 :] = -mu * root2 * np.sin(arg)
-    else:
-        rows[:, : basis.n_max] = root2 * np.sin(arg)[:, ::-1]
-        rows[:, basis.n_max] = 1.0
-        rows[:, basis.n_max + 1 :] = root2 * np.cos(arg)
+    rows[:, : basis.n_max] = root2 * np.sin(arg)[:, ::-1]
+    rows[:, basis.n_max] = 1.0
+    rows[:, basis.n_max + 1 :] = root2 * np.cos(arg)
     return rows
 
 
@@ -180,32 +166,12 @@ def source_coefficients(basis, r, phi):
     r, phi = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
     if r.ndim > 1:
         raise ValueError("source positions must be scalars or 1-D arrays")
-    _check_sources(r, phi)
+    if not (r >= 0.0).all():
+        raise ValueError("source radius must be nonnegative")
+    if not np.isfinite(phi).all():
+        raise ValueError("source angle must be finite")
     rows = _source_rows(basis, np.atleast_1d(r), np.atleast_1d(phi))
     return rows[0] if r.ndim == 0 else rows
-
-
-def source_coefficient_gradients(basis, r, phi):
-    """Derivatives of the source projection coefficients, shape (count, 2).
-
-    Columns are d/dr and d/dphi of each coefficient.  The radial factor
-    derivative follows the Bessel ladder
-    d/dr [sqrt(n+1) J_{n+1}(2 pi r)/(pi r)] =
-    pi (J_{n-1} - J_{n+3})(2 pi r) / sqrt(n+1).
-    """
-    r_arr, phi_arr = np.array([float(r)]), np.array([float(phi)])
-    _check_sources(r_arr, phi_arr)
-    ns = basis._radial_orders
-    j_all = bessel_j(np.arange(-1, basis.n_max + 4), 2.0 * math.pi * r)
-    drow = math.pi * (j_all[ns] - j_all[ns + 4]) / basis._radial_norms
-    col = basis._theta_col
-    out = np.empty((basis.count, 2))
-    out[:, 0] = drow[basis._n_arr] * _theta_rows(basis, phi_arr)[0, col]
-    out[:, 1] = (
-        _radial_factor(basis._radial_orders, r_arr)[basis._n_arr]
-        * _theta_rows(basis, phi_arr, derivative=True)[0, col]
-    )
-    return out
 
 
 def _source_probability_gradients(basis, r, phi):
@@ -450,7 +416,7 @@ def mode_field_stack(basis, grid=None, visit=None):
     that pass (see ``ModeFieldSet._raw_blocks``), so a caller can reduce
     the samples without generating them again.
     """
-    grid = grid or default_grid()
+    grid = grid or GridSpec()
     raw = ModeFieldSet(basis, grid, *_radius_tables(basis, grid), np.eye(basis.count))
     g = raw._raw_gram(visit)
     scale = 1.0 / np.sqrt(np.diag(g))

@@ -16,7 +16,7 @@ renormalization keeps single-photon states at norm 1 on every grid.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import j1
@@ -29,7 +29,6 @@ __all__ = [
     "TelescopePrescription",
     "wrap_angle",
     "separation_from_sigma_units",
-    "default_grid",
     "pupil_function",
     "psf",
     "pupil_disk_field",
@@ -91,10 +90,6 @@ class GridSpec:
     def conjugate(self):
         """Grid of the FFT-conjugate plane (same n, half_width 1/(2 dx))."""
         return GridSpec(self.n_pixels, 0.5 / self.dx)
-
-
-def default_grid():
-    return GridSpec()
 
 
 @dataclass(frozen=True)
@@ -201,14 +196,7 @@ class TelescopePrescription:
             raise ValueError("photon_flux_hz must be positive")
 
 
-_PRESCRIPTION_KEYS = (
-    "diameter_m",
-    "center_wavelength_m",
-    "bandwidth_m",
-    "star_vmag",
-    "reference_flux_si",
-    "photon_flux_hz",
-)
+_PRESCRIPTION_KEYS = tuple(f.name for f in fields(TelescopePrescription))
 
 
 def load_prescription(path):
@@ -335,7 +323,7 @@ def pupil_disk_field(grid=None):
     RMS is about 1e-3 (9.5e-4); even the least-squares best pupil supported
     within r <= 1 + 2 dx leaves 3.4e-4 there.
     """
-    grid = grid or default_grid()
+    grid = grid or GridSpec()
     cov = _disk_coverage(grid, 1.0)
     f = OpticalField(cov.astype(complex) / math.sqrt(math.pi), "pupil", grid.half_width)
     return f.normalized()
@@ -377,7 +365,7 @@ def psf_field(grid=None):
 
     The samples are those of ``psf`` at the pixel centers, renormalized.
     """
-    grid = grid or default_grid()
+    grid = grid or GridSpec()
     ax = grid.axis()
     return _airy_field(np.hypot(ax, ax[:, None]), grid)
 
@@ -410,7 +398,7 @@ def shifted_source_field(s, grid=None):
     turns them into the field in place: 53-89 ms on the default grid on a
     shared 2-core Xeon, about 31 ms of it J_1.
     """
-    grid = grid or default_grid()
+    grid = grid or GridSpec()
     s_arr = np.asarray(s, dtype=float)
     check_source_in_window(float(np.hypot(*s_arr)), grid)
     ax = grid.axis()

@@ -38,7 +38,9 @@ class FisherMatrix:
 
     Holds either the measurement-independent bound or a specific
     measurement's matrix.  The scene the matrix was evaluated at is kept
-    so downstream error combiners know the separation.
+    so downstream error combiners know the separation.  An infinite
+    entry is accepted only as diag(w, inf) with w >= 0, the matrix that
+    qfim_polar builds from about 1e153 sigma, where r^2 overflows.
     """
 
     entries: np.ndarray
@@ -48,11 +50,17 @@ class FisherMatrix:
         entries = np.array(self.entries, dtype=float)
         if entries.shape != (2, 2):
             raise ValueError("Fisher matrix must be 2x2")
-        entries = 0.5 * (entries + entries.T)
-        object.__setattr__(self, "entries", entries)
-        scale = max(1.0, float(np.abs(entries).max()))
-        if float(np.linalg.eigvalsh(entries)[0]) < -1e-12 * scale:
+        if np.isnan(entries).any():
+            raise ValueError("Fisher matrix has a NaN entry")
+        if np.isinf(entries).any():
+            psd = entries[0, 1] == entries[1, 0] == 0.0 and entries.diagonal().min() >= 0.0
+        else:
+            entries = 0.5 * (entries + entries.T)
+            scale = max(1.0, float(np.abs(entries).max()))
+            psd = float(np.linalg.eigvalsh(entries)[0]) >= -1e-12 * scale
+        if not psd:
             raise ValueError("Fisher matrix is not positive semidefinite")
+        object.__setattr__(self, "entries", entries)
 
     def dominates(self, other):
         """True when self - other is PSD within 1e-9 of self's trace."""
@@ -208,8 +216,8 @@ def sigma_loc(fisher, n_photons):
     Uses the diagonal Cramer-Rao variances of the supplied Fisher matrix
     at its stored scene separation, for n_photons detected photons.
     """
-    if n_photons <= 0:
-        raise ValueError("photon count must be positive")
+    if not n_photons > 0:  # False for NaN
+        raise ValueError(f"photon count must be positive, got {n_photons!r}")
     return math.sqrt(_fisher_bracket(fisher) / n_photons)
 
 
@@ -219,8 +227,8 @@ def localization_photons(fisher, rel_error):
     ``fisher`` is any FisherMatrix (the quantum bound or a measurement's
     classical matrix); the separation is that of its stored scene.
     """
-    if rel_error <= 0:
-        raise ValueError("rel_error must be positive")
+    if not rel_error > 0:  # False for NaN
+        raise ValueError(f"rel_error must be positive, got {rel_error!r}")
     return float(_target_photons(_fisher_bracket(fisher), rel_error, fisher.scene.r_delta))
 
 

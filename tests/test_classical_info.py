@@ -134,12 +134,25 @@ def test_spade_fundamental_quadratic_contrast(basis60):
 
 def test_spade_quarter_turn_alignment_rotates_basis(basis60):
     # position angles on the cosine/sine lattice hit zero-probability
-    # outcomes; the fallback evaluates in a basis rotated an eighth turn
+    # outcomes; the fallback evaluates in a basis rotated by 0.1 rad
     f_auto = cfim_spade(basis60, Scene(0.3 * S, 0.0, 1e-9))
-    f_rot = cfim_spade(
-        FourierZernikeBasis(60, rotation=math.pi / 4), Scene(0.3 * S, 0.0, 1e-9)
-    )
+    f_rot = cfim_spade(FourierZernikeBasis(60, rotation=0.1), Scene(0.3 * S, 0.0, 1e-9))
     assert_allclose(f_auto.entries, f_rot.entries, rtol=1e-12, atol=1e-30)
+
+
+@pytest.mark.parametrize("n_max", [10, 20])
+def test_spade_meets_the_quantum_bound_on_every_lattice_angle(n_max):
+    # on a lattice angle k pi/(2m), 1 <= m <= n_max, an angular factor
+    # Theta_m vanishes, and outcomes of zero probability still carry
+    # information that the per-outcome sum cannot read.  A fallback that
+    # caught quarter turns only, and rotated onto the eighth-turn lattice,
+    # left 38 of the 133 angles at n_max 10 off the bound, by up to 18%
+    basis = FourierZernikeBasis(n_max)
+    angles = {k * math.pi / (2 * m) for m in range(1, n_max + 1) for k in range(4 * m)}
+    for phi in sorted(angles):
+        scene = Scene(0.3 * S, phi, 1e-9)
+        ratio = np.diag(cfim_spade(basis, scene).entries) / np.diag(qfim_polar(scene).entries)
+        assert_allclose(ratio, 1.0, rtol=0, atol=1e-6, err_msg=f"phi={phi!r}")
 
 
 def test_spade_rotation_leaves_saturated_matrix(basis60):

@@ -10,6 +10,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 
 import numpy as np
@@ -74,6 +75,21 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr or f"scipy.optimize was imported by {code!r}"
+
+
+def test_package_import_loads_no_submodule_numpy_or_scipy():
+    # the package holds only its version; every name has one home module
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, artifact; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy') "
+        "or m.startswith('artifact.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_montecarlo_exit_code_and_outputs(spiral_runs):
@@ -198,6 +214,27 @@ def test_montecarlo_singular_floor_exits_2_before_trials(tmp_path, monkeypatch, 
         "quantum localization floor: Fisher matrix is singular at r_delta=1.35693e-308\n"
     )
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--r-end", "inf"), ("--r-end", "nan"), ("--r-start", "-0.1")]
+)
+def test_montecarlo_spiral_radius_outside_its_domain_exits_2_before_trials(
+    flag, value, tmp_path, monkeypatch, capsys
+):
+    # --r-end inf once reached the spiral, where numpy warned "invalid value
+    # encountered in scalar multiply" before Scene's message, which named
+    # neither the option nor the value
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    out = tmp_path / "out"
+    argv = ["montecarlo", "--spiral", "2", flag, value, "--trials", "2", "--n-max", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--jobs", "1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} must be finite and nonnegative, got {float(value):g}\n"
+    )
+    assert not out.exists()
 
 
 def test_montecarlo_wraps_phi(tmp_path, monkeypatch):
@@ -396,6 +433,18 @@ def test_non_convergence_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "error: grid prolate power iteration did not converge\n"
     assert not (tmp_path / "detection_times.csv").exists()
+
+
+def test_arithmetic_error_exits_3(tmp_path, monkeypatch, capsys):
+    # an overflow or a division by zero is a numerical failure, not a
+    # traceback with exit 1
+    def overflowing(args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "cmd_bounds", overflowing)
+    assert main(["bounds", "--target", "qce", "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: math range error\n"
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

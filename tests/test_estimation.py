@@ -20,7 +20,6 @@ from artifact.estimation import (
     fit_uncertainty_patch,
     fold_position_angle,
     mle_localize,
-    patch_efficiency,
     run_trials,
     sample_measurement,
     spiral_truths,
@@ -349,8 +348,8 @@ def test_cluster_tracks_quantum_floor(basis10, table10):
     truth = Scene(0.3 * S, 0.8, 1e-9)
     res = run_trials(truth, basis10, 3e11, 500, seed=2026, table=table10)
     assert sum(t.estimate.converged for t in res) >= 490
-    patch, floor, ratio = patch_efficiency(truth, res, 3e11)
-    assert floor == pytest.approx(sigma_loc(qfim_polar(truth), 3e11))
+    patch = fit_uncertainty_patch([t.estimate for t in res])
+    ratio = patch / sigma_loc(qfim_polar(truth), 3e11)
     assert 0.9 <= ratio <= 1.6
 
 

@@ -27,7 +27,6 @@ from artifact.optics import (
     _airy_amplitude,
     _centered_fft,
     _disk_coverage,
-    default_grid,
     inverse_propagate,
     load_prescription,
     overlap,
@@ -46,7 +45,7 @@ from artifact.specfun import bessel_j
 
 @pytest.fixture(scope="module")
 def grid():
-    return default_grid()
+    return GridSpec()
 
 
 @pytest.fixture(scope="module")
@@ -489,7 +488,7 @@ def test_overlap_requires_matching_grids(airy):
     other = psf_field(GridSpec(512, 16.0))
     with pytest.raises(ValueError):
         overlap(airy, other)
-    pupil = pupil_disk_field(default_grid())
+    pupil = pupil_disk_field(GridSpec())
     with pytest.raises(ValueError):
         overlap(airy, pupil)
 

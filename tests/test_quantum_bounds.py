@@ -74,6 +74,19 @@ def test_fisher_matrix_validation():
         FisherMatrix(np.diag([1.0, -1.0]), scene)
     fm = FisherMatrix([[2.0, 0.1], [0.3, 1.0]], scene)
     assert fm.entries[0, 1] == fm.entries[1, 0] == pytest.approx(0.2)
+    # eigvalsh reads NaN for these, which no PSD comparison rejects
+    with pytest.raises(ValueError, match="NaN entry"):
+        FisherMatrix(np.diag([math.nan, 1.0]), scene)
+    for entries in (
+        np.diag([-5.0, math.inf]),
+        np.diag([1.0, -math.inf]),
+        [[1.0, math.inf], [math.inf, 1.0]],
+        [[1.0, math.inf], [-math.inf, 1.0]],
+    ):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            FisherMatrix(entries, scene)
+    # the matrix qfim_polar builds once r^2 overflows
+    assert FisherMatrix(np.diag([9.87, math.inf]), scene).entries[1, 1] == math.inf
 
 
 def test_fisher_dominance_order():
@@ -242,8 +255,9 @@ def test_sigma_loc_scaling_and_equal_brightness_value():
 
 def test_sigma_loc_rejects_degenerate_inputs():
     fm = qfim_polar(Scene(0.7, 0.0, 0.5))
-    with pytest.raises(ValueError):
-        sigma_loc(fm, 0.0)
+    for photons in (0.0, math.nan):
+        with pytest.raises(ValueError, match="photon count must be positive"):
+            sigma_loc(fm, photons)
     singular = FisherMatrix(np.diag([1.0, 0.0]), Scene(0.7, 0.0, 0.5))
     with pytest.raises(ValueError):
         sigma_loc(singular, 1e6)
@@ -258,6 +272,9 @@ def test_localization_photons_round_trip():
     singular = FisherMatrix(np.diag([1.0, 0.0]), scene)
     with pytest.raises(ValueError):
         localization_photons(singular, 0.1)
+    for target in (0.0, math.nan):
+        with pytest.raises(ValueError, match="rel_error must be positive"):
+            localization_photons(qfim_polar(scene), target)
 
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
