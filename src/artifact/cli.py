@@ -37,6 +37,7 @@ import math
 import os
 import pathlib
 import platform
+import resource
 import sys
 import time
 
@@ -780,8 +781,9 @@ def _write_manifest(args, outputs, duration_s):
 
     Re-running the same command with the options recorded here
     regenerates byte-identical CSVs on the same build and libraries; the
-    wall-clock duration is the only field expected to differ between such
-    runs.
+    wall-clock duration and the process's peak resident set size so far
+    (``peak_rss_mb``, from ``getrusage``, which Linux reports in KiB) are
+    the only fields expected to differ between such runs.
     """
     parameters = {
         key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS
@@ -799,6 +801,7 @@ def _write_manifest(args, outputs, duration_s):
         },
         "seed": args.seed,
         "duration_s": round(duration_s, 3),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     }
     path = pathlib.Path(args.out_dir) / f"{args.command}_manifest.json"
     with open(path, "w") as fh:

@@ -11,12 +11,14 @@ Three stellar-rejection designs share one propagation backbone:
 * ``vortex``: a charge-2 spiral phase in the focal plane followed by a
   Lyot stop; on-axis light diffracts outside the clear aperture.
 
-A chain is a ``PropagatorPlan`` in one of the three designs' layouts.
+A chain is a ``PropagatorPlan`` in one of the three designs' layouts,
+holding each element on the box where it acts.
 ``extract_operator`` compresses a plan onto a truncated mode basis and
 factors it into singular modes with complex per-mode transmissions; the
 resulting ``CoronagraphOperator`` applies in coefficient space.
 ``output_state_image`` renders the detected intensity of a two-point
-scene through either representation.
+scene through either representation; a plan squares each source's output
+in the pass that computes it, so no full-grid complex output is built.
 
 Extraction never transforms a full grid and holds no mode stack.  The
 centered DFT is unitary, so <chi_j, plan(chi_k)> equals an inner product
@@ -28,7 +30,8 @@ grid rows while the modes are sampled: each mode is generated once, and
 the orthonormalizing map of the mode set is applied to the box-sized
 sums.  At n_max 6 on the default grid, measured on a shared 2-core
 machine, the vortex extraction from a bare basis takes 1.8 s and peaks at
-36 MiB of ``tracemalloc``.
+28.6 MiB of ``tracemalloc`` on a built plan, 44.7 MiB with the plan's
+construction (52.6 MiB when the plan held its stop on the whole grid).
 ``PropagatorPlan.apply`` runs the same box steps as extraction: from the
 first pupil element on it carries a field on the Lyot box and transforms
 it to the focal grid once, with full-grid FFTs only for the vortex's
@@ -52,8 +55,10 @@ from scipy.special import j0
 
 from .modebasis import ModeFieldSet, mode_field_stack, source_coefficients
 from .optics import (
+    _CHUNK,
     GridSpec,
     OpticalField,
+    _add_intensity,
     _centered_fft,
     _disk_coverage,
     check_source_in_window,
@@ -134,25 +139,35 @@ def read_raster(path):
 def lyot_stop_array(grid):
     """Binary unit-disk stop: pixels lying entirely inside the aperture.
 
-    Boundary-straddling pixels are excluded; keeping them admits the
-    rasterized edge jump of nulled fields at the 1e-3 energy level, an
-    order above the nulls the inner rasterization reaches.
+    Returns (stop, box): the stop on ``box``, the row and column slices of
+    the bounding box of its pixels (63 x 63 on the default grid); the stop
+    is zero off it.  Boundary-straddling pixels are excluded; keeping them
+    admits the rasterized edge jump of nulled fields at the 1e-3 energy
+    level, an order above the nulls the inner rasterization reaches.
     """
-    return (_disk_coverage(grid, 1.0) >= 1.0).astype(float)
+    cov, box = _disk_coverage(grid, 1.0)
+    return _cut_to_support((cov >= 1.0).astype(float), box)
 
 
 @dataclass(frozen=True)
 class PropagatorPlan:
     """A coronagraph chain in one of the three designs' layouts.
 
-    Elements are (kind, array) pairs; pupil-plane kinds (apodizer,
-    lyot_stop, inverse_apodizer) and the focal_mask trigger a propagation
-    whenever the running field is in the other plane.  The output is
-    always returned in the focal plane.  Only the designs' layouts are
-    built, others raise ValueError: focal-fed, a ``projector`` that
-    subtracts the component along a fixed focal field and no elements
-    (perfect); pupil-fed, no projector, a leading focal mask (vortex) or
-    pupil element (PIAACMC), no two masks side by side, a pupil element last.
+    Elements are (kind, array, box) triples: ``box`` holds row and column
+    slices of the grid and ``array`` the element's samples there.  Off its
+    box a pupil-plane element (apodizer, lyot_stop, inverse_apodizer) is
+    zero and a focal_mask is one, so a plan holds each element only where
+    it acts: a PIAACMC plan holds its pupil elements on the Lyot stop's
+    63 x 63 box and its spot on a 19 x 19 box on the default grid, and no
+    full-grid array; a vortex plan holds its full-grid spiral phase.  Each
+    element triggers a propagation whenever the running field is in the
+    other plane, and the output is always returned in the focal plane.
+    Only the designs' layouts are built, others raise ValueError:
+    focal-fed, a ``projector`` that subtracts the component along a fixed
+    focal field and no elements (perfect); pupil-fed, no projector, a
+    leading focal mask on the whole grid (vortex) or a pupil element
+    (PIAACMC), no two masks side by side, a pupil element last, and every
+    pupil element on one box, ``pupil_box``.
     """
 
     name: str
@@ -165,14 +180,17 @@ class PropagatorPlan:
         if self.input_domain not in ("pupil", "focal"):
             raise ValueError("input_domain must be 'pupil' or 'focal'")
         n = self.grid.n_pixels
-        for kind, arr in self.elements:
+        for kind, arr, box in self.elements:
             if kind not in ELEMENT_KINDS:
                 raise ValueError("unknown element kind %r" % kind)
-            if np.shape(arr) != (n, n):
-                raise ValueError("element %r array must match the grid" % kind)
+            if not all(0 <= s.start <= s.stop <= n for s in box) or np.shape(arr) != tuple(
+                s.stop - s.start for s in box
+            ):
+                raise ValueError("element %r array must match its box on the grid" % kind)
         if self.projector is not None and self.projector.shape != (n, n):
             raise ValueError("projector must match the grid")
-        kinds = [kind for kind, _ in self.elements]
+        kinds = [kind for kind, _, _ in self.elements]
+        pupil_boxes = [box for kind, _, box in self.elements if kind != "focal_mask"]
         if self.input_domain == "focal":
             if kinds or self.projector is None:
                 raise ValueError("a focal-fed plan takes a projector and no elements")
@@ -184,6 +202,10 @@ class PropagatorPlan:
             raise ValueError("two focal masks side by side")
         elif kinds[-1] == "focal_mask":
             raise ValueError("the chain must end in a pupil-plane element")
+        elif any(box != pupil_boxes[0] for box in pupil_boxes):
+            raise ValueError("the pupil-plane elements must share one box")
+        elif kinds[0] == "focal_mask" and self.elements[0][2] != (slice(0, n),) * 2:
+            raise ValueError("a leading focal mask must span the grid")
 
     @property
     def output_grid(self):
@@ -196,18 +218,16 @@ class PropagatorPlan:
         """
         return self.grid if self.input_domain == "focal" else self.grid.conjugate()
 
-    @functools.cached_property
+    @property
     def pupil_box(self):
-        """Row and column slices bounding the joint support of the pupil elements.
+        """Row and column slices of the box that the pupil elements share.
 
         None for a chain without pupil elements.  A pupil-plane field is
         zero off this box once it has met a pupil element: the Lyot stop's
-        63 x 63 pixels on the default grid for the vortex and PIAACMC chains.
+        63 x 63 pixels on the default grid for the vortex and PIAACMC
+        chains, the bounding box of their elements' joint support.
         """
-        pupil = [arr != 0.0 for kind, arr in self.elements if kind != "focal_mask"]
-        if not pupil:
-            return None
-        return _bounding_box(np.any(pupil, axis=0))
+        return next((box for kind, _, box in self.elements if kind != "focal_mask"), None)
 
     @functools.cached_property
     def _box_chain(self):
@@ -220,7 +240,7 @@ class PropagatorPlan:
         """
         lead = self.elements[0][1] if self.elements[0][0] == "focal_mask" else None
         rest = self.elements if lead is None else self.elements[1:]
-        return lead, tuple(_box_step(kind, arr, self.grid, self.pupil_box) for kind, arr in rest)
+        return lead, tuple(_box_step(*element, self.grid, self.pupil_box) for element in rest)
 
     def apply(self, field):
         """Run the chain on one field; linear; returns a focal-plane field.
@@ -245,7 +265,7 @@ class PropagatorPlan:
         whole = slice(0, self.grid.n_pixels)
         return self._run(field.samples, (whole, whole))
 
-    def _run(self, block, at):
+    def _run(self, block, at, accumulate=None):
         """The chain on an input given as its ``block`` on the box ``at``.
 
         ``at`` holds row and column slices of the plan grid; the input is
@@ -255,16 +275,29 @@ class PropagatorPlan:
         cuts the input to ``pupil_box``, inside ``at``.  Each transform
         runs at its own plane's pitch; the output is labelled with
         ``output_grid``, which three crossings miss on GridSpec(40, 3.0).
+        With ``accumulate`` = (image, weight) the output is squared in the
+        pass that computes it and weight times it is added into the real
+        ``image`` (``optics._add_intensity``), which is returned: the
+        column batches of the last transform, or row batches of the
+        perfect chain's difference.
         """
         grid = self.grid
         if self.input_domain == "focal":
-            # block - c * projector in one new buffer; the operand order of
-            # the product matters, since numpy's complex multiply does not
-            # round the imaginary part symmetrically
+            # block - c * projector; the operand order of the product
+            # matters, since numpy's complex multiply does not round the
+            # imaginary part symmetrically
             c = np.vdot(self.projector, block) * grid.dx * grid.dx
-            samples = c * self.projector
-            np.subtract(block, samples, out=samples)
-            return OpticalField(samples, "focal", grid.half_width)
+            if accumulate is None:
+                samples = c * self.projector
+                np.subtract(block, samples, out=samples)
+                return OpticalField(samples, "focal", grid.half_width)
+            image, weight = accumulate
+            for start in range(0, grid.n_pixels, _CHUNK):
+                rows = slice(start, start + _CHUNK)
+                part = c * self.projector[rows]
+                np.subtract(block[rows], part, out=part)
+                _add_intensity(image[rows], part, weight)
+            return image
         lead, steps = self._box_chain
         box = self.pupil_box
         n = grid.n_pixels
@@ -281,7 +314,9 @@ class PropagatorPlan:
         for step in steps:
             v = step(v)
         # propagate, with the row pass on the box rows alone
-        samples = _centered_fft(v, grid.dx, at=(box, n))
+        samples = _centered_fft(v, grid.dx, at=(box, n), accumulate=accumulate)
+        if accumulate is not None:
+            return samples
         return OpticalField(samples, "focal", self.output_grid.half_width)
 
 
@@ -438,13 +473,21 @@ def prolate_c_star():
 
 @dataclass(frozen=True)
 class PiaacmcDesign:
-    """Grid-ready element arrays plus the scalars that produced them."""
+    """Element arrays on their boxes plus the scalars that produced them.
+
+    The apodizer, Lyot stop, inverse apodizer and apodized profile are
+    given on ``box``, the Lyot stop's box, and are zero off it; the focal
+    mask is given on ``spot_box``, the bounding box of the spot, and is
+    one off it.
+    """
 
     grid: GridSpec
     c_value: float
     gamma_radial: float
     mask_radius: float
     gamma_grid: float
+    box: tuple
+    spot_box: tuple
     apodizer: np.ndarray
     focal_mask: np.ndarray
     lyot_stop: np.ndarray
@@ -467,6 +510,18 @@ def _bounding_box(mask):
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
+def _cut_to_support(values, box):
+    """Cut ``values``, given on ``box``, to the bounding box of their nonzero samples.
+
+    Returns the cut values, a copy, and their box as row and column slices
+    of the grid.
+    """
+    cut = _bounding_box(values != 0.0)
+    return values[cut].copy(), tuple(
+        slice(outer.start + inner.start, outer.start + inner.stop) for outer, inner in zip(box, cut)
+    )
+
+
 def _centered_dft_matrix(n, out_idx, in_idx):
     """Kernel exp(-2 pi i (k - n/2)(j - n/2) / n), k in out_idx, j in in_idx.
 
@@ -479,33 +534,30 @@ def _centered_dft_matrix(n, out_idx, in_idx):
     return np.exp(-2j * math.pi * (np.outer(k, j) % n) / n)
 
 
-def _spot_roundtrip(grid, box, spot):
+def _spot_roundtrip(grid, box, spot, spot_box):
     """Pupil -> spot -> pupil round trip as a windowed matrix Fourier transform.
 
     Evaluates inverse_propagate(spot * propagate(v)) on the pupil ``box``
-    only, for a field v that vanishes off it, passing through only the
-    bounding box of the nonzero ``spot`` pixels on the conjugate grid
-    (Soummer et al., Opt. Express 15, 15935 (2007)); ``spot`` may be
-    complex.  The separable kernel
-    makes each transform two small matrix products, Ey @ V @ Ex.T; the
-    forward one is scaled by the pupil dx^2 and the inverse by the
-    conjugate grid's dx^2, as the full-grid transforms are.  Returns the
-    map from samples on ``box`` to the complex round-trip field on ``box``.
+    only, for a field v that vanishes off it, passing through only
+    ``spot_box`` on the conjugate grid, where ``spot`` is given; it is zero
+    off it (Soummer et al., Opt. Express 15, 15935 (2007)).  ``spot`` may
+    be complex.  The separable kernel makes each transform two small
+    matrix products, Ey @ V @ Ex.T; the forward one is scaled by the pupil
+    dx^2 and the inverse by the conjugate grid's dx^2, as the full-grid
+    transforms are.  Returns the map from samples on ``box`` to the
+    complex round-trip field on ``box``.
     """
     n = grid.n_pixels
-    spot_rows, spot_cols = _bounding_box(spot != 0.0)
-    ey = _centered_dft_matrix(n, spot_rows, box[0])
-    ex = _centered_dft_matrix(n, spot_cols, box[1])
+    ey = _centered_dft_matrix(n, spot_box[0], box[0])
+    ex = _centered_dft_matrix(n, spot_box[1], box[1])
     ey_inv = ey.conj().T
     ex_inv = ex.conj()
-    # a copy: a view would keep the whole full-grid spot array alive
-    weight = spot[spot_rows, spot_cols].copy()
     pupil_area = grid.dx**2
     focal_area = grid.conjugate().dx ** 2
 
     def step(v):
         foc = (ey @ v @ ex.T) * pupil_area
-        return (ey_inv @ (foc * weight) @ ex_inv) * focal_area
+        return (ey_inv @ (foc * spot) @ ex_inv) * focal_area
 
     return step
 
@@ -563,30 +615,28 @@ def piaacmc_design(grid=None):
     takes about 0.1-0.2 s on the default grid, so it is not cached.  Both
     root searches (here and in ``prolate_c_star``) run ``_brentq``, a port
     of scipy's ``brentq`` that gives its roots bit for bit, so the solve
-    imports none of scipy's optimizers.
+    imports none of scipy's optimizers.  Every array is built and returned
+    on its box, the Lyot stop's or the spot's; none spans the grid.
     """
     grid = grid or GridSpec()
     c = prolate_c_star()
     radial = prolate_radial(c)
-    stop = lyot_stop_array(grid)
-    full_support = stop > 0.0
-    box = _bounding_box(full_support)
-    support = full_support[box]
+    stop, box = lyot_stop_array(grid)
+    support = stop > 0.0
     focal = grid.conjugate()
     state = {"v": _prolate_seed(grid, box, support, c, radial)}
 
     def eigen_at(radius, it_tol):
-        spot = _disk_coverage(focal, radius, _SPOT_SUPERSAMPLE)
-        roundtrip = _spot_roundtrip(grid, box, spot)
+        spot, spot_box = _cut_to_support(*_disk_coverage(focal, radius, _SPOT_SUPERSAMPLE))
+        roundtrip = _spot_roundtrip(grid, box, spot, spot_box)
         gamma, vec = _grid_prolate(roundtrip, support, state["v"], it_tol)
         state["v"] = vec
-        return gamma, spot
+        return gamma, spot, spot_box
 
     a0 = c / (2.0 * math.pi)
 
     def objective(radius):
-        gamma, _ = eigen_at(radius, 1e-10)
-        return gamma - 0.5
+        return eigen_at(radius, 1e-10)[0] - 0.5
 
     lo, hi = 0.94 * a0, 1.10 * a0
     ends = {lo: objective(lo), hi: objective(hi)}
@@ -602,15 +652,14 @@ def piaacmc_design(grid=None):
     mask_radius = _brentq(
         lambda r: ends.pop(r) if r in ends else objective(r), lo, hi, xtol=5e-7
     )
-    gamma_g, spot = eigen_at(mask_radius, 1e-12)
-    profile = np.zeros(stop.shape)
-    profile[box] = state["v"] / (np.linalg.norm(state["v"]) * grid.dx)
+    gamma_g, spot, spot_box = eigen_at(mask_radius, 1e-12)
+    profile = state["v"] / (np.linalg.norm(state["v"]) * grid.dx)
 
     flat = 1.0 / math.sqrt(math.pi)
     apod = np.zeros_like(profile)
-    apod[full_support] = profile[full_support] / flat
+    apod[support] = profile[support] / flat
     inv = np.zeros_like(profile)
-    inv[full_support] = flat / profile[full_support]
+    inv[support] = flat / profile[support]
 
     return PiaacmcDesign(
         grid=grid,
@@ -618,6 +667,8 @@ def piaacmc_design(grid=None):
         gamma_radial=radial[0],
         mask_radius=mask_radius,
         gamma_grid=gamma_g,
+        box=box,
+        spot_box=spot_box,
         apodizer=apod,
         focal_mask=1.0 - 2.0 * spot,
         lyot_stop=stop,
@@ -631,10 +682,10 @@ def piaacmc_plan(grid=None):
     grid = grid or GridSpec()
     d = piaacmc_design(grid)
     elements = (
-        ("apodizer", d.apodizer),
-        ("focal_mask", d.focal_mask),
-        ("lyot_stop", d.lyot_stop),
-        ("inverse_apodizer", d.inverse_apodizer),
+        ("apodizer", d.apodizer, d.box),
+        ("focal_mask", d.focal_mask, d.spot_box),
+        ("lyot_stop", d.lyot_stop, d.box),
+        ("inverse_apodizer", d.inverse_apodizer, d.box),
     )
     return PropagatorPlan("piaacmc", grid, elements, "pupil")
 
@@ -659,7 +710,9 @@ def vortex_plan(grid=None):
     del angle
     np.exp(phase, out=phase)
     phase[grid.n_pixels // 2, grid.n_pixels // 2] = 0.0
-    elements = (("focal_mask", phase), ("lyot_stop", lyot_stop_array(grid)))
+    stop, box = lyot_stop_array(grid)
+    whole = slice(0, grid.n_pixels)
+    elements = (("focal_mask", phase, (whole, whole)), ("lyot_stop", stop, box))
     return PropagatorPlan("vortex", grid, elements, "pupil")
 
 
@@ -753,21 +806,23 @@ def _mix_modes(transform, raw):
     return (transform @ flat).view(complex).reshape(raw.shape)
 
 
-def _box_step(kind, arr, pupil_grid, box):
+def _box_step(kind, arr, at, pupil_grid, box):
     """One element acting on a pupil field that vanishes off ``box``.
 
-    A pupil element multiplies on the box.  A focal element 1 - w maps v
-    to v - F^-1(w F v), whose second term ``_spot_roundtrip`` evaluates on
-    the box through the bounding box of the nonzero pixels of w (19 x 19
-    for the PIAACMC spot on the default grid); the pupil element that
-    every plan puts after it zeroes the round trip off the box.  The
-    round trip is a matrix Fourier transform, not the FFT pair, so it
-    agrees with the full-grid chain to rounding (about 1e-16 of the field),
-    not bit for bit.  ``PropagatorPlan`` builds these steps once per plan.
+    The element is given as ``arr`` on the box ``at``.  A pupil element
+    lies on ``box`` itself and multiplies there.  A focal
+    element 1 - w maps v to v - F^-1(w F v), whose second term
+    ``_spot_roundtrip`` evaluates on the box through ``at``, off which w
+    is zero (the 19 x 19 spot box of the PIAACMC chain on the default
+    grid); the pupil element that every plan puts after it zeroes the
+    round trip off the box.  The round trip is a matrix Fourier transform,
+    not the FFT pair, so it agrees with the full-grid chain to rounding
+    (about 1e-16 of the field), not bit for bit.  ``PropagatorPlan`` builds
+    these steps once per plan.
     """
     if kind != "focal_mask":
-        return functools.partial(np.multiply, arr[box])
-    roundtrip = _spot_roundtrip(pupil_grid, box, 1.0 - arr)
+        return functools.partial(np.multiply, arr)
+    roundtrip = _spot_roundtrip(pupil_grid, box, 1.0 - arr, at)
     return lambda v: v - roundtrip(v)
 
 
@@ -881,8 +936,9 @@ def extract_operator(plan, basis):
     full-grid FFT runs: the transform is unitary and the chain's last
     pupil-plane field vanishes off that box, so M is an inner product
     there.  On the default grid at n_max 6 the vortex extraction from a
-    basis peaks at about 36 MiB of ``tracemalloc``.  The perfect chain is
-    the Gram matrix less a rank-one term, summed in the same pass.
+    basis peaks at 28.6 MiB of ``tracemalloc`` on a built plan.  The
+    perfect chain is the Gram matrix less a rank-one term, summed in the
+    same pass.
     """
     prebuilt = isinstance(basis, ModeFieldSet)
     if (basis.basis if prebuilt else basis).n_max > _MAX_EXTRACTION_ORDER:
@@ -917,13 +973,6 @@ def _pupil_source(grid):
     return box, disk, x, y
 
 
-def _intensity(samples):
-    """|samples|^2 in one new buffer, bit for bit np.abs(samples) ** 2."""
-    out = np.abs(samples)
-    out *= out
-    return out
-
-
 def output_state_image(target, scene, star_only=False):
     """Detected intensity of a two-point scene through a coronagraph.
 
@@ -935,17 +984,24 @@ def output_state_image(target, scene, star_only=False):
     aperture field on the disk's bounding box (65 x 65 pixels on the
     default grid), and it enters the chain there (``PropagatorPlan._run``),
     so no full-grid source is built; a focal-fed source is sampled on the
-    whole grid and freed before its output is squared.  A plan's image
-    thus holds one full-grid complex field at a time besides its
-    intensities: 32.1 MiB of ``tracemalloc`` for a PIAACMC or vortex
-    image on the default grid, 41.0 MiB for the perfect chain, whose Airy
-    sampler peaks there.  Every source of a plan's image must keep the
-    |s| + 3 margin of ``optics.check_source_in_window``, or ValueError
-    names its separation: a pupil-fed source beyond it would wrap to the
-    other side of the window.  The returned array lives on the target's
-    output grid: the mode-set grid of an operator,
-    ``PropagatorPlan.output_grid`` of a plan (the FFT conjugate of the plan
-    grid for pupil-fed chains).
+    whole grid.  A plan squares each source's output in the pass that
+    computes it, the column batches of the last transform or row batches
+    of the perfect chain's difference, and adds it, weighted, into the
+    image: (1 - b) |star|^2 + b |planet|^2 with the same elementwise
+    operations in the same order as squaring whole outputs, so the same
+    samples bit for bit.  No full-grid complex output is built.  On the
+    default grid one two-source image peaks at 12.2 MiB of ``tracemalloc``
+    for a PIAACMC image (the 8 MiB image and the transform's row batches),
+    28.2 MiB for the vortex (its full-grid focal field between its first
+    two transforms) and 32.0 MiB for the perfect chain (its source while
+    the Airy sampler casts it to complex), against 32.1 / 32.1 / 41.0 MiB
+    when each output was built whole and squared after.  Every source of
+    a plan's image must keep the |s| + 3 margin of
+    ``optics.check_source_in_window``, or ValueError names its separation:
+    a pupil-fed source beyond it would wrap to the other side of the
+    window.  The returned array lives on the target's output grid: the
+    mode-set grid of an operator, ``PropagatorPlan.output_grid`` of a plan
+    (the FFT conjugate of the plan grid for pupil-fed chains).
     Weighted by that grid's dx^2 it integrates to the transmitted energy,
     at most 1.  ``star_only`` renders the b -> 0 limit: the bare star
     term at unit weight.
@@ -953,45 +1009,44 @@ def output_state_image(target, scene, star_only=False):
     if isinstance(target, CoronagraphOperator):
         grid = target.fields.grid
 
-        def source_intensity(polar):
+        def add_source(polar, image, weight):
             coeffs = target.apply_coefficients(
                 source_coefficients(target.fields.basis, polar[0], polar[1])
             )
-            return _intensity(target.fields.synthesize(coeffs).samples)
+            _add_intensity(image, target.fields.synthesize(coeffs).samples, weight)
 
     elif target.input_domain == "pupil":
         # source pupil-fed chains with the exact tilted aperture field; a
         # round trip through the focal grid would add ~1e-3 sampling error
         # on top of the chain's own null floor.  The tilt is evaluated on
         # the disk's bounding box only (65 x 65 pixels on the default grid)
-        grid = target.grid
-        box, disk, x, y = _pupil_source(grid)
+        grid = target.output_grid
+        box, disk, x, y = _pupil_source(target.grid)
 
-        def source_intensity(polar):
+        def add_source(polar, image, weight):
             r, phi = polar
             check_source_in_window(r, target.output_grid)
             tilt = np.exp(
                 2j * math.pi * r * (x * math.cos(phi) + y * math.sin(phi))
             )
             # the source enters the chain on the disk's box, around the stop's
-            return _intensity(target._run(disk * tilt, box).samples)
+            target._run(disk * tilt, box, (image, weight))
 
     else:
         grid = target.grid
+        whole = slice(0, grid.n_pixels)
 
-        def source_intensity(polar):
+        def add_source(polar, image, weight):
             r, phi = polar
-            # no name holds the source, so the chain's output is squared
-            # after the source is freed
-            out = target.apply(shifted_source_field((r * math.cos(phi), r * math.sin(phi)), grid))
-            return _intensity(out.samples)
+            source = shifted_source_field((r * math.cos(phi), r * math.sin(phi)), grid)
+            target._run(source.samples, (whole, whole), (image, weight))
 
-    star = source_intensity(scene.star_polar)
+    # zeros plus the first weighted term is that term exactly, and the
+    # weight 1.0 of a bare star leaves its intensity as it is
+    image = np.zeros((grid.n_pixels, grid.n_pixels))
     if star_only:
-        return star
-    # (1 - b) star + b planet, in the buffers of the two images
-    star *= 1.0 - scene.b
-    planet = source_intensity(scene.planet_polar)
-    planet *= scene.b
-    star += planet
-    return star
+        add_source(scene.star_polar, image, 1.0)
+        return image
+    add_source(scene.star_polar, image, 1.0 - scene.b)
+    add_source(scene.planet_polar, image, scene.b)
+    return image

@@ -288,8 +288,9 @@ def _airy_amplitude(rho):
 def _disk_coverage(grid, radius=1.0, supersample=8):
     """Pixel coverage fractions of a centered disk, supersampled on the rim.
 
-    Only the square of pixels that can reach the disk or its rim band is
-    rasterized (a pixel beyond it is zero); the values are those of a
+    Returns (values, box): the fractions on the square ``box`` of pixels
+    that can reach the disk or its rim band, as row and column slices of
+    the grid; every pixel off it is zero.  The values are those of a
     rasterization of the whole grid, bit for bit.
     """
     ax = grid.axis()
@@ -306,9 +307,7 @@ def _disk_coverage(grid, radius=1.0, supersample=8):
         rx = x[rim][:, None] + ox.ravel()[None, :]
         ry = y[rim][:, None] + oy.ravel()[None, :]
         part[rim] = np.mean(np.hypot(rx, ry) <= radius, axis=1)
-    cov = np.zeros((grid.n_pixels, grid.n_pixels))
-    cov[win, win] = part
-    return cov
+    return part, (win, win)
 
 
 def pupil_disk_field(grid=None):
@@ -324,7 +323,9 @@ def pupil_disk_field(grid=None):
     within r <= 1 + 2 dx leaves 3.4e-4 there.
     """
     grid = grid or GridSpec()
-    cov = _disk_coverage(grid, 1.0)
+    part, box = _disk_coverage(grid, 1.0)
+    cov = np.zeros((grid.n_pixels, grid.n_pixels))
+    cov[box] = part
     f = OpticalField(cov.astype(complex) / math.sqrt(math.pi), "pupil", grid.half_width)
     return f.normalized()
 
@@ -343,7 +344,9 @@ def _airy_field(rho, grid):
     the pairwise sum of their squares, which ``np.abs(c) ** 2`` gives for
     a zero imaginary part, and the scaling by ``1.0 / norm`` is what
     numpy's complex-by-real division computes.  One complex cast comes
-    last.
+    last, after the radius buffer is freed: a caller that passes its radii
+    as a temporary holds 24 MiB at the cast on the default grid, the real
+    samples and the complex field, not 32.
     """
     if not np.isfinite(rho).all():
         raise ValueError("Bessel argument must be finite")
@@ -354,8 +357,10 @@ def _airy_field(rho, grid):
     with np.errstate(divide="ignore", invalid="ignore"):
         amp /= rho
     amp[small] = math.sqrt(math.pi)
+    del small
     sq = np.square(amp, out=rho)
     norm = math.sqrt(float(np.sum(sq)) * grid.dx * grid.dx)
+    del rho, sq
     amp *= 1.0 / norm
     return OpticalField(amp.astype(complex), "focal", grid.half_width)
 
@@ -409,10 +414,42 @@ def shifted_source_field(s, grid=None):
 # propagation and inner products
 
 
-_CHUNK = 64  # rows or columns per batch of a transform pass
+_CHUNK = 64  # rows per batch of a row pass: a transform's, or the perfect chain's
+_COLUMN_CHUNK = 16  # columns per batch of a transform's column pass
 
 
-def _centered_fft(samples, dx, inverse=False, box=None, at=None):
+def _intensity(samples):
+    """|samples|^2 in one new buffer, bit for bit np.abs(samples) ** 2."""
+    out = np.abs(samples)
+    out *= out
+    return out
+
+
+def _add_intensity(image, samples, weight):
+    """Add weight * |samples|^2 into the real ``image`` of the samples' shape.
+
+    Every step is elementwise, so an image summed batch by batch has the
+    samples of one summed whole; into zeros at weight 1.0 it is
+    ``_intensity(samples)`` bit for bit.
+    """
+    sq = _intensity(samples)
+    sq *= weight
+    image += sq
+
+
+def _half_turn(sl, n):
+    """Where the shift i -> (i + n/2) mod n of 0..n-1 sends the slice ``sl``.
+
+    Returns (mid, first, second): the first ``mid`` indices of ``sl`` go to
+    the slice ``first`` and the rest to ``second``.  For even n this shift
+    is both fftshift and ifftshift.
+    """
+    h = n // 2
+    mid = min(max(sl.start, h), sl.stop) - sl.start
+    return mid, slice(sl.start + h, sl.start + h + mid), slice(sl.start + mid - h, sl.stop - h)
+
+
+def _centered_fft(samples, dx, inverse=False, box=None, at=None, accumulate=None):
     # physical-scaling DFT: forward approximates int f exp(-i 2 pi u.r) d2u,
     # inverse the conjugate kernel; both preserve the discrete L2 norm.
     # numpy's fft2 and ifft2 transform the last axis row by row and then
@@ -422,10 +459,14 @@ def _centered_fft(samples, dx, inverse=False, box=None, at=None):
     # slices of the output) only the box's columns get the axis-0 pass and
     # only the box's block of the output is returned.  ``at`` = ((rows,
     # cols), n) is the mirror: ``samples`` holds that box of an n x n input
-    # which is zero elsewhere, so no n x n input is built.  Both passes run
-    # in batches of _CHUNK rows or columns, and the shifts are index maps:
-    # the only array of the output's size is the output, and the row pass
-    # keeps just the columns that the output needs
+    # which is zero elsewhere, so no n x n input is built.  The row pass
+    # runs in batches of _CHUNK live rows and keeps just the columns that
+    # the output needs; the column pass runs in batches of _COLUMN_CHUNK
+    # columns, with the shifts as slices.  ``accumulate`` = (image, weight)
+    # squares each column batch where it is computed and adds weight times
+    # it into the real ``image`` of the output's shape (``_add_intensity``),
+    # which is returned instead of the output: no complex array of the
+    # output's size is built
     if at is None:
         n = samples.shape[0]
         row_sl = col_sl = slice(0, n)
@@ -436,27 +477,45 @@ def _centered_fft(samples, dx, inverse=False, box=None, at=None):
     scale = n * n * dx * dx if inverse else dx * dx
     box = box or (slice(0, n), slice(0, n))
     # fftshift puts transform index (k + n/2) mod n at output pixel k
-    row_idx, col_idx = ((np.arange(s.start, s.stop) + n // 2) % n for s in box)
-    # ifftshift moves input column c to (c + n/2) mod n: the input's
-    # columns left of n/2 move right by n/2 and the others left by n/2
-    mid = min(max(col_sl.start, n // 2), col_sl.stop) - col_sl.start
-    head = slice(col_sl.start + n // 2, col_sl.start + n // 2 + mid)
-    tail = slice(col_sl.start + mid - n // 2, col_sl.stop - n // 2)
-    rows = np.empty((live.size, col_idx.size), dtype=complex)
+    col_idx = (np.arange(box[1].start, box[1].stop) + n // 2) % n
+    # ifftshift moves input column c to (c + n/2) mod n
+    mid, head, tail = _half_turn(col_sl, n)
+    # the row transforms of the rows from the first live one to the last;
+    # the zero rows between them stay zero, as their transforms are
+    hull = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+    rows = np.zeros((hull.stop - hull.start, col_idx.size), dtype=complex)
     for start in range(0, live.size, _CHUNK):
-        batch = samples[live[start : start + _CHUNK]]
+        idx = live[start : start + _CHUNK]
+        batch = samples[idx]
         line = np.zeros((batch.shape[0], n), dtype=complex)
         line[:, head] = batch[:, :mid]
         line[:, tail] = batch[:, mid:]
-        rows[start : start + batch.shape[0]] = one_d(line, axis=1)[:, col_idx]
-    shifted = (live + row_sl.start + n // 2) % n
-    out = np.empty((row_idx.size, col_idx.size), dtype=complex)
-    for start in range(0, col_idx.size, _CHUNK):
-        part = rows[:, start : start + _CHUNK]
+        rows[idx - hull.start] = one_d(line, axis=1)[:, col_idx]
+    in_mid, in_head, in_tail = _half_turn(
+        slice(row_sl.start + hull.start, row_sl.start + hull.stop), n
+    )
+    out_mid, out_head, out_tail = _half_turn(box[0], n)
+    shape = (box[0].stop - box[0].start, col_idx.size)
+    if accumulate is None:
+        out = np.empty(shape, dtype=complex)
+    else:
+        image, weight = accumulate
+    for start in range(0, col_idx.size, _COLUMN_CHUNK):
+        batch = slice(start, start + _COLUMN_CHUNK)
+        part = rows[:, batch]
         cols = np.zeros((n, part.shape[1]), dtype=complex)
-        cols[shifted] = part
-        out[:, start : start + _CHUNK] = one_d(cols, axis=0)[row_idx] * scale
-    return out
+        cols[in_head] = part[:in_mid]
+        cols[in_tail] = part[in_mid:]
+        spectrum = one_d(cols, axis=0)
+        # the output rows of the batch in one contiguous buffer, scaled
+        vals = np.empty((shape[0], part.shape[1]), dtype=complex)
+        np.multiply(spectrum[out_head], scale, out=vals[:out_mid])
+        np.multiply(spectrum[out_tail], scale, out=vals[out_mid:])
+        if accumulate is None:
+            out[:, batch] = vals
+        else:
+            _add_intensity(image[:, batch], vals, weight)
+    return out if accumulate is None else image
 
 
 def propagate(field):

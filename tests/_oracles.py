@@ -75,3 +75,15 @@ def polar_gauss_legendre(n_rad, n_ang, r_max=1.0):
     R, T = np.meshgrid(r, theta, indexing="ij")
     W = np.broadcast_to(wr[:, None] * wt, R.shape)
     return (R * np.cos(T)).ravel(), (R * np.sin(T)).ravel(), W.ravel()
+
+
+def embed(values, box, n, fill=0.0):
+    """``values`` given on ``box`` (row and column slices) on an n x n grid.
+
+    Every sample off the box is ``fill``: zero for a pupil-plane element,
+    one for a focal mask.  The full-grid oracles read boxed arrays through
+    this, so they compare the same samples they compared on the grid.
+    """
+    out = np.full((n, n), fill, dtype=np.asarray(values).dtype)
+    out[box] = values
+    return out

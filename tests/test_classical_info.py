@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import j1
 
+from artifact import classical_info
 from artifact.classical_info import (
     PSF_THROUGHPUT_CEILING,
     brightness_leakage_ratio,
@@ -138,6 +139,24 @@ def test_spade_quarter_turn_alignment_rotates_basis(basis60):
     f_auto = cfim_spade(basis60, Scene(0.3 * S, 0.0, 1e-9))
     f_rot = cfim_spade(FourierZernikeBasis(60, rotation=0.1), Scene(0.3 * S, 0.0, 1e-9))
     assert_allclose(f_auto.entries, f_rot.entries, rtol=1e-12, atol=1e-30)
+
+
+def test_spade_lattice_angles_share_one_rotated_basis(monkeypatch):
+    # the rotated sorter is built once per truncation, so its cached mode
+    # tables are too: a sweep of every lattice angle at n_max 60 took 17 s
+    # when each call built its own
+    seen = []
+
+    def recording(basis, scene):
+        seen.append(basis)
+        return per_mode_information(basis, scene)
+
+    monkeypatch.setattr(classical_info, "per_mode_information", recording)
+    for n_max, phi in ((12, 0.0), (12, math.pi / 2), (8, 0.0)):
+        cfim_spade(FourierZernikeBasis(n_max), Scene(0.3 * S, phi, 1e-9))
+    assert seen[0] is seen[1]
+    assert (seen[0].n_max, seen[0].rotation) == (12, 0.1)
+    assert (seen[2].n_max, seen[2].rotation) == (8, 0.1)
 
 
 @pytest.mark.parametrize("n_max", [10, 20])
@@ -347,16 +366,18 @@ def test_imaging_separation_below_step_rejected(plan_perfect_analytic):
 
 
 @pytest.mark.parametrize(
-    "design, bound_mib", [("perfect", 60), ("piaacmc", 52), ("vortex", 52)]
+    "design, bound_mib", [("perfect", 52), ("piaacmc", 37), ("vortex", 48)]
 )
 def test_imaging_memory(design, bound_mib, plan_perfect_analytic, plan_piaacmc, plan_vortex):
     # at the `tables` scene: the two differences (8 MiB each) are rendered
     # before the base image, and each full image is freed once its live
     # pixels are gathered, so the peak is one image render on top of the
-    # two differences.  Measured 57.0 / 48.1 / 48.1 MiB of tracemalloc for
-    # perfect / PIAACMC / vortex (72.0 / 72.1 / 83.1 MiB with the base image
-    # rendered first and every full image held to the end).  One more
-    # full-grid image (8 MiB) breaks every bound
+    # two differences; an image is one real buffer that each output is
+    # squared into.  Measured 48.0 / 33.0 / 44.2 MiB of tracemalloc for
+    # perfect / PIAACMC / vortex (57.0 / 48.1 / 48.1 MiB with each output
+    # built whole, 72.0 / 72.1 / 83.1 MiB with the base image rendered
+    # first and every full image held to the end).  One more full-grid
+    # image (8 MiB) breaks every bound
     plan = {"perfect": plan_perfect_analytic, "piaacmc": plan_piaacmc, "vortex": plan_vortex}[
         design
     ]

@@ -512,15 +512,16 @@ def test_bounds_manifest(bounds_runs):
 
 
 def test_manifest_keys_and_reruns_differ_only_in_duration(bounds_runs):
-    # the manifest records the libraries that produced the outputs; two
-    # runs of one command differ in nothing but their wall-clock duration
+    # the manifest records the libraries that produced the outputs and the
+    # process's peak RSS; two runs of one command differ in nothing but
+    # their wall-clock duration and that peak
     _, ((_, _, first_dir), (_, _, rerun_dir), _) = bounds_runs
     first, rerun = (
         json.loads((d / "bounds_manifest.json").read_text()) for d in (first_dir, rerun_dir)
     )
     assert set(first) == {
-        "command", "config", "duration_s", "libraries", "outputs", "parameters", "seed",
-        "version",
+        "command", "config", "duration_s", "libraries", "outputs", "parameters",
+        "peak_rss_mb", "seed", "version",
     }
     assert first["libraries"] == {
         "python": platform.python_version(),
@@ -528,7 +529,11 @@ def test_manifest_keys_and_reruns_differ_only_in_duration(bounds_runs):
         "scipy": scipy.__version__,
     }
     assert isinstance(first["duration_s"], float)
-    del first["duration_s"], rerun["duration_s"]
+    # getrusage reports KiB on Linux: the peak of a process that imported
+    # numpy and scipy is tens of MB, not tens of GB
+    assert 10.0 < first["peak_rss_mb"] < 4096.0
+    for manifest in (first, rerun):
+        del manifest["duration_s"], manifest["peak_rss_mb"]
     assert first == rerun
 
 

@@ -1,9 +1,11 @@
 """Tests for coronagraph chains, modal extraction, and imaging."""
 
+import gc
 import math
 import re
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import j1
+
+from _oracles import embed
 
 from artifact import coronagraph, optics
 from artifact.coronagraph import (
@@ -21,6 +25,8 @@ from artifact.coronagraph import (
     _bounding_box,
     _brentq,
     _chain_matrix,
+    _cut_to_support,
+    _pupil_source,
     _prolate_seed,
     _singular_operator,
     _spot_roundtrip,
@@ -42,6 +48,7 @@ from artifact.optics import (
     OpticalField,
     Scene,
     _disk_coverage,
+    _intensity,
     inverse_propagate,
     overlap,
     propagate,
@@ -111,7 +118,7 @@ def test_raster_rejects_bad_payloads(tmp_path):
 
 
 def test_lyot_stop_is_inner_binary_raster(grid):
-    stop = lyot_stop_array(grid)
+    stop = embed(*lyot_stop_array(grid), grid.n_pixels)
     assert set(np.unique(stop)) <= {0.0, 1.0}
     assert np.array_equal(stop * stop, stop)
     x, y = grid.mesh()
@@ -125,17 +132,21 @@ def test_plan_validates_inputs(grid):
     assert ELEMENT_KINDS == ("apodizer", "focal_mask", "lyot_stop", "inverse_apodizer")
     with pytest.raises(ValueError):
         PropagatorPlan("x", grid, (), "sideways")
+    n = grid.n_pixels
+    (_, phase, whole), (_, stop, box) = vortex_plan(grid).elements
     with pytest.raises(ValueError):
-        PropagatorPlan("x", grid, (("mystery", np.ones((4, 4))),), "pupil")
-    with pytest.raises(ValueError):
-        PropagatorPlan("x", grid, (("lyot_stop", np.ones((4, 4))),), "pupil")
+        PropagatorPlan("x", grid, (("mystery", stop, box),), "pupil")
+    with pytest.raises(ValueError, match="must match its box"):
+        PropagatorPlan("x", grid, (("lyot_stop", np.ones((4, 4)), box),), "pupil")
+    off_grid = (slice(n - 2, n + 2),) * 2
+    with pytest.raises(ValueError, match="must match its box"):
+        PropagatorPlan("x", grid, (("lyot_stop", np.ones((4, 4)), off_grid),), "pupil")
     with pytest.raises(ValueError):
         PropagatorPlan("x", grid, (), "focal", np.ones((4, 4)))
     # only the three designs' layouts are built; every other one is
     # rejected when the plan is made, before any transform
-    (_, phase), (_, stop) = vortex_plan(grid).elements
-    projector = np.ones_like(stop)
-    mask, pupil = ("focal_mask", phase), ("lyot_stop", stop)
+    projector = np.ones((n, n))
+    mask, pupil = ("focal_mask", phase, whole), ("lyot_stop", stop, box)
     rejected = (
         ((pupil,), "focal", projector, "focal-fed plan takes a projector and no elements"),
         ((), "focal", None, "focal-fed plan takes a projector and no elements"),
@@ -146,12 +157,16 @@ def test_plan_validates_inputs(grid):
         ((pupil, mask, mask, pupil), "pupil", None, "two focal masks side by side"),
         ((pupil, mask), "pupil", None, "must end in a pupil-plane element"),
         ((mask, pupil, mask), "pupil", None, "must end in a pupil-plane element"),
+        ((mask, pupil, ("inverse_apodizer", embed(stop, box, n), whole)), "pupil", None,
+         "pupil-plane elements must share one box"),
+        ((("focal_mask", phase[box], box), pupil), "pupil", None,
+         "leading focal mask must span the grid"),
     )
     for elements, domain, proj, message in rejected:
         with pytest.raises(ValueError, match=message):
             PropagatorPlan("x", grid, elements, domain, proj)
     # the layouts of the three designs
-    piaacmc = (("apodizer", stop), mask, pupil, ("inverse_apodizer", stop))
+    piaacmc = (("apodizer", stop, box), mask, pupil, ("inverse_apodizer", stop, box))
     PropagatorPlan("x", grid, piaacmc, "pupil")
     PropagatorPlan("x", grid, (mask, pupil), "pupil")
     plan = PropagatorPlan("x", grid, (), "focal", projector)
@@ -190,16 +205,21 @@ def _reference_cross(cur, half_width, inverse):
 def _reference_apply(plan, samples):
     """The chain on the whole grid: every element, numpy's fft2/ifft2 per crossing.
 
-    The projector, if any, subtracts its component from the focal output.
+    Each element is embedded in the grid from its box: a focal mask is one
+    off it and a pupil element zero.  The projector, if any, subtracts its
+    component from the focal output.
     """
     half_width, domain = plan.grid.half_width, plan.input_domain
     cur = np.asarray(samples, dtype=complex)
-    for kind, arr in plan.elements:
+    for kind, arr, box in plan.elements:
         need = "focal" if kind == "focal_mask" else "pupil"
         if domain != need:
             cur, half_width = _reference_cross(cur, half_width, domain == "focal")
             domain = need
-        cur = cur * arr
+        # a named operand: numpy would write the product of a temporary
+        # into its buffer, whose complex loop rounds differently
+        mask = embed(arr, box, cur.shape[0], 1.0 if need == "focal" else 0.0)
+        cur = cur * mask
     if domain != "focal":
         cur, half_width = _reference_cross(cur, half_width, False)
     if plan.projector is not None:
@@ -338,24 +358,55 @@ def test_image_fft_counts(monkeypatch, plan_piaacmc, plan_vortex):
     assert len(calls) == 4
 
 
+def _design_plan(design, grid, plan_piaacmc, plan_vortex):
+    if design == "perfect":
+        return perfect_plan(grid=grid)
+    return plan_piaacmc if design == "piaacmc" else plan_vortex
+
+
+@pytest.mark.parametrize("star_only", [False, True])
+@pytest.mark.parametrize("design", ["perfect", "piaacmc", "vortex"])
+def test_image_is_the_unfused_image(design, star_only, plan_piaacmc, plan_vortex, grid):
+    # each output is squared in the pass that computes it and added into
+    # the image, weighted; the image is the one squared from the whole
+    # complex output of each source and weighted and summed after, bit for
+    # bit, from the same sources through the same chain
+    plan = _design_plan(design, grid, plan_piaacmc, plan_vortex)
+    scene = Scene(0.7, 5.0, 0.2)
+
+    def source_output(polar):
+        r, phi = polar
+        if plan.input_domain == "focal":
+            source = shifted_source_field((r * math.cos(phi), r * math.sin(phi)), grid)
+            return plan.apply(source).samples
+        box, disk, x, y = _pupil_source(grid)
+        tilt = np.exp(2j * math.pi * r * (x * math.cos(phi) + y * math.sin(phi)))
+        return plan._run(disk * tilt, box).samples
+
+    star = _intensity(source_output(scene.star_polar))
+    if not star_only:
+        star *= 1.0 - scene.b
+        planet = _intensity(source_output(scene.planet_polar))
+        planet *= scene.b
+        star += planet
+    assert np.array_equal(output_state_image(plan, scene, star_only=star_only), star)
+
+
 @pytest.mark.parametrize(
-    "design, bound_mib", [("perfect", 44), ("piaacmc", 36), ("vortex", 36)]
+    "design, bound_mib", [("perfect", 36), ("piaacmc", 16), ("vortex", 32)]
 )
 def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex, grid):
-    # one two-source image on the default grid holds one full-grid complex
-    # field (16 MiB) at a time besides the finished star image (8 MiB):
-    # the chain's output while |output|^2 (8 MiB) is formed, since a
-    # pupil-fed source enters on its disk box and the vortex's inverse
-    # transform returns the Lyot box alone.  Measured 32.1 MiB of
-    # tracemalloc for PIAACMC and the vortex (48.1 and 59.1 MiB when the
-    # source and the inverse transform's output were full-grid).  The
-    # perfect chain peaks at 41.0 MiB (48.0 before its source was freed
-    # ahead of the intensity), while the Airy sampler's real buffers meet
-    # its complex cast.  One more full-grid complex field breaks every bound
-    if design == "perfect":
-        plan = perfect_plan(grid=grid)
-    else:
-        plan = plan_piaacmc if design == "piaacmc" else plan_vortex
+    # one two-source image on the default grid holds the image (8 MiB) and
+    # no full-grid complex output: each output is squared into the image
+    # batch by batch.  Measured 12.2 MiB of tracemalloc for PIAACMC, whose
+    # source enters on its disk box and whose one transform starts on the
+    # Lyot box; 28.2 MiB for the vortex, which holds its full-grid focal
+    # field (16 MiB) between its first two transforms; 32.0 MiB for the
+    # perfect chain, whose Airy sampler holds the real samples (8 MiB) and
+    # the complex source (16 MiB) at its cast.  These read 32.1 / 32.1 /
+    # 41.0 MiB when each output was built whole and squared after.  One
+    # more full-grid real image breaks every bound
+    plan = _design_plan(design, grid, plan_piaacmc, plan_vortex)
     scene = Scene(0.7, 5.0, 0.2)
     output_state_image(plan, scene)  # the source disk is built once per grid
     tracemalloc.start()
@@ -429,12 +480,51 @@ def test_pupil_fed_images_build_the_disk_once_per_grid(monkeypatch):
 def test_pupil_box_is_the_joint_support_of_the_pupil_elements(plan_vortex, plan_piaacmc, grid):
     # the Lyot stop's 63 x 63 pixels on the default grid; the PIAACMC
     # apodizers share the stop's support
-    box = _bounding_box(lyot_stop_array(grid) > 0.0)
+    n = grid.n_pixels
+    box = _bounding_box(embed(*lyot_stop_array(grid), n) > 0.0)
     assert (box[0].stop - box[0].start, box[1].stop - box[1].start) == (63, 63)
-    assert plan_vortex.pupil_box == box
-    assert plan_piaacmc.pupil_box == box
+    for plan in (plan_vortex, plan_piaacmc):
+        pupil = [
+            embed(arr, at, n) != 0.0 for kind, arr, at in plan.elements if kind != "focal_mask"
+        ]
+        assert plan.pupil_box == _bounding_box(np.any(pupil, axis=0)) == box
     assert plan_vortex.pupil_box is plan_vortex.pupil_box
     assert perfect_plan(grid=GridSpec(64, 4.0)).pupil_box is None
+
+
+def _reachable_arrays(obj):
+    """The base arrays reachable from ``obj``: through its attributes and
+    containers, and through the closures and partials of its steps."""
+    seen, found, todo = set(), {}, [obj]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen or isinstance(item, (type, types.ModuleType)):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            found[id(item)] = item
+        elif isinstance(item, types.FunctionType):  # its closure, not its module
+            todo.extend(cell.cell_contents for cell in item.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(item))
+    return list(found.values())
+
+
+def test_plans_hold_only_what_their_chains_read(plan_vortex, plan_piaacmc, grid):
+    # after construction and a rendered image, which builds the box steps:
+    # a PIAACMC plan holds its elements on the Lyot and spot boxes and no
+    # full-grid array; a vortex plan holds one, its spiral phase
+    scene = Scene(0.7, 5.0, 0.2)
+    n2 = grid.n_pixels**2
+    for plan in (plan_vortex, plan_piaacmc):
+        output_state_image(plan, scene, star_only=True)
+    assert plan_piaacmc._box_chain and plan_vortex._box_chain
+    assert [a for a in _reachable_arrays(plan_piaacmc) if a.size >= n2] == []
+    big = [a for a in _reachable_arrays(plan_vortex) if a.size >= n2]
+    assert len(big) == 1 and big[0] is plan_vortex.elements[0][1]
+    assert plan_vortex.elements[0][1].shape == (grid.n_pixels, grid.n_pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -570,20 +660,29 @@ def test_piaacmc_design_scalars(grid):
 
 
 def test_piaacmc_design_arrays(grid):
+    # the arrays come on the Lyot stop's box and the spot's 19 x 19 box;
+    # on the grid, a pupil array is zero off its box and the mask one
     d = piaacmc_design(grid)
-    support = d.lyot_stop > 0.0
-    assert np.array_equal(d.lyot_stop, lyot_stop_array(grid))
+    n = grid.n_pixels
+    apodizer, lyot_stop, inverse_apodizer, profile = (
+        embed(a, d.box, n)
+        for a in (d.apodizer, d.lyot_stop, d.inverse_apodizer, d.apodized_profile)
+    )
+    focal_mask = embed(d.focal_mask, d.spot_box, n, 1.0)
+    assert [s.stop - s.start for s in d.spot_box] == [19, 19]
+    support = lyot_stop > 0.0
+    assert np.array_equal(lyot_stop, embed(*lyot_stop_array(grid), n))
     # pi-phase spot: -1 inside, +1 outside, fractional only on the rim
-    assert d.focal_mask.min() >= -1.0 and d.focal_mask.max() <= 1.0
-    assert float(np.mean(np.abs(d.focal_mask) == 1.0)) >= 0.999
+    assert focal_mask.min() >= -1.0 and focal_mask.max() <= 1.0
+    assert float(np.mean(np.abs(focal_mask) == 1.0)) >= 0.999
     # remap strengths stay order one and invert exactly on the support
-    assert 0.82 <= d.apodizer[support].min() <= 0.86
-    assert 1.17 <= d.apodizer[support].max() <= 1.20
-    prod = d.apodizer[support] * d.inverse_apodizer[support]
+    assert 0.82 <= apodizer[support].min() <= 0.86
+    assert 1.17 <= apodizer[support].max() <= 1.20
+    prod = apodizer[support] * inverse_apodizer[support]
     assert np.max(np.abs(prod - 1.0)) <= 1e-12
-    assert np.all(d.apodizer[~support] == 0.0)
+    assert np.all(apodizer[~support] == 0.0)
     # the apodized profile carries unit energy on the grid
-    energy = float(np.sum(d.apodized_profile**2)) * grid.dx**2
+    energy = float(np.sum(profile**2)) * grid.dx**2
     assert abs(energy - 1.0) <= 1e-12
 
 
@@ -602,7 +701,7 @@ def test_piaacmc_design_converges_off_self_conjugate_grid():
     d = piaacmc_design(GridSpec(512, 16.0))
     assert abs(d.gamma_grid - 0.5) <= 1e-4
     assert abs(d.mask_radius - 0.27525) <= 1e-5
-    energy = float(np.sum(d.apodized_profile**2)) * d.grid.dx**2
+    energy = float(np.sum(embed(d.apodized_profile, d.box, 512) ** 2)) * d.grid.dx**2
     assert abs(energy - 1.0) <= 1e-12
 
 
@@ -623,23 +722,25 @@ def test_piaacmc_design_without_a_root_in_the_bracket():
 @pytest.mark.parametrize("grid_args", [(1024, 16.0), (512, 16.0)])
 def test_spot_roundtrip_matches_full_grid_fft(grid_args):
     grid = GridSpec(*grid_args)
+    n = grid.n_pixels
     c = prolate_c_star()
-    stop = lyot_stop_array(grid)
-    box = _bounding_box(stop > 0.0)
-    support = stop[box] > 0.0
-    seed = _prolate_seed(grid, box, support, c, prolate_radial(c))
-    spot = _disk_coverage(grid.conjugate(), 0.27, 32)
+    stop, box = lyot_stop_array(grid)
+    full_stop = embed(stop, box, n) > 0.0
+    assert box == _bounding_box(full_stop)
+    seed = _prolate_seed(grid, box, stop > 0.0, c, prolate_radial(c))
+    values, window = _disk_coverage(grid.conjugate(), 0.27, 32)
+    spot = embed(values, window, n)
     # one full-grid round trip: propagate, spot, inverse_propagate
-    full = np.zeros((grid.n_pixels, grid.n_pixels))
+    full = np.zeros((n, n))
     full[box] = seed
     foc = propagate(OpticalField(full, "pupil", grid.half_width))
     back = inverse_propagate(OpticalField(foc.samples * spot, "focal", foc.half_width))
     assert back.half_width == grid.half_width
     windowed = np.zeros_like(back.samples)
-    windowed[box] = _spot_roundtrip(grid, box, spot)(seed)
-    assert np.max(np.abs(windowed - back.samples) * (stop > 0.0)) <= 1e-13
+    windowed[box] = _spot_roundtrip(grid, box, *_cut_to_support(values, window))(seed)
+    assert np.max(np.abs(windowed - back.samples) * full_stop) <= 1e-13
     # the round trip is not trivially small on the support
-    assert np.max(np.abs(back.samples[stop > 0.0])) >= 0.1
+    assert np.max(np.abs(back.samples[full_stop])) >= 0.1
 
 
 def test_piaacmc_design_runs_no_fft(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import j1_first_zero
+from _oracles import embed, j1_first_zero
 
 from artifact import optics
 from artifact.optics import (
@@ -239,9 +239,11 @@ def _full_grid_coverage(grid, radius, supersample):
     ],
 )
 def test_disk_coverage_window_matches_full_grid(grid_args, radius, supersample):
+    # the values come on their window, zero off it
     grid = GridSpec(*grid_args)
-    got = _disk_coverage(grid, radius, supersample)
-    assert got.shape == (grid.n_pixels, grid.n_pixels)
+    values, box = _disk_coverage(grid, radius, supersample)
+    assert values.shape == tuple(s.stop - s.start for s in box)
+    got = embed(values, box, grid.n_pixels)
     assert np.array_equal(got, _full_grid_coverage(grid, radius, supersample))
 
 
@@ -382,8 +384,8 @@ def test_pruned_transform_is_the_full_transform(grid_args, kind, inverse, monkey
     # transform's block on the box.  The input given on a box alone (``at``)
     # gives the full transform of the zero-padded input, for boxes that
     # straddle the centre column, lie left or right of it, or cover whole
-    # rows.  Both passes run in batches: the default batch and one that
-    # leaves a remainder
+    # rows.  Both passes run in batches: the default batches and ones that
+    # leave a remainder
     boxes = (
         (slice(n // 2 - 31, n // 2 + 32), slice(n // 2 - 30, n // 2 + 33)),
         (slice(0, 5), slice(n - 9, n)),
@@ -400,8 +402,9 @@ def test_pruned_transform_is_the_full_transform(grid_args, kind, inverse, monkey
         part = np.zeros_like(samples)
         part[at] = samples[at]
         padded.append(_full_sandwich(part, grid.dx, inverse))
-    for chunk in (optics._CHUNK, 7):
+    for chunk, column_chunk in ((optics._CHUNK, optics._COLUMN_CHUNK), (7, 5)):
         monkeypatch.setattr(optics, "_CHUNK", chunk)
+        monkeypatch.setattr(optics, "_COLUMN_CHUNK", column_chunk)
         for box in boxes:
             assert np.array_equal(_centered_fft(samples, grid.dx, inverse, box), full[box])
         box = boxes[0]
@@ -410,6 +413,15 @@ def test_pruned_transform_is_the_full_transform(grid_args, kind, inverse, monkey
             assert np.array_equal(got, ref)
             got = _centered_fft(samples[at], grid.dx, inverse, box, at=(at, n))
             assert np.array_equal(got, ref[box])
+            # squared where it is computed and added, weighted, into an
+            # image: the same samples as squaring the whole output after
+            image = np.full(ref[box].shape, 0.25)
+            expect = image + (np.abs(ref[box]) ** 2) * 0.3
+            got = _centered_fft(
+                samples[at], grid.dx, inverse, box, at=(at, n), accumulate=(image, 0.3)
+            )
+            assert got is image
+            assert np.array_equal(image, expect)
 
 
 def test_disk_transform_matches_analytic_psf(grid):
