@@ -57,12 +57,29 @@ def _lattice_basis(n_max):
     return FourierZernikeBasis(n_max, rotation=_LATTICE_ROTATION)
 
 
+# 1 - Gamma_0^2 = sum_n d_n x^n over n >= 1, with x = (u/2)^2 and u = 2 pi r,
+# d_n = (-1)^(n+1) (2n+2)! / (n! (n+2)! (n+1)!^2); highest order first, for
+# Horner.  Against mpmath at 40 digits, 13 terms below u = 2 and 1 - g^2
+# above it are both within 5e-16 relative over u in [1e-6, 10]; the direct
+# form reads 7e-14 at u = 0.2 and 4e-15 at u = 1.
+_MISS_SERIES = tuple(
+    (-1) ** (n + 1)
+    * math.factorial(2 * n + 2)
+    / (math.factorial(n) * math.factorial(n + 2) * math.factorial(n + 1) ** 2)
+    for n in range(13, 0, -1)
+)
+_MISS_SWITCH_U = 2.0
+
+
 def _fundamental_miss(r):
-    """1 - Gamma_0(r)^2, series-stabilized against cancellation at small r."""
+    """1 - Gamma_0(r)^2, from its power series where 1 - g^2 would cancel."""
     u = 2.0 * math.pi * r
-    if u < 0.1:
-        u2 = u * u
-        return u2 * (0.25 - u2 * (5.0 / 192.0 - u2 * (7.0 / 4608.0)))
+    if u < _MISS_SWITCH_U:
+        x = 0.25 * u * u
+        acc = 0.0
+        for d in _MISS_SERIES:
+            acc = d + x * acc
+        return x * acc
     g = _gamma0(r)
     return 1.0 - g * g
 

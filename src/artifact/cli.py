@@ -19,7 +19,10 @@ the command, ``config`` (``--config`` as given, or null), ``seed``,
 ``version``, the Python, numpy and scipy versions under ``libraries``,
 the ``outputs`` written, the wall-clock ``duration_s``, and under
 ``parameters`` every other parsed option except ``--out-dir``
-(``tables`` adds the ``kind`` its ``--table`` selects).  Exit code 0
+(``tables`` adds the ``kind`` its ``--table`` selects).  ``montecarlo``
+adds ``diagnostics``: under ``clusters``, one entry per cluster with the
+mean and max Nelder-Mead evaluations of its trials (``n_evals_mean``,
+``n_evals_max``) and its ``converged_frac``.  Exit code 0
 means success, 2 a configuration or usage error, 3 numerical
 non-convergence or another numerical failure (any ``ArithmeticError``,
 such as an overflow).  Telescope prescriptions come from ``--config`` or,
@@ -292,7 +295,7 @@ def cmd_bounds(args):
         )
 
     print(f"wrote {path} ({r_values.size * b_values.size} grid points)")
-    return [path.name], 0
+    return [path.name], 0, {}
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +431,7 @@ def cmd_tables(args):
         ],
     )
     print(f"wrote {path}")
-    return [path.name], 0
+    return [path.name], 0, {}
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +480,7 @@ def cmd_coronagraph(args):
         detail = f"{len(rows)} separations"
 
     print(f"wrote {path} ({detail})")
-    return [path.name], 0
+    return [path.name], 0, {}
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +585,7 @@ def cmd_montecarlo(args):
 
     outputs = []
     summary_rows = []
+    cluster_diagnostics = []
     worst_fraction = 1.0
     for k, scene in enumerate(scenes):
         results = clusters[k]
@@ -602,6 +606,14 @@ def cmd_montecarlo(args):
         outputs.append(name)
         n_conv = sum(int(t.estimate.converged) for t in results)
         worst_fraction = min(worst_fraction, n_conv / len(results))
+        n_evals = [t.estimate.n_evals for t in results]
+        cluster_diagnostics.append(
+            {
+                "n_evals_mean": sum(n_evals) / len(n_evals),
+                "n_evals_max": max(n_evals),
+                "converged_frac": n_conv / len(results),
+            }
+        )
         if len(results) >= PATCH_MIN_ESTIMATES:
             patch = fit_uncertainty_patch([t.estimate for t in results])
         else:
@@ -629,14 +641,15 @@ def cmd_montecarlo(args):
     _write_csv(summary_path, _comment(args.seed), _SUMMARY_HEADER, summary_rows)
     outputs.append(summary_path.name)
     print(f"wrote {summary_path}")
+    diagnostics = {"clusters": cluster_diagnostics}
     if worst_fraction < _CONVERGENCE_FLOOR:
         print(
             f"error: worst cluster convergence {worst_fraction:.1%} below "
             f"{_CONVERGENCE_FLOOR:.0%}",
             file=sys.stderr,
         )
-        return outputs, 3
-    return outputs, 0
+        return outputs, 3, diagnostics
+    return outputs, 0, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -776,14 +789,15 @@ def build_parser():
     return parser
 
 
-def _write_manifest(args, outputs, duration_s):
+def _write_manifest(args, outputs, diagnostics, duration_s):
     """Write the run manifest of a finished subcommand next to its outputs.
 
     Re-running the same command with the options recorded here
     regenerates byte-identical CSVs on the same build and libraries; the
     wall-clock duration and the process's peak resident set size so far
     (``peak_rss_mb``, from ``getrusage``, which Linux reports in KiB) are
-    the only fields expected to differ between such runs.
+    the only fields expected to differ between such runs.  A subcommand
+    that reports numerical diagnostics has them under ``diagnostics``.
     """
     parameters = {
         key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS
@@ -803,6 +817,8 @@ def _write_manifest(args, outputs, duration_s):
         "duration_s": round(duration_s, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     }
+    if diagnostics:
+        payload["diagnostics"] = diagnostics
     path = pathlib.Path(args.out_dir) / f"{args.command}_manifest.json"
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -812,8 +828,9 @@ def _write_manifest(args, outputs, duration_s):
 def main(argv=None):
     """Entry point: run one subcommand, write its manifest, return the exit code.
 
-    Each ``cmd_*`` returns the names of the files it wrote and its exit
-    code; a subcommand that raises writes no manifest.
+    Each ``cmd_*`` returns the names of the files it wrote, its exit code
+    and its diagnostics for the manifest (empty when it reports none); a
+    subcommand that raises writes no manifest.
     """
     parser = build_parser()
     try:
@@ -822,8 +839,8 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         t0 = time.perf_counter()
-        outputs, code = args.func(args)
-        _write_manifest(args, outputs, time.perf_counter() - t0)
+        outputs, code, diagnostics = args.func(args)
+        _write_manifest(args, outputs, diagnostics, time.perf_counter() - t0)
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

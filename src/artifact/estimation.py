@@ -10,10 +10,14 @@ estimates and reference truths are folded to the first quadrant.
 
 The estimator is a Nelder-Mead simplex written as a generator
 (`_nelder_mead`): it yields each point to evaluate and takes the value
-back.  A trial cluster advances all its searches in lockstep, so each
-round costs one batched modal-kernel call over the pending points; the
-batched rows equal the single-scene ones bit for bit, so an estimate
-does not depend on the cluster it was computed in.
+back, and keeps its three vertices and their values as Python floats.
+A trial cluster advances all its searches in lockstep, so each round
+costs one batched modal-kernel call over the pending points; the batched
+rows equal the single-scene ones bit for bit, so an estimate does not
+depend on the cluster it was computed in.  Where b r_delta < 1e-8 (at
+b = 1e-9, every separation the search reaches) the stars of a batch sit
+on axis, where the radial factors are exact constants, so only the
+planets' radii reach the Bessel kernel.
 """
 
 import math
@@ -176,6 +180,9 @@ def coarse_table(basis, b):
     point, and with it every estimate, does not depend on the table's
     memory layout.  It is built one separation (64 scenes) per call of
     the modal kernel, which bounds the working memory to one row block.
+    Where b r < 1e-8 (at b = 1e-9, the whole grid) the stars of a block
+    sit on axis and take their exact radial factors, so only the planets'
+    radii are evaluated by bessel_j.
     """
     r_values = np.geomspace(_R_FLOOR, _R_CEILING, _GRID_POINTS)
     phi_values = np.linspace(0.0, 2.0 * math.pi, _GRID_POINTS, endpoint=False)
@@ -209,19 +216,35 @@ class _BudgetSpent(Exception):
     """The evaluation budget ran out inside a simplex step."""
 
 
-def _nelder_mead(x0, maxfev):
-    """Nelder-Mead simplex search as a generator of points to evaluate.
+def _simplex_order(fsim):
+    """Vertex indices by value as numpy's argsort orders three entries.
 
-    Yields each point (a 1-D float array) and expects its objective value
-    back through ``send``; returns (x, fun, nfev, success) when it stops.
-    This is scipy 1.17's ``_minimize_neldermead`` in the mode
-    ``minimize(method="Nelder-Mead", options={"xatol": _XATOL, "fatol":
-    inf, "maxfev": maxfev})`` runs, step for step and bit for bit: its
-    initial simplex, its non-adaptive coefficients, its sort, and its
-    cut-off, which abandons the step that would exceed maxfev
-    evaluations.  With fatol infinite the test is on the vertices alone:
-    it stops when every vertex lies within _XATOL of the best vertex in
-    each coordinate.  Given maxfev, scipy sets no iteration cap.
+    That is an insertion sort: stable on ties, NaN after every number.
+    """
+    return sorted(
+        range(len(fsim)),
+        key=lambda k: (True, 0.0) if fsim[k] != fsim[k] else (False, fsim[k]),
+    )
+
+
+def _nelder_mead(x0, maxfev):
+    """Nelder-Mead simplex search over (r, phi) as a generator of points to evaluate.
+
+    Yields each point, an (r, phi) tuple of floats, and expects its
+    objective value back through ``send``; returns (x, fun, nfev,
+    success) with x such a tuple when it stops.  This is scipy 1.17's
+    ``_minimize_neldermead`` in the mode ``minimize(method="Nelder-Mead",
+    options={"xatol": _XATOL, "fatol": inf, "maxfev": maxfev})`` runs on
+    a two-coordinate start, step for step and bit for bit: its initial
+    simplex, its non-adaptive coefficients, its sort, and its cut-off,
+    which abandons the step that would exceed maxfev evaluations.  The
+    three vertices and their values are kept as Python floats, each
+    trial point formed by the same float operations as scipy's arrays
+    (numpy rounds each elementwise operation as Python does), and the
+    vertices are reordered as numpy's argsort orders three entries.
+    With fatol infinite the test is on the vertices alone: it stops when
+    every vertex lies within _XATOL of the best vertex in each
+    coordinate.  Given maxfev, scipy sets no iteration cap.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nfev = 0
@@ -233,69 +256,82 @@ def _nelder_mead(x0, maxfev):
         nfev += 1
         return (yield x)
 
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):  # scipy's 5% steps, 0.00025 off a zero coordinate
-        y = np.array(x0, copy=True)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.full((n + 1,), np.inf)
+    def toward(xbar, vertex, t):
+        # (1 + t) xbar - t vertex: scipy's reflection (t = rho), expansion
+        # (rho chi) and outside contraction (psi rho); its inside
+        # contraction (1 - psi) xbar + psi vertex is t = -psi to the bit
+        return ((1 + t) * xbar[0] - t * vertex[0], (1 + t) * xbar[1] - t * vertex[1])
+
+    r0, phi0 = float(x0[0]), float(x0[1])
+    # scipy's 5% steps, 0.00025 off a zero coordinate
+    sim = [
+        (r0, phi0),
+        ((1 + 0.05) * r0 if r0 != 0 else 0.00025, phi0),
+        (r0, (1 + 0.05) * phi0 if phi0 != 0 else 0.00025),
+    ]
+    fsim = [math.inf] * 3
     try:
-        for k in range(n + 1):
-            fsim[k] = yield from evaluate(sim[k].copy())
+        for k in range(3):
+            fsim[k] = yield from evaluate(sim[k])
     except _BudgetSpent:
         pass
-    # scipy sorts the initial simplex twice; argsort need not be stable
-    # on ties, so the second sort is kept
-    for _ in range(2):
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
+    # scipy sorts the initial simplex twice; the sort is stable, so once
+    # is the same
+    order = _simplex_order(fsim)
+    sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
 
     while nfev < maxfev:
         try:
+            best = sim[0]
             # the fatol = inf test fails only on NaN, from inf - inf while
-            # the search still has only infinite values
-            if (
-                np.abs(sim[1:] - sim[0]).max() <= _XATOL
-                and np.abs(fsim[0] - fsim[1:]).max() <= np.inf
-            ):
+            # the search still has only infinite values; like numpy's max,
+            # all() reads any NaN difference as a failed test
+            if all(
+                abs(v[0] - best[0]) <= _XATOL and abs(v[1] - best[1]) <= _XATOL
+                for v in sim[1:]
+            ) and all(abs(fsim[0] - f) <= math.inf for f in fsim[1:]):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
+            # np.add.reduce over two rows is one addition
+            xbar = ((sim[0][0] + sim[1][0]) / 2, (sim[0][1] + sim[1][1]) / 2)
+            xr = toward(xbar, sim[2], rho)
             fxr = yield from evaluate(xr)
             if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                xe = toward(xbar, sim[2], rho * chi)
                 fxe = yield from evaluate(xe)
                 if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
+                    sim[2], fsim[2] = xe, fxe
                 else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+                    sim[2], fsim[2] = xr, fxr
+            elif fxr < fsim[1]:
+                sim[2], fsim[2] = xr, fxr
             else:
-                if fxr < fsim[-1]:
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                if fxr < fsim[2]:
+                    xc = toward(xbar, sim[2], psi * rho)
                     fxc = yield from evaluate(xc)
                     shrink = not fxc <= fxr
                     if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
+                        sim[2], fsim[2] = xc, fxc
                 else:
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    xcc = toward(xbar, sim[2], -psi)
                     fxcc = yield from evaluate(xcc)
-                    shrink = not fxcc < fsim[-1]
+                    shrink = not fxcc < fsim[2]
                     if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
+                        sim[2], fsim[2] = xcc, fxcc
                 if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = yield from evaluate(sim[j].copy())
+                    for j in (1, 2):
+                        v = sim[j]
+                        sim[j] = (
+                            best[0] + sigma * (v[0] - best[0]),
+                            best[1] + sigma * (v[1] - best[1]),
+                        )
+                        fsim[j] = yield from evaluate(sim[j])
         except _BudgetSpent:
             pass
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
-    return sim[0], fsim.min(), nfev, nfev < maxfev
+        order = _simplex_order(fsim)
+        sim, fsim = [sim[k] for k in order], [fsim[k] for k in order]
+    # numpy's min: NaN when any value is NaN
+    fun = math.nan if any(f != f for f in fsim) else fsim[0]
+    return sim[0], fun, nfev, nfev < maxfev
 
 
 def _check_record(record, basis):
@@ -316,17 +352,19 @@ def _negloglik(basis, b, counts, points):
     """Negative log-likelihood of counts[s] at points[s] = (r, phi).
 
     One call of the modal kernel covers every point inside the search
-    domain 0 < r <= 1.5 * _R_CEILING; points outside it read inf.  Each
-    value is the 1-D product counts[s] @ log p, as for a single scene.
+    domain 0 < r <= 1.5 * _R_CEILING; points outside it read inf.  Their
+    angles are wrapped by one array call of wrap_angle, which equals the
+    scalar call per angle.  Each value is the 1-D product
+    counts[s] @ log p, as for a single scene.
     """
     r = points[:, 0]
     values = np.full(len(points), np.inf)
     inside = np.flatnonzero(~((r <= 0.0) | (r > 1.5 * _R_CEILING)))
     if inside.size:
-        phi = [wrap_angle(points[s, 1]) for s in inside]
+        phi = wrap_angle(points[inside, 1])
         pv = _outcome_probabilities(basis, r[inside], phi, b)
         logp = np.log(np.maximum(pv, _LOG_FLOOR))
-        for row, s in enumerate(inside):
+        for row, s in enumerate(inside.tolist()):
             values[s] = -float(counts[s] @ logp[row])
     return values
 
@@ -347,7 +385,7 @@ def _localize(records, basis, b, table):
         values = _negloglik(
             basis, b, [counts[s] for s in order], np.array([pending[s] for s in order])
         )
-        for s, value in zip(order, values):
+        for s, value in zip(order, values.tolist()):
             try:
                 pending[s] = searches[s].send(value)
             except StopIteration as stop:

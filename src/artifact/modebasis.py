@@ -111,15 +111,33 @@ def _radial_factor(n, r):
 
     The one implementation behind the projection coefficients, the grid
     mode samples (psi_nm is this factor times sqrt(pi) times Theta_m) and, at
-    n = 0, the PSF overlap Gamma_0.  Radii must be nonnegative; below 1e-8
-    they take the exact on-axis value, 1 for n = 0 and 0 otherwise.
+    n = 0, the PSF overlap Gamma_0.  Radii must be nonnegative and vary
+    along one axis at most.  Below 1e-8 they take the exact on-axis value,
+    1 for n = 0 and 0 otherwise, and never reach bessel_j: only the
+    off-axis radii are gathered along that axis and evaluated, each by the
+    same elementwise expression, so every entry is the same bits whichever
+    radii share its call.  bessel_j still rejects NaN and infinite radii.
     """
     r = np.asarray(r, dtype=float)
     on_axis = r < _R_EPS
-    safe = np.where(on_axis, 1.0, r)
-    out = np.sqrt(n + 1.0) * bessel_j(n + 1, 2.0 * math.pi * safe) / (math.pi * safe)
-    if on_axis.any():
-        out = np.where(on_axis, np.equal(n, 0), out)
+    if not on_axis.any():
+        return np.sqrt(n + 1.0) * bessel_j(n + 1, 2.0 * math.pi * r) / (math.pi * r)
+    shape = np.broadcast_shapes(np.shape(n), r.shape)
+    if r.ndim == 0:
+        return np.full(shape, np.equal(n, 0), dtype=float)
+    if r.size > max(r.shape):
+        raise ValueError("radii must vary along one axis at most")
+    axis = r.shape.index(max(r.shape))
+    off = np.flatnonzero(~on_axis)
+    # formed before the output, so the peak stays at two output-sized arrays
+    values = _radial_factor(n, r.take(off, axis=axis))
+    out = np.empty(shape)
+    index = [slice(None)] * len(shape)
+    out_axis = len(shape) - r.ndim + axis
+    index[out_axis] = np.flatnonzero(on_axis)
+    out[tuple(index)] = np.equal(n, 0)
+    index[out_axis] = off
+    out[tuple(index)] = values
     return out
 
 

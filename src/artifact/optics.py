@@ -174,10 +174,14 @@ def wrap_angle(phi):
 
     The float modulo rounds an angle a hair below zero up to exactly
     2 pi, outside the range; that value maps to 0.  Every other result is
-    the plain modulo, bit for bit.
+    the plain modulo, bit for bit (numpy's remainder rounds as Python's
+    float % does), and an infinite angle gives NaN, silently, as % does.
+    A scalar gives a float, an array an array of wrapped entries.
     """
-    phi = float(phi) % (2.0 * math.pi)
-    return 0.0 if phi >= 2.0 * math.pi else phi
+    with np.errstate(invalid="ignore"):
+        wrapped = np.remainder(np.asarray(phi, dtype=float), 2.0 * math.pi)
+    wrapped = np.where(wrapped >= 2.0 * math.pi, 0.0, wrapped)
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,41 @@ def test_montecarlo_manifest(spiral_runs):
     ]
 
 
+def test_montecarlo_manifest_diagnostics(spiral_runs):
+    # per cluster: the mean and max Nelder-Mead evaluations of its trials
+    # and its converged fraction, the numbers the trials CSVs do not hold
+    manifests = [
+        json.loads((out_dir / "montecarlo_manifest.json").read_text())
+        for _, _, out_dir in spiral_runs
+    ]
+    first = manifests[0]
+    assert set(first) == {
+        "command", "config", "diagnostics", "duration_s", "libraries", "outputs",
+        "parameters", "peak_rss_mb", "seed", "version",
+    }
+    clusters = first["diagnostics"]["clusters"]
+    assert set(first["diagnostics"]) == {"clusters"}
+    assert len(clusters) == 2
+    s = separation_from_sigma_units(1.0)
+    scenes = spiral_truths(2, 0.2 * s, 0.5 * s, 1e-9)
+    table = coarse_table(FourierZernikeBasis(10), 1e-9)
+    for k, (scene, entry) in enumerate(zip(scenes, clusters)):
+        assert set(entry) == {"n_evals_mean", "n_evals_max", "converged_frac"}
+        payload = (k, scene.r_delta, scene.phi_delta, 1e-9, 3e11, 5, k, 10, table)
+        _, results = cli._cluster_worker(payload)
+        n_evals = [t.estimate.n_evals for t in results]
+        assert entry["n_evals_mean"] == sum(n_evals) / 5
+        assert entry["n_evals_max"] == max(n_evals)
+        assert entry["converged_frac"] == sum(t.estimate.converged for t in results) / 5
+        assert 0 < entry["n_evals_mean"] <= entry["n_evals_max"] <= 500
+    # a rerun differs only in its duration and peak RSS, and the pool
+    # reports the same diagnostics
+    for manifest in manifests:
+        del manifest["duration_s"], manifest["peak_rss_mb"]
+    assert manifests[1] == first
+    assert manifests[2]["diagnostics"] == first["diagnostics"]
+
+
 def test_montecarlo_trial_rows_match_cluster_results(spiral_runs):
     # every cell of the trials CSVs reads back as the value the cluster produced
     _, csvs, _ = spiral_runs[0]

@@ -21,8 +21,8 @@ from artifact.modebasis import (
     source_coefficients,
 )
 from artifact.coronagraph import extract_operator, perfect_plan
-from artifact.optics import GridSpec, OpticalField, Scene, overlap, psf_field
-from artifact.specfun import ZernikeIndex, zernike_angular
+from artifact.optics import _R_EPS, GridSpec, OpticalField, Scene, overlap, psf_field
+from artifact.specfun import ZernikeIndex, bessel_j, zernike_angular
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +206,74 @@ def test_kernel_rejects_invalid_sources():
         all_mode_probabilities(basis, [0.1], [0.0], 1.0)
     with pytest.raises(ValueError):
         all_mode_probabilities(basis, [[0.1]], [[0.0]], 0.1)
+
+
+def _substitute_radius_factor(n, r):
+    # the former evaluation: on-axis radii went through jv at the substitute
+    # radius 1 and the result was then overwritten by the exact value
+    r = np.asarray(r, dtype=float)
+    on_axis = r < _R_EPS
+    safe = np.where(on_axis, 1.0, r)
+    out = np.sqrt(n + 1.0) * bessel_j(n + 1, 2.0 * math.pi * safe) / (math.pi * safe)
+    return np.where(on_axis, np.equal(n, 0), out)
+
+
+# on-axis radii (below 1e-8) mixed in with off-axis ones, 1e-8 itself off axis
+_MIXED_R = np.array([0.0, 0.3, 5e-9, 1.7, 0.0, 1e-8, 2.9, 9.999e-9, 0.05])
+
+
+def test_radial_factor_keeps_on_axis_radii_from_bessel(monkeypatch):
+    # the kernel's call shapes: (S, 1) radii against (K,) orders as in
+    # _source_rows, (K, 1) orders against (R,) radii as in _radius_tables,
+    # and scalars as in quantum_bounds._gamma0
+    arguments = []
+
+    def spy(n, x):
+        arguments.append(np.array(x, dtype=float).ravel())
+        return bessel_j(n, x)
+
+    monkeypatch.setattr(modebasis, "bessel_j", spy)
+    orders = np.arange(11)
+    off_axis = 2.0 * math.pi * _MIXED_R[_MIXED_R >= _R_EPS]
+    cases = [
+        (orders, _MIXED_R[:, None], off_axis),
+        (orders[:, None], _MIXED_R, off_axis),
+        (orders, np.zeros((4, 1)), []),
+        (orders[:, None], np.full(3, 5e-9), []),
+        (0, 0.0, []),
+        (3, 9e-9, []),
+        (0, 0.4, [2.0 * math.pi * 0.4]),
+        (4, np.array([0.0]), []),
+    ]
+    for n, r, expect in cases:
+        arguments.clear()
+        got = _radial_factor(n, r)
+        ref = _substitute_radius_factor(n, r)
+        assert got.shape == ref.shape
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(ref).view(np.uint64))
+        seen = np.concatenate(arguments) if arguments else np.array([])
+        assert np.array_equal(seen, expect)
+    # the same through the two kernels: a star at b = 1e-9 sits on axis
+    arguments.clear()
+    basis = FourierZernikeBasis(6)
+    all_mode_probabilities(basis, np.array([0.1, 0.5, 2.0]), np.array([0.3, 1.0, 4.0]), 1e-9)
+    radial, _ = modebasis._radius_tables(basis, GridSpec(64, 8.0))
+    assert arguments and min(a.min() for a in arguments) >= 2.0 * math.pi * _R_EPS
+    assert radial[0, 0] == 1.0 and not radial[1:, 0].any()
+
+
+def test_radial_factor_rejects_what_bessel_rejects():
+    orders = np.arange(5)
+    for bad in (math.nan, math.inf):
+        for r in (np.array([bad]), np.array([0.0, bad, 0.2]), bad):
+            with pytest.raises(ValueError):
+                _radial_factor(orders[:, None], r)
+        with pytest.raises(ValueError):
+            _radial_factor(orders, np.array([0.0, bad])[:, None])
+    # an on-axis radius among radii that vary along two axes has no one
+    # axis to gather the others along
+    with pytest.raises(ValueError):
+        _radial_factor(0, np.array([[0.0, 0.1], [0.2, 0.3]]))
 
 
 # ---------------------------------------------------------------------------

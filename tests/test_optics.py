@@ -602,6 +602,19 @@ def test_wrap_angle_lands_in_scene_range(phi):
     assert wrapped == (plain if plain < 2.0 * math.pi else 0.0)
 
 
+def test_wrap_angle_array_equals_scalar_calls():
+    # an array wraps entry by entry as the scalar call does, bit for bit
+    rng = np.random.default_rng(3)
+    phi = np.concatenate(
+        [rng.uniform(-20.0, 20.0, 2000), [-5e-324, -0.0, 0.0, 2.0 * math.pi, -2.0 * math.pi]]
+    )
+    wrapped = wrap_angle(phi)
+    assert isinstance(wrapped, np.ndarray) and wrapped.shape == phi.shape
+    scalar = np.array([wrap_angle(p) for p in phi.tolist()])
+    assert np.array_equal(wrapped.view(np.uint64), scalar.view(np.uint64))
+    assert isinstance(wrap_angle(np.float64(-0.3)), float)
+
+
 # ---------------------------------------------------------------------------
 # telescope prescriptions
 
