@@ -18,8 +18,8 @@ writes a ``<command>_manifest.json`` run manifest next to its outputs:
 the command, ``config`` (``--config`` as given, or null), ``seed``,
 ``version``, the Python, numpy and scipy versions under ``libraries``,
 the ``outputs`` written, the wall-clock ``duration_s``, and under
-``parameters`` every other parsed option except ``--out-dir``
-(``tables`` adds the ``kind`` its ``--table`` selects).  ``montecarlo``
+``parameters`` every other parsed option except ``--out-dir`` and
+``--jobs`` (``tables`` adds the ``kind`` its ``--table`` selects).  ``montecarlo``
 adds ``diagnostics``: under ``clusters``, one entry per cluster with the
 mean and max Nelder-Mead evaluations of its trials (``n_evals_mean``,
 ``n_evals_max``) and its ``converged_frac``.  Exit code 0
@@ -31,10 +31,11 @@ variable.  Sweep axes are given as ``v1,v2,...`` lists or
 ``start:stop:count`` ranges (append ``:log`` for geometric spacing).
 Intensity rasters are row-major little-endian float32 behind a 16-byte
 header: magic ``FR32``, then uint32 width, height and a reserved zero.
+Every subcommand runs in the one process that parsed it; ``--jobs`` is
+still accepted, for older command lines, and ignored.
 """
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -107,8 +108,9 @@ _SUMMARY_HEADER = (
     "cluster,truth_r_over_sigma,truth_phi,sigma_patch,sigma_floor,"
     "patch_ratio,n_converged,n_trials"
 )
-# parsed options the manifest records outside ``parameters`` or not at all
-_NOT_PARAMETERS = ("command", "func", "config", "out_dir", "seed")
+# parsed options the manifest records outside ``parameters`` or not at all;
+# ``--jobs`` selects nothing
+_NOT_PARAMETERS = ("command", "func", "config", "out_dir", "seed", "jobs")
 
 
 def parse_axis(text):
@@ -163,19 +165,6 @@ def _comment(seed):
     return f"artifact {__version__} seed={seed}"
 
 
-def _pool_map(fn, items, jobs):
-    """Order-preserving map over a process pool sized by --jobs.
-
-    Falls back to a serial loop when one worker suffices; results are
-    collected (and later written) by the calling process only.
-    """
-    jobs = max(1, min(int(jobs), len(items)))
-    if jobs == 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_csv(path, comment, header, rows):
     """The one CSV writer: ``# comment``, the header line, then the rows."""
     with open(path, "w", encoding="ascii") as fh:
@@ -207,6 +196,25 @@ def _get_plan(design):
     return maker()
 
 
+def _check_separations(r_values, reach):
+    """Reject separations whose images leave the grid, before any plan is built.
+
+    Each ``--r-delta-over-sigma`` value must be finite and nonnegative, and
+    ``reach(r_delta)``, the farthest radius at which the run's images place
+    a source of the scene at separation r_delta, must keep the margin of
+    ``check_source_in_window`` on the default grid, which every design's
+    plan samples its sources on.  ``reach`` may raise ValueError itself.
+    The message names the option and the value.
+    """
+    for r_sigma in r_values:
+        try:
+            if not 0.0 <= r_sigma < math.inf:
+                raise ValueError("a separation must be finite and nonnegative")
+            check_source_in_window(reach(separation_from_sigma_units(r_sigma)), GridSpec())
+        except ValueError as exc:
+            raise ValueError(f"--r-delta-over-sigma {r_sigma:g}: {exc}") from None
+
+
 def planet_throughput(plan, r_delta, phi=0.3):
     """Transmitted energy fraction of a unit source at radius r_delta.
 
@@ -225,25 +233,6 @@ def planet_throughput(plan, r_delta, phi=0.3):
 # bounds
 
 
-def _qce_rows(payload):
-    r_sigma, b_values = payload
-    r_delta = separation_from_sigma_units(r_sigma)
-    return [(r_sigma, b, qce(Scene(r_delta, 0.0, b))) for b in b_values]
-
-
-def _qfim_rows(payload):
-    r_sigma, b_values = payload
-    r_delta = separation_from_sigma_units(r_sigma)
-    return [(r_sigma, b, *qfim_diagonal(Scene(r_delta, 0.0, b))) for b in b_values]
-
-
-def _budget_rows(payload):
-    r_sigma, b_values, task, target, prescription = payload
-    return photon_requirement_map(
-        [r_sigma], b_values, task=task, target=target, prescription=prescription
-    )
-
-
 def cmd_bounds(args):
     """Sweep quantum limits over a (separation, contrast) grid to CSV."""
     prescription = _load_config(args, required=False)
@@ -258,42 +247,34 @@ def cmd_bounds(args):
             f"{args.target}, got {bad[0]:g}"
         )
     b_values = parse_axis(args.contrast_b)
-    out = _out_dir(args)
-    comment = _comment(args.seed)
 
+    # every row is formed before --out-dir is made; rows are row-major
+    # over (separation, contrast)
     if args.target == "qce":
-        chunks = _pool_map(_qce_rows, [(r, b_values) for r in r_values], args.jobs)
-        path = out / "bounds_qce.csv"
-        _write_csv(
-            path,
-            comment,
-            "r_delta_over_sigma,b,qce",
-            [row for chunk in chunks for row in chunk],
-        )
+        name, header = "bounds_qce.csv", "r_delta_over_sigma,b,qce"
+        rows = [
+            (r, b, qce(Scene(separation_from_sigma_units(r), 0.0, b)))
+            for r in r_values
+            for b in b_values
+        ]
     elif args.target == "qfim":
-        chunks = _pool_map(_qfim_rows, [(r, b_values) for r in r_values], args.jobs)
-        path = out / "bounds_qfim.csv"
-        _write_csv(
-            path,
-            comment,
-            "r_delta_over_sigma,b,k_rr,k_phiphi",
-            [row for chunk in chunks for row in chunk],
-        )
+        name, header = "bounds_qfim.csv", "r_delta_over_sigma,b,k_rr,k_phiphi"
+        rows = [
+            (r, b, *qfim_diagonal(Scene(separation_from_sigma_units(r), 0.0, b)))
+            for r in r_values
+            for b in b_values
+        ]
     else:
-        target = args.pe_target if args.task == "detection" else args.rel_loc_error
-        chunks = _pool_map(
-            _budget_rows,
-            [(r, b_values, args.task, target, prescription) for r in r_values],
-            args.jobs,
+        name, header = "bounds_budget_map.csv", "r_delta_over_sigma,b,photons,seconds"
+        rows = photon_requirement_map(
+            r_values,
+            b_values,
+            task=args.task,
+            target=args.pe_target if args.task == "detection" else args.rel_loc_error,
+            prescription=prescription,
         )
-        path = out / "bounds_budget_map.csv"
-        _write_csv(
-            path,
-            comment,
-            "r_delta_over_sigma,b,photons,seconds",
-            np.vstack(chunks),
-        )
-
+    path = _out_dir(args) / name
+    _write_csv(path, _comment(args.seed), header, rows)
     print(f"wrote {path} ({r_values.size * b_values.size} grid points)")
     return [path.name], 0, {}
 
@@ -327,24 +308,6 @@ def _localization_matrices(scene):
     return out
 
 
-def _check_table_sources(scene, kind, r_sigma):
-    """Reject a table scene whose images leave the grid, before any plan is built.
-
-    The detection rows render a unit source at the scene's separation
-    (``planet_throughput``); the localization rows render both sources of
-    the scenes one difference step out (``cfim_direct_imaging``), which
-    also needs the separation to exceed that step.
-    """
-    reach = scene.r_delta
-    try:
-        if kind == "localization":
-            h = imaging_step(scene.r_delta)
-            reach = max(scene.b, 1.0 - scene.b) * (scene.r_delta + h)
-        check_source_in_window(reach, GridSpec())
-    except ValueError as exc:
-        raise ValueError(f"--r-delta-over-sigma {r_sigma:g}: {exc}") from None
-
-
 def _print_table(title, col_labels, rows):
     width = max(len(s) for s, _ in rows) + 2
     print(title)
@@ -368,58 +331,45 @@ def cmd_tables(args):
         raise ValueError(
             f"--r-delta-over-sigma must be positive and finite, got {args.r_delta_over_sigma:g}"
         )
-    scene = Scene(
-        separation_from_sigma_units(args.r_delta_over_sigma),
-        0.3,
-        args.contrast_b,
-    )
+    scene = Scene(separation_from_sigma_units(args.r_delta_over_sigma), 0.3, args.contrast_b)
     kind = "detection" if args.table in ("2", "detection") else "localization"
-    _check_table_sources(scene, kind, args.r_delta_over_sigma)
+    if kind == "detection":
+        # the rows render a unit source at the separation (planet_throughput)
+        _check_separations([args.r_delta_over_sigma], lambda r: r)
+    else:
+        # the rows render both sources of the scenes one difference step out
+        # (cfim_direct_imaging), which also needs the separation to exceed it
+        _check_separations(
+            [args.r_delta_over_sigma],
+            lambda r: max(scene.b, 1.0 - scene.b) * (r + imaging_step(r)),
+        )
     out = _out_dir(args)
     args.kind = kind  # recorded among the manifest's parameters
 
     if kind == "detection":
-        rates = {name: e * flux for name, e in _detection_exponents(scene).items()}
+        exponents = _detection_exponents(scene)
+        rates = {name: exponents[name] * flux for name in _TABLE_SYSTEMS}
+        targets, label, target_name = _PE_TARGETS, "Pe", "pe_target"
         # an exponent that rounds to zero takes forever: the quantum and
         # SPADE ones do at b = 1e-9 below about 1e-3 sigma, where the
         # survival probability rounds to 1
         rows = [
-            (
-                sys_name,
-                [
-                    -math.log(pe) / rates[sys_name] if rates[sys_name] > 0.0 else math.inf
-                    for pe in _PE_TARGETS
-                ],
-            )
-            for sys_name in _TABLE_SYSTEMS
+            (name, [-math.log(pe) / rate if rate > 0.0 else math.inf for pe in targets])
+            for name, rate in rates.items()
         ]
-        col_labels = [f"Pe={pe:g}" for pe in _PE_TARGETS]
-        targets = _PE_TARGETS
-        target_name = "pe_target"
-        path = out / "detection_times.csv"
-        title = (
-            f"Detection integration time (s) at r_delta/sigma="
-            f"{args.r_delta_over_sigma:g}, b={args.contrast_b:g}"
-        )
     else:
         matrices = _localization_matrices(scene)
+        targets, label, target_name = _REL_ERRORS, "rel", "rel_loc_error"
         rows = [
-            (
-                sys_name,
-                [localization_photons(matrices[sys_name], rel) / flux for rel in _REL_ERRORS],
-            )
-            for sys_name in _TABLE_SYSTEMS
+            (name, [localization_photons(matrices[name], rel) / flux for rel in targets])
+            for name in _TABLE_SYSTEMS
         ]
-        col_labels = [f"rel={rel:g}" for rel in _REL_ERRORS]
-        targets = _REL_ERRORS
-        target_name = "rel_loc_error"
-        path = out / "localization_times.csv"
-        title = (
-            f"Localization integration time (s) at r_delta/sigma="
-            f"{args.r_delta_over_sigma:g}, b={args.contrast_b:g}"
-        )
-
-    _print_table(title, col_labels, rows)
+    title = (
+        f"{kind.capitalize()} integration time (s) at r_delta/sigma="
+        f"{args.r_delta_over_sigma:g}, b={args.contrast_b:g}"
+    )
+    _print_table(title, [f"{label}={t:g}" for t in targets], rows)
+    path = out / f"{kind}_times.csv"
     _write_csv(
         path,
         _comment(args.seed),
@@ -441,16 +391,26 @@ def cmd_tables(args):
 def cmd_coronagraph(args):
     """Emit a raster, mode spectrum or throughput sweep for one design.
 
-    The scene options are parsed before the plan is built; a source beyond
-    the grid window raises while its image is rendered.
+    The scene options are checked before the plan is built and
+    ``--out-dir`` made: each separation of an image or a throughput sweep
+    must be finite and nonnegative and keep every source its images place
+    inside the grid window, or the run exits 2 naming
+    ``--r-delta-over-sigma`` and the value.
     """
     if args.output == "image":
         r_sigma = _scalar_axis(args.r_delta_over_sigma, "--r-delta-over-sigma")
-        scene = Scene(
-            separation_from_sigma_units(r_sigma), wrap_angle(args.phi), args.contrast_b
+        b = args.contrast_b
+        if not 0.0 < b < 1.0:
+            raise ValueError(f"--contrast-b must lie in (0, 1), got {b:g}")
+        # the bare star sits at b r; the planet of a full scene at (1 - b) r
+        _check_separations(
+            [r_sigma], lambda r: b * r if args.star_only else max(b, 1.0 - b) * r
         )
+        scene = Scene(separation_from_sigma_units(r_sigma), wrap_angle(args.phi), b)
     elif args.output == "throughput":
         r_values = parse_axis(args.r_delta_over_sigma)
+        # planet_throughput's probe source sits at the separation itself
+        _check_separations(r_values, lambda r: r)
     plan = _get_plan(args.design)
     out = _out_dir(args)
     comment = _comment(args.seed)
@@ -487,19 +447,6 @@ def cmd_coronagraph(args):
 # montecarlo
 
 
-def _cluster_worker(payload):
-    """Run one trial cluster; safe to ship to a worker process.
-
-    The payload carries the run's one likelihood table (2.2 MB at n_max
-    10), which depends only on the truncation, rotation and contrast.
-    """
-    index, r_delta, phi, b, photons, trials, seed, n_max, table = payload
-    basis = FourierZernikeBasis(n_max)
-    scene = Scene(r_delta, phi, b)
-    results = run_trials(scene, basis, photons, trials, seed, table=table)
-    return index, results
-
-
 def _truth_option(args, k, count):
     """The option that sets the separation of truth scene k of count."""
     if args.spiral == 0:
@@ -515,8 +462,10 @@ def cmd_montecarlo(args):
     One cluster per truth scene: either the single scene given by the
     scene flags or ``--spiral N`` truth points along an arc.  Cluster k
     runs with seed ``--seed + k`` so any cluster reproduces in
-    isolation.  Exits 2 before the first trial when ``--photons`` is not
-    positive or exceeds numpy's Poisson limit (about 9.2e18), a spiral's
+    isolation.  Every cluster runs, in this process, before any CSV is
+    written.  Exits 2 before the first trial when ``--seed`` is negative,
+    ``--photons`` is not positive or exceeds numpy's Poisson limit (about
+    9.2e18), a spiral's
     ``--r-start`` or ``--r-end`` is negative or not finite, or a truth's
     quantum floor is undefined (at zero separation, or where its Fisher
     matrix is singular), and 3 when any cluster converges on fewer than
@@ -529,6 +478,11 @@ def cmd_montecarlo(args):
         raise ValueError(f"--photons must lie in {limit}, got {args.photons:g}")
     if args.spiral < 0:
         raise ValueError(f"--spiral must be nonnegative, got {args.spiral}")
+    if args.seed < 0:
+        # numpy's seed sequences take no negative entry
+        raise ValueError(
+            f"--seed must be nonnegative (cluster k runs with --seed + k), got {args.seed}"
+        )
     b = args.contrast_b
     if args.spiral > 0:
         for flag, value in (("--r-start", args.r_start), ("--r-end", args.r_end)):
@@ -546,7 +500,10 @@ def cmd_montecarlo(args):
                 separation_from_sigma_units(args.r_delta_over_sigma), wrap_angle(args.phi), b
             )
         ]
-    table = coarse_table(FourierZernikeBasis(args.n_max), b)
+    # one basis and one likelihood table serve every cluster: the table
+    # depends only on the truncation, rotation and contrast
+    basis = FourierZernikeBasis(args.n_max)
+    table = coarse_table(basis, b)
     # each truth's quantum floor is checked here, before any trial.  After
     # the table: evaluated first, its small arrays raised the peak RSS of a
     # three-truth n_max 10 run by 0.6 MB
@@ -565,33 +522,18 @@ def cmd_montecarlo(args):
                 f"sigma, phi {scene.phi_delta:g}, from {_truth_option(args, k, len(scenes))}) "
                 f"has no quantum localization floor: {exc}"
             ) from None
-    out = _out_dir(args)
-
-    payloads = [
-        (
-            k,
-            scene.r_delta,
-            scene.phi_delta,
-            b,
-            args.photons,
-            args.trials,
-            args.seed + k,
-            args.n_max,
-            table,
-        )
+    clusters = [
+        run_trials(scene, basis, args.photons, args.trials, args.seed + k, table=table)
         for k, scene in enumerate(scenes)
     ]
-    clusters = dict(_pool_map(_cluster_worker, payloads, args.jobs))
+    out = _out_dir(args)
 
     outputs = []
     summary_rows = []
     cluster_diagnostics = []
     worst_fraction = 1.0
-    for k, scene in enumerate(scenes):
-        results = clusters[k]
-        name = (
-            f"trials_cluster{k}.csv" if args.spiral > 0 else "montecarlo_trials.csv"
-        )
+    for k, (scene, results) in enumerate(zip(scenes, clusters)):
+        name = f"trials_cluster{k}.csv" if args.spiral > 0 else "montecarlo_trials.csv"
         _write_csv(
             out / name,
             _TRIALS_COMMENT,
@@ -665,12 +607,8 @@ def _add_common(sub):
     )
     sub.add_argument("--out-dir", default=".", help="output directory")
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="work-pool size for parameter sweeps",
-    )
+    # accepted for older command lines and ignored: every run is one process
+    sub.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
 
 
 def build_parser():
@@ -798,6 +736,8 @@ def _write_manifest(args, outputs, diagnostics, duration_s):
     (``peak_rss_mb``, from ``getrusage``, which Linux reports in KiB) are
     the only fields expected to differ between such runs.  A subcommand
     that reports numerical diagnostics has them under ``diagnostics``.
+    ``parameters`` omit ``--jobs``, which every command accepts and
+    ignores: each runs in this one process.
     """
     parameters = {
         key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS

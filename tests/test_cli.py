@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface, called through main(argv)."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from artifact import __version__, cli, coronagraph
 from artifact.cli import CONFIG_ENV_VAR, main, parse_axis
 from artifact.coronagraph import extract_operator, read_raster
-from artifact.estimation import coarse_table, spiral_truths
+from artifact.estimation import coarse_table, run_trials, spiral_truths
 from artifact.modebasis import FourierZernikeBasis
 from artifact.optics import (
     GridSpec,
@@ -49,15 +50,19 @@ def _montecarlo(out_dir, jobs):
     return code, csvs, out_dir
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
 @pytest.fixture(scope="module")
 def spiral_runs(tmp_path_factory):
-    # the same small spiral run three times: serial, serial again, two workers
+    # the same small spiral run three times: --jobs 1, again, then --jobs 2,
+    # which is accepted and ignored, so it too runs in this process
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(CONFIG_ENV_VAR, raising=False)
-        return [
-            _montecarlo(tmp_path_factory.mktemp(name), jobs)
-            for name, jobs in (("first", 1), ("rerun", 1), ("pool", 2))
-        ]
+        runs = [_montecarlo(tmp_path_factory.mktemp(name), 1) for name in ("first", "rerun")]
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        return runs + [_montecarlo(tmp_path_factory.mktemp("pool"), 2)]
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -129,7 +134,7 @@ def test_montecarlo_manifest(spiral_runs):
     assert manifest["parameters"]["trials"] == 5
     assert set(manifest["parameters"]) == {
         "trials", "photons", "n_max", "spiral", "r_delta_over_sigma", "phi",
-        "contrast_b", "r_start", "r_end", "jobs",
+        "contrast_b", "r_start", "r_end",
     }
     assert manifest["outputs"] == [
         "trials_cluster0.csv",
@@ -158,15 +163,14 @@ def test_montecarlo_manifest_diagnostics(spiral_runs):
     table = coarse_table(FourierZernikeBasis(10), 1e-9)
     for k, (scene, entry) in enumerate(zip(scenes, clusters)):
         assert set(entry) == {"n_evals_mean", "n_evals_max", "converged_frac"}
-        payload = (k, scene.r_delta, scene.phi_delta, 1e-9, 3e11, 5, k, 10, table)
-        _, results = cli._cluster_worker(payload)
+        results = run_trials(scene, FourierZernikeBasis(10), 3e11, 5, k, table=table)
         n_evals = [t.estimate.n_evals for t in results]
         assert entry["n_evals_mean"] == sum(n_evals) / 5
         assert entry["n_evals_max"] == max(n_evals)
         assert entry["converged_frac"] == sum(t.estimate.converged for t in results) / 5
         assert 0 < entry["n_evals_mean"] <= entry["n_evals_max"] <= 500
-    # a rerun differs only in its duration and peak RSS, and the pool
-    # reports the same diagnostics
+    # a rerun differs only in its duration and peak RSS, and the --jobs 2
+    # run reports the same diagnostics
     for manifest in manifests:
         del manifest["duration_s"], manifest["peak_rss_mb"]
     assert manifests[1] == first
@@ -180,8 +184,7 @@ def test_montecarlo_trial_rows_match_cluster_results(spiral_runs):
     scenes = spiral_truths(2, 0.2 * s, 0.5 * s, 1e-9)
     table = coarse_table(FourierZernikeBasis(10), 1e-9)
     for k, scene in enumerate(scenes):
-        payload = (k, scene.r_delta, scene.phi_delta, 1e-9, 3e11, 5, k, 10, table)
-        _, results = cli._cluster_worker(payload)
+        results = run_trials(scene, FourierZernikeBasis(10), 3e11, 5, k, table=table)
         lines = csvs[f"trials_cluster{k}.csv"].decode("ascii").splitlines()
         rows = [row.split(",") for row in lines[2:]]
         assert len(rows) == len(results)
@@ -272,6 +275,24 @@ def test_montecarlo_spiral_radius_outside_its_domain_exits_2_before_trials(
     assert not out.exists()
 
 
+def test_montecarlo_negative_seed_exits_2_before_the_table(tmp_path, monkeypatch, capsys):
+    # numpy's seed sequence once rejected cluster 0's seed with a bare
+    # "expected non-negative integer", after the table was built and
+    # --out-dir made
+    def no_table(basis, b):
+        raise AssertionError("the likelihood table was built")
+
+    monkeypatch.setattr(cli, "coarse_table", no_table)
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    out = tmp_path / "out"
+    argv = ["montecarlo", "--seed", "-1", "--trials", "1", "--n-max", "4"]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --seed must be nonnegative (cluster k runs with --seed + k), got -1\n"
+    )
+    assert not out.exists()
+
+
 def test_montecarlo_wraps_phi(tmp_path, monkeypatch):
     # a position angle past 2 pi is wrapped, not rejected
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
@@ -333,7 +354,7 @@ def test_tables_manifest(table2_runs):
     assert manifest["parameters"]["table"] == "2"
     assert manifest["parameters"]["kind"] == "detection"
     assert set(manifest["parameters"]) == {
-        "table", "kind", "r_delta_over_sigma", "contrast_b", "jobs",
+        "table", "kind", "r_delta_over_sigma", "contrast_b",
     }
     assert manifest["outputs"] == ["detection_times.csv"]
 
@@ -501,13 +522,16 @@ def _bounds(target, out_dir, jobs):
 
 @pytest.fixture(scope="module", params=sorted(_BOUNDS_CSV))
 def bounds_runs(request, tmp_path_factory):
-    # each target on a 3 x 3 grid: serial, serial again, two workers
+    # each target on a 3 x 3 grid: --jobs 1, again, then --jobs 2 in this
+    # process
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(CONFIG_ENV_VAR, raising=False)
         runs = [
-            _bounds(request.param, tmp_path_factory.mktemp(name), jobs)
-            for name, jobs in (("first", 1), ("rerun", 1), ("pool", 2))
+            _bounds(request.param, tmp_path_factory.mktemp(name), 1)
+            for name in ("first", "rerun")
         ]
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        runs.append(_bounds(request.param, tmp_path_factory.mktemp("pool"), 2))
     return request.param, runs
 
 
@@ -538,10 +562,10 @@ def test_bounds_manifest(bounds_runs):
     assert manifest["parameters"]["target"] == target
     assert manifest["parameters"]["r_delta_over_sigma"] == "0.1:2:3"
     assert manifest["parameters"]["contrast_b"] == "1e-9:1e-7:3:log"
-    assert manifest["parameters"]["jobs"] == 1
+    assert "jobs" not in manifest["parameters"]
     assert set(manifest["parameters"]) == {
         "target", "task", "r_delta_over_sigma", "contrast_b", "pe_target",
-        "rel_loc_error", "jobs",
+        "rel_loc_error",
     }
     assert manifest["outputs"] == [_BOUNDS_CSV[target][0]]
 
@@ -757,7 +781,7 @@ def test_coronagraph_exit_code_and_outputs(vortex_runs):
     assert manifest["config"] is None
     assert set(manifest["parameters"]) == {
         "design", "output", "r_delta_over_sigma", "phi", "contrast_b", "star_only",
-        "n_max", "jobs",
+        "n_max",
     }
     assert manifest["parameters"]["design"] == "vortex"
     assert manifest["parameters"]["output"] == output
@@ -823,6 +847,35 @@ def test_coronagraph_image_needs_one_separation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: --r-delta-over-sigma must be a single value here, got 2\n"
     assert not (tmp_path / "vortex_image.f32").exists()
+
+
+@pytest.mark.parametrize(
+    "output, r_sigma, complaint",
+    [
+        ("throughput", "-1", "a separation must be finite and nonnegative"),
+        # the 0.5 row was once rendered before the NaN was rejected
+        ("throughput", "0.5,nan", "a separation must be finite and nonnegative"),
+        # the window holds |s| + 3 <= 16 focal units, and 30 sigma is 18.3
+        ("throughput", "0.5,30", "a source at separation 18.295 (focal units)"),
+        ("image", "nan", "a separation must be finite and nonnegative"),
+        ("image", "30", "a source at separation 18.295 (focal units)"),
+    ],
+)
+def test_coronagraph_separation_outside_the_images_exits_2_before_a_plan(
+    output, r_sigma, complaint, tmp_path, monkeypatch, capsys
+):
+    # a negative separation once exited 2 only after the PIAACMC design was
+    # solved and --out-dir made
+    def no_plan(design):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(cli, "_get_plan", no_plan)
+    out = tmp_path / "out"
+    argv = ["coronagraph", "--design", "piaacmc", "--output", output]
+    assert main(argv + ["--r-delta-over-sigma", r_sigma, "--out-dir", str(out)]) == 2
+    bad = float(r_sigma.split(",")[-1])
+    assert capsys.readouterr().err.startswith(f"error: --r-delta-over-sigma {bad:g}: {complaint}")
+    assert not out.exists()
 
 
 def test_coronagraph_image_wraps_phi(tmp_path):
