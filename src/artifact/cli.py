@@ -22,7 +22,11 @@ the ``outputs`` written, the wall-clock ``duration_s``, and under
 ``--jobs`` (``tables`` adds the ``kind`` its ``--table`` selects).  ``montecarlo``
 adds ``diagnostics``: under ``clusters``, one entry per cluster with the
 mean and max Nelder-Mead evaluations of its trials (``n_evals_mean``,
-``n_evals_max``) and its ``converged_frac``.  Exit code 0
+``n_evals_max``) and its ``converged_frac``; ``coronagraph --output
+eigenmodes`` adds ``diagnostics`` too: the smallest eigenvalue of the
+sampled modes' scaled Gram matrix (``gram_floor``), the largest
+|transmission| (``max_abs_transmission``) and the ceiling that extraction
+enforces on it (``transmission_ceiling``).  Exit code 0
 means success, 2 a configuration or usage error, 3 numerical
 non-convergence or another numerical failure (any ``ArithmeticError``,
 such as an overflow).  Telescope prescriptions come from ``--config`` or,
@@ -56,6 +60,7 @@ from .classical_info import (
     imaging_step,
 )
 from .coronagraph import (
+    _TRANSMISSION_CEILING,
     extract_operator,
     output_state_image,
     perfect_plan,
@@ -215,6 +220,12 @@ def _check_separations(r_values, reach):
             raise ValueError(f"--r-delta-over-sigma {r_sigma:g}: {exc}") from None
 
 
+def _check_contrast(b):
+    """Reject a ``--contrast-b`` outside (0, 1), naming the option and the value."""
+    if not 0.0 < b < 1.0:
+        raise ValueError(f"--contrast-b must lie in (0, 1), got {b:g}")
+
+
 def planet_throughput(plan, r_delta, phi=0.3):
     """Transmitted energy fraction of a unit source at radius r_delta.
 
@@ -322,6 +333,9 @@ def cmd_tables(args):
     Selector 2 tabulates detection times against error-probability
     targets, selector 3 localization times against relative-error
     targets, both at the pinned sub-diffraction high-contrast scene.
+    A separation or a ``--contrast-b`` outside its domain exits 2 before
+    any plan is built and ``--out-dir`` made, naming the option and the
+    value.
     """
     prescription = _load_config(args, required=True)
     flux = prescription.photon_flux_hz
@@ -331,6 +345,7 @@ def cmd_tables(args):
         raise ValueError(
             f"--r-delta-over-sigma must be positive and finite, got {args.r_delta_over_sigma:g}"
         )
+    _check_contrast(args.contrast_b)
     scene = Scene(separation_from_sigma_units(args.r_delta_over_sigma), 0.3, args.contrast_b)
     kind = "detection" if args.table in ("2", "detection") else "localization"
     if kind == "detection":
@@ -400,8 +415,7 @@ def cmd_coronagraph(args):
     if args.output == "image":
         r_sigma = _scalar_axis(args.r_delta_over_sigma, "--r-delta-over-sigma")
         b = args.contrast_b
-        if not 0.0 < b < 1.0:
-            raise ValueError(f"--contrast-b must lie in (0, 1), got {b:g}")
+        _check_contrast(b)
         # the bare star sits at b r; the planet of a full scene at (1 - b) r
         _check_separations(
             [r_sigma], lambda r: b * r if args.star_only else max(b, 1.0 - b) * r
@@ -414,6 +428,7 @@ def cmd_coronagraph(args):
     plan = _get_plan(args.design)
     out = _out_dir(args)
     comment = _comment(args.seed)
+    diagnostics = {}
 
     if args.output == "image":
         image = output_state_image(plan, scene, star_only=args.star_only)
@@ -430,6 +445,11 @@ def cmd_coronagraph(args):
             [(k, abs(t) ** 2) for k, t in enumerate(op.transmissions)],
         )
         detail = f"{op.fields.count} modes"
+        diagnostics = {
+            "gram_floor": op.fields.gram_floor,
+            "max_abs_transmission": float(np.max(np.abs(op.transmissions))),
+            "transmission_ceiling": _TRANSMISSION_CEILING,
+        }
     else:
         rows = [
             (r_sigma, planet_throughput(plan, separation_from_sigma_units(r_sigma)))
@@ -440,7 +460,7 @@ def cmd_coronagraph(args):
         detail = f"{len(rows)} separations"
 
     print(f"wrote {path} ({detail})")
-    return [path.name], 0, {}
+    return [path.name], 0, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +483,15 @@ def cmd_montecarlo(args):
     scene flags or ``--spiral N`` truth points along an arc.  Cluster k
     runs with seed ``--seed + k`` so any cluster reproduces in
     isolation.  Every cluster runs, in this process, before any CSV is
-    written.  Exits 2 before the first trial when ``--seed`` is negative,
-    ``--photons`` is not positive or exceeds numpy's Poisson limit (about
-    9.2e18), a spiral's
-    ``--r-start`` or ``--r-end`` is negative or not finite, or a truth's
-    quantum floor is undefined (at zero separation, or where its Fisher
-    matrix is singular), and 3 when any cluster converges on fewer than
-    90% of its trials.
+    written.  Exits 2 before the likelihood table when ``--seed`` is
+    negative, ``--photons`` is not positive or exceeds numpy's Poisson
+    limit (about 9.2e18), ``--contrast-b`` lies outside (0, 1), or the
+    single scene's ``--r-delta-over-sigma`` or a spiral's ``--r-start`` or
+    ``--r-end`` is negative or not finite, naming the option and the
+    value; before the first trial when a truth's quantum floor is
+    undefined (at zero separation, or where its Fisher matrix is
+    singular); and 3 when any cluster converges on fewer than 90% of its
+    trials.
     """
     if args.trials < 1:
         raise ValueError("need at least one trial")
@@ -484,10 +506,14 @@ def cmd_montecarlo(args):
             f"--seed must be nonnegative (cluster k runs with --seed + k), got {args.seed}"
         )
     b = args.contrast_b
+    _check_contrast(b)
+    flags = (("--r-start", args.r_start), ("--r-end", args.r_end))
+    if args.spiral == 0:
+        flags = (("--r-delta-over-sigma", args.r_delta_over_sigma),)
+    for flag, value in flags:
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{flag} must be finite and nonnegative, got {value:g}")
     if args.spiral > 0:
-        for flag, value in (("--r-start", args.r_start), ("--r-end", args.r_end)):
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{flag} must be finite and nonnegative, got {value:g}")
         scenes = spiral_truths(
             args.spiral,
             separation_from_sigma_units(args.r_start),

@@ -26,12 +26,16 @@ of F^-1 chi_j with the chain's last pupil-plane field, and that field
 vanishes outside the box of the Lyot stop (63 x 63 pixels on the default
 1024^2 grid).  Every transform into the box is a matrix Fourier transform
 (Soummer et al., Opt. Express 15, 15935 (2007)), summed over blocks of
-grid rows while the modes are sampled: each mode is generated once, and
-the orthonormalizing map of the mode set is applied to the box-sized
-sums.  At n_max 6 on the default grid, measured on a shared 2-core
-machine, the vortex extraction from a bare basis takes 1.8 s and peaks at
-28.6 MiB of ``tracemalloc`` on a built plan, 44.7 MiB with the plan's
-construction (52.6 MiB when the plan held its stop on the whole grid).
+rows of one grid quadrant while the modes are sampled there, with kernels
+folded by the modes' parities: each mode is generated once, and the
+orthonormalizing map of the mode set is applied to the box-sized sums.
+The vortex's phase enters as a shift of the angular order.  At n_max 6 on
+the default grid, measured on a shared 2-core machine, the vortex
+extraction from a bare basis takes 0.46 s, the median of 6 fresh
+processes (1.11 s when every block spanned whole grid rows and the mask
+multiplied each row's kernel), and peaks at 23.6 MiB of ``tracemalloc``
+on a built plan, 39.6 MiB with the plan's construction (28.6 and
+44.7 MiB before).
 ``PropagatorPlan.apply`` runs the same box steps as extraction: from the
 first pupil element on it carries a field on the Lyot box and transforms
 it to the focal grid once, with full-grid FFTs only for the vortex's
@@ -53,7 +57,15 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
-from .modebasis import ModeFieldSet, mode_field_stack, source_coefficients
+from .modebasis import (
+    ModeFieldSet,
+    _fold_products,
+    _fold_rows,
+    _pass_layout,
+    _quadrant_gram,
+    mode_field_stack,
+    source_coefficients,
+)
 from .optics import (
     _CHUNK,
     GridSpec,
@@ -765,37 +777,37 @@ class CoronagraphOperator:
         return self.fields.synthesize(self.apply_coefficients(self.fields.project(field)))
 
 
-def _rows_to_box(n, box, focal_dx):
-    """inverse_propagate from whole focal rows onto a pupil ``box``, as an MFT.
+def _rows_to_box(n, box, focal_dx, groups):
+    """inverse_propagate from the quadrant rows of a pass onto a pupil ``box``, as an MFT.
 
-    Returns step(rows, part, mask=None): for a real (k, len(rows), n) array
-    holding k fields on the grid rows ``rows``, the complex (k, box rows,
-    box cols) share of those rows in the k inverse transforms on ``box``;
-    summed over the row blocks of a grid it is ``inverse_propagate``
-    there, scaled by the focal dx^2 as that is.  The column transform comes
-    first, one real product against the kernel's interleaved real and
-    imaginary parts (B_rows @ Ex^T), then the rows: Ey[:, rows] @ that.
-    A complex focal ``mask`` on the same rows gives the transforms of
-    part * mask instead: each row's column kernel is multiplied by the
-    mask's row, so the masked fields are never formed and each row still
-    takes one real product.
+    Returns step(rows, block): for a real (k, rows x (n/2 + 1)) block of
+    samples on the quadrant rows ``rows`` (``ModeFieldSet._raw_blocks``),
+    whose row runs ``groups`` list with their parities, the complex
+    (k, box rows, box cols) share of those rows in the k inverse transforms
+    on ``box`` of the fields that the samples unfold to on the grid;
+    summed over the blocks of a pass it is ``inverse_propagate`` there,
+    scaled by the focal dx^2 as that is.  Each axis's kernel is folded
+    onto the quadrant with the parity, K(+u) + parity K(-u)
+    (``_fold_rows``), so the unpaired offset -n/2 enters as parity K(-n/2),
+    which is real.  The column transform comes first, one real product per
+    run against the kernel's interleaved real and imaginary parts, then
+    the rows.
     """
+    quadrant = slice(0, n // 2 + 1)
     ey = _centered_dft_matrix(n, box[0], slice(0, n)).conj() * focal_dx**2
-    ex_t = np.ascontiguousarray(_centered_dft_matrix(n, box[1], slice(0, n)).conj().T)
-    ex_pairs = ex_t.view(np.float64)
-    cols = ex_t.shape[1]
+    ex = _centered_dft_matrix(n, box[1], slice(0, n)).conj()
+    ky = {p: np.ascontiguousarray(_fold_rows(ey.T, quadrant, p).T) for p in (1, -1)}
+    kx = {p: _fold_rows(ex.T, quadrant, p).view(np.float64) for p in (1, -1)}
+    cols = ex.shape[0]
 
-    def step(rows, part, mask=None):
-        k, r = part.shape[:2]
-        if mask is None:
-            t = (part.reshape(-1, n) @ ex_pairs).view(complex).reshape(k, r, cols)
-        else:
-            t = np.empty((k, r, cols), dtype=complex)
-            kernel = np.empty_like(ex_t)
-            for i in range(r):
-                np.multiply(mask[i][:, None], ex_t, out=kernel)
-                t[:, i] = (part[:, i] @ kernel.view(np.float64)).view(complex)
-        return ey[:, rows] @ t
+    def step(rows, block):
+        r = rows.stop - rows.start
+        out = np.empty((len(block), ky[1].shape[0], cols), dtype=complex)
+        for run, px, py in groups:
+            part = block[run].reshape(-1, kx[px].shape[0])
+            t = (part @ kx[px]).view(complex).reshape(run.stop - run.start, r, cols)
+            out[run] = ky[py][:, rows] @ t
+        return out
 
     return step
 
@@ -832,75 +844,104 @@ def _chain_matrix(plan, basis):
     M_jk = <chi_j, plan(chi_k)>, with a pupil-fed plan fed F^-1 chi_k.
     ``basis`` is a FourierZernikeBasis, sampled on ``plan.output_grid`` by
     ``mode_field_stack``, or a prebuilt ModeFieldSet there.  Either way one
-    pass over the raw samples B (``ModeFieldSet._raw_blocks``) sums what M
-    needs, and the set's transform T (chi = T B) is applied to those sums
-    afterwards, on the small side.
+    pass over the raw samples B on one quadrant of the grid
+    (``ModeFieldSet._raw_blocks``) sums what M needs, and the set's map
+    from B to chi is applied to those sums afterwards, on the small side.
 
-    The perfect chain is the Gram matrix T (B B^T) T^T less a_j <p, chi_k>
-    for its projector p, where a = T (B p).  A pupil-fed chain starts from
-    chi_k in the focal plane, where the vortex's leading mask multiplies.
-    Every pupil element vanishes outside one box, the bounding box of
-    their joint support, so from the first pupil element on the field is
-    carried on that box only, through the plan's box steps, the ones
-    ``PropagatorPlan.apply`` runs (``_box_step``).  The pass sums the
-    row-block MFTs of the raw modes onto the box (``_rows_to_box``), and of
-    the raw modes times the leading mask.  The output is F G_k for the last
+    The perfect chain is the Gram matrix of chi less a_j <p, chi_k> for
+    its projector p, where a = <chi, p>: both sums fold onto the quadrant
+    (``_quadrant_gram``, ``_fold_products``).  A pupil-fed chain starts
+    from chi_k in the focal plane.  Every pupil element vanishes outside
+    one box, the bounding box of their joint support, so from the first
+    pupil element on the field is carried on that box only, through the
+    plan's box steps, the ones ``PropagatorPlan.apply`` runs
+    (``_box_step``).  The pass sums the folded MFTs of the raw samples onto
+    the box (``_rows_to_box``).  The vortex's leading mask e^{iq phi}, q =
+    VORTEX_CHARGE, shifts the angular order: e^{iq phi} Theta_m is a sum of
+    Theta_{m'} with |m'| = |m +- q|, so the pass also samples the functions
+    R_n Theta_{m'} with |m'| > n, and each masked mode's transform is a sum
+    of the same transforms, less the centre pixel, where the plan's phase
+    is 0 and the sampled one is not.  The output is F G_k for the last
     pupil-plane field G_k, and F is unitary, so M_jk = dx_p^2 sum_box
     conj(F^-1 chi_j) G_k.
     """
     grid = plan.output_grid
     n = grid.n_pixels
     count = basis.count
+    n_max = (basis.basis if isinstance(basis, ModeFieldSet) else basis).n_max
     projector = plan.projector
+    shift = 0
     if projector is not None:
         # real and imaginary parts side by side, one real product per block
         proj_parts = np.ascontiguousarray(projector, dtype=complex).view(np.float64)
         proj_parts = proj_parts.reshape(n, n, 2)
         proj_raw = np.zeros((count, 2))
         gram_raw = np.zeros((count, count))
+        _, mode_groups = _pass_layout(n_max)
     else:
         lead, steps = plan._box_chain
-        box = plan.pupil_box
-        to_box = _rows_to_box(n, box, grid.dx)
-        shape = (count, box[0].stop - box[0].start, box[1].stop - box[1].start)
-        inputs = np.zeros(shape, dtype=complex)  # F^-1 B_j on the box
         if lead is not None:
-            led = np.zeros(shape, dtype=complex)  # F^-1 (lead B_j) on the box
+            _check_vortex_phase(plan.grid, lead)
+            shift = VORTEX_CHARGE
+        box = plan.pupil_box
+        functions, groups = _pass_layout(n_max, shift)
+        to_box = _rows_to_box(n, box, grid.dx, groups)
+        shape = (len(functions), box[0].stop - box[0].start, box[1].stop - box[1].start)
+        raw_inputs = np.zeros(shape, dtype=complex)  # F^-1 of each sampled function on the box
+        centre = np.empty(len(functions))
 
     def visit(rows, block):
         if projector is not None:
-            proj_raw[...] += block @ proj_parts[rows].reshape(-1, 2)
-            gram_raw[...] += block @ block.T
+            proj_raw[...] += _fold_products(proj_parts, rows, block, mode_groups)
+            _quadrant_gram(gram_raw, rows, block, mode_groups)
             return
-        part = block.reshape(count, -1, n)
-        inputs[...] += to_box(rows, part)
-        if lead is not None:
-            led[...] += to_box(rows, part, lead[rows])
+        if rows.start == 0:
+            centre[...] = block[:, 0]
+        raw_inputs[...] += to_box(rows, block)
 
     if isinstance(basis, ModeFieldSet):
         fields = basis
-        for rows, block in fields._raw_blocks():
+        for rows, block in fields._raw_blocks(shift):
             visit(rows, block)
     else:
-        fields = mode_field_stack(basis, grid, visit)
-    t = fields.transform
+        fields = mode_field_stack(basis, grid, visit, shift)
+    mix = fields._mix
     if projector is not None:
-        a = (t @ proj_raw).view(complex)[:, 0] * grid.dx**2
-        matrix = (t @ (gram_raw * grid.dx**2) @ t.T).astype(complex)
+        a = (mix @ proj_raw).view(complex)[:, 0] * grid.dx**2
+        matrix = (mix @ (gram_raw * grid.dx**2) @ mix.T).astype(complex)
         matrix -= np.outer(a, a.conj())
         return fields, matrix
 
-    inputs = _mix_modes(t, inputs)
-    starts = inputs if lead is None else _mix_modes(t, led)
-    outputs = np.empty(shape, dtype=complex)  # last pupil-plane field G_k
+    flat = raw_inputs.reshape(len(raw_inputs), -1)
+    inputs = _mix_modes(mix, flat[:count])
+    if shift:
+        masked = fields._shifted_mix(shift)
+        # the plan's phase is 0 at the centre pixel, whose kernel entry is 1
+        starts = masked @ flat - (masked @ centre)[:, None] * grid.dx**2
+    else:
+        starts = inputs
+    outputs = np.empty((count, flat.shape[1]), dtype=complex)  # last pupil-plane field G_k
     for k in range(count):
-        v = starts[k]
+        v = starts[k].reshape(shape[1:])
         for step in steps:
             v = step(v)
-        outputs[k] = v
-    outputs = outputs.reshape(count, -1).T
-    matrix = (inputs.reshape(count, -1).conj() @ outputs) * plan.grid.dx**2
+        outputs[k] = v.ravel()
+    matrix = (inputs.conj() @ outputs.T) * plan.grid.dx**2
     return fields, matrix
+
+
+def _check_vortex_phase(grid, lead):
+    """Reject a leading focal mask that is not the vortex phase of ``vortex_plan``.
+
+    Extraction enters the mask as the angular-order shift of e^{i
+    VORTEX_CHARGE phi}; one grid row of the mask, next to the centre,
+    must hold that phase bit for bit, and the centre pixel 0.
+    """
+    h = grid.n_pixels // 2
+    ax = grid.axis()
+    phase = np.exp(np.multiply(1j * VORTEX_CHARGE, np.arctan2(ax[h + 1], ax), dtype=complex))
+    if lead[h, h] != 0.0 or not np.array_equal(lead[h + 1], phase):
+        raise ValueError("a leading focal mask is extracted only as the vortex phase")
 
 
 def _singular_operator(name, fields, matrix):
@@ -935,10 +976,13 @@ def extract_operator(plan, basis):
     chain's pupil elements (63 x 63 pixels on the default grid).  No
     full-grid FFT runs: the transform is unitary and the chain's last
     pupil-plane field vanishes off that box, so M is an inner product
-    there.  On the default grid at n_max 6 the vortex extraction from a
-    basis peaks at 28.6 MiB of ``tracemalloc`` on a built plan.  The
-    perfect chain is the Gram matrix less a rank-one term, summed in the
-    same pass.
+    there.  The samples, the Gram matrix and the transforms run on one
+    quadrant of the grid, folded by the modes' parities, and the vortex's
+    mask enters as a shift of the angular order.  On the default grid at
+    n_max 6 the vortex extraction from a basis takes 0.46 s on a shared
+    2-core machine and peaks at 23.6 MiB of ``tracemalloc`` on a built
+    plan (1.11 s and 28.6 MiB over whole grid rows).  The perfect chain is
+    the Gram matrix less a rank-one term, summed in the same pass.
     """
     prebuilt = isinstance(basis, ModeFieldSet)
     if (basis.basis if prebuilt else basis).n_max > _MAX_EXTRACTION_ORDER:

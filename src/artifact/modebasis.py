@@ -20,13 +20,14 @@ samples lose percent-level norm to the truncated Airy tails, and the
 orthonormalization restores an exactly unitary mode set while moving each
 field by only O(1e-3) at low order.  The set is held as that linear map
 and small sampling tables, never as a stack of fields: every pass over it
-regenerates the samples a block of grid rows at a time.
+regenerates the samples on one quadrant of the grid, a block of rows at a
+time, and reaches the other three through the parities of the modes.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -42,7 +43,8 @@ __all__ = [
     "source_coefficients",
 ]
 
-# grid rows per block in every pass over the sampled modes
+# a block of every pass over the sampled modes holds no more float64 bytes
+# than this many grid rows of every mode
 _ROW_BLOCK = 32
 
 
@@ -282,30 +284,225 @@ def all_probability_gradients(basis, scene):
 
 # ---------------------------------------------------------------------------
 # grid realizations
+#
+# Pixel offsets run over -n/2 .. n/2 - 1 along each axis, and every raw
+# sample R_n(r) Theta_m(phi) is even or odd under x -> -x and under
+# y -> -y.  So the samples at the offsets 0..n/2 of one quadrant, where
+# +n/2 stands in for its on-grid mirror -n/2, give every pixel of the grid
+# up to a sign, and each pass over a mode set runs on that quadrant.
+
+# the four mirror images of the quadrant, as signs (x, y) of the offsets
+_IMAGES = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+
+
+def _parities(m):
+    """Signs of Theta_m under x -> -x and under y -> -y, as (x, y)."""
+    even = 1 - 2 * (m % 2)
+    return (even, 1) if m >= 0 else (-even, -1)
+
+
+def _shift_terms(m, shift):
+    """e^{i shift phi} Theta_m as {m': c}, the sum of c Theta_m'.
+
+    Written through sqrt(2) cos(j phi) = Theta_|j| and sqrt(2) sin(j phi) =
+    sign(j) Theta_-|j| (j != 0), so every coefficient is 1/2 or sqrt(1/2),
+    times 1 or i.
+    """
+
+    def trig(cosine, j, c):
+        # c sqrt(2) cos(j phi), or c sqrt(2) sin(j phi), over the Theta
+        if j == 0:
+            return {0: c * math.sqrt(2.0)} if cosine else {}
+        return {abs(j): c} if cosine else {-abs(j): c if j > 0 else -c}
+
+    k = abs(m)
+    if m == 0:
+        parts = [(True, shift, math.sqrt(0.5)), (False, shift, 1j * math.sqrt(0.5))]
+    elif m > 0:
+        parts = [(True, k + shift, 0.5), (True, k - shift, 0.5)]
+        parts += [(False, k + shift, 0.5j), (False, k - shift, -0.5j)]
+    else:
+        parts = [(False, k + shift, 0.5), (False, k - shift, 0.5)]
+        parts += [(True, k - shift, 0.5j), (True, k + shift, -0.5j)]
+    terms = {}
+    for cosine, j, c in parts:
+        for target, d in trig(cosine, j, c).items():
+            terms[target] = terms.get(target, 0.0) + d
+    return terms
+
+
+@cache
+def _pass_layout(n_max, shift=0):
+    """The functions R_n Theta_m that a pass samples, one per block row.
+
+    Returns (functions, groups).  ``functions`` lists (n, m): the modes of
+    the order-n_max basis first, then, for a nonzero ``shift``, the (n, m)
+    with |m| > n that e^{i shift phi} carries the modes onto.  Each part
+    is sorted by the parities of Theta_m, the modes keeping OSA order
+    within a parity class.  ``groups`` lists (rows, x parity, y parity) for
+    each run of rows that share their parities, ``rows`` a slice; no run
+    holds both modes and other functions.
+    """
+    modes = [(idx.n, idx.m) for idx in FourierZernikeBasis(n_max).modes]
+    extra = set()
+    if shift:
+        extra = {(n, t) for n, m in modes for t in _shift_terms(m, shift)} - set(modes)
+
+    def key(function):
+        return _parities(function[1])
+
+    functions = sorted(modes, key=key) + sorted(sorted(extra), key=key)
+    starts = [
+        i
+        for i, function in enumerate(functions)
+        if i in (0, len(modes)) or key(function) != key(functions[i - 1])
+    ]
+    ends = starts[1:] + [len(functions)]
+    groups = tuple((slice(lo, hi), *key(functions[lo])) for lo, hi in zip(starts, ends))
+    return tuple(functions), groups
+
+
+def _fold_rows(a, rows, parity):
+    """Rows ``rows`` of the quadrant that a full-grid array folds onto.
+
+    Row v of the result is a[n/2 + v] + parity * a[n/2 - v] over the
+    leading axis of ``a`` (length n), each term where its row lies on the
+    grid: row 0 is a[n/2] alone and row n/2 is parity * a[0] alone.  So the
+    sum over the grid of a times a function of that parity is the sum over
+    the quadrant of the fold times the function.
+    """
+    h = a.shape[0] // 2
+    v = np.arange(rows.start, rows.stop)
+    out = np.zeros((v.size,) + a.shape[1:], dtype=a.dtype)
+    inside = v < h
+    out[inside] = a[h + v[inside]]
+    mirrored = v > 0
+    out[mirrored] += parity * a[h - v[mirrored]]
+    return out
+
+
+def _axis_weights(width, parity):
+    """How often the offsets 0..n/2 of one axis occur, for a product of parities.
+
+    Offset 0 is one pixel; 1..n/2-1 are two, +u and its mirror -u, which
+    the parity signs; n/2 is the one pixel -n/2, signed.
+    """
+    weights = np.full(width, 1.0 + parity)
+    weights[0], weights[-1] = 1.0, parity
+    return weights
+
+
+def _quadrant_gram(gram, rows, block, groups):
+    """Add the grid share of quadrant rows ``rows`` to the Gram matrix of ``groups``.
+
+    A pair of groups weighs each quadrant pixel by the outer product of
+    the ``_axis_weights`` of its parity products p (x) and q (y).  Those
+    are 1 + p, or 1 + q, inside an axis and differ only at its two ends,
+    so the sum is (1 + p)(1 + q), 4 within a group and 0 between groups,
+    times the plain product, plus sums over the edge rows and columns
+    alone: no weighted copy of a block is made.
+    """
+    width = block.shape[1] // (rows.stop - rows.start)
+    v = np.arange(rows.start, rows.stop)
+    edge_rows = np.flatnonzero((v == 0) | (v == width - 1))
+    edge_cols = np.array([0, width - 1])
+    for a, (rows_a, xa, ya) in enumerate(groups):
+        for rows_b, xb, yb in groups[a:]:
+            p, q = xa * xb, ya * yb
+            dx = (_axis_weights(width, p) - (1 + p))[edge_cols]
+            dy = (_axis_weights(width, q)[v] - (1 + q))[edge_rows]
+            first, second = block[rows_a], block[rows_b]
+            share = np.zeros((len(first), len(second)))
+            if p == q == 1:
+                share = 4.0 * (first @ second.T)
+            edges = (
+                (slice(None), edge_cols, np.outer(np.full(v.size, 1.0 + q), dx)),
+                (edge_rows, slice(None), np.outer(dy, np.full(width, 1.0 + p))),
+                (edge_rows, edge_cols, np.outer(dy, dx)),
+            )
+            for ys, xs, weights in edges:
+                if weights.any():
+                    a_edge, b_edge = (
+                        f.reshape(len(f), v.size, width)[:, ys][:, :, xs].reshape(len(f), -1)
+                        for f in (first, second)
+                    )
+                    share += (a_edge * weights.ravel()) @ b_edge.T
+            gram[rows_a, rows_b] += share
+            if rows_a != rows_b:
+                gram[rows_b, rows_a] += share.T
+
+
+def _fold_products(parts, rows, block, groups):
+    """Sums over the grid of each group's samples times ``parts``, for quadrant rows ``rows``.
+
+    ``parts`` is a real (n, n, k) array on the grid; the result is
+    (rows of ``groups``, k).  Each group meets ``parts`` folded with its
+    parities (``_fold_rows``) on the quadrant.
+    """
+    n, k = parts.shape[0], parts.shape[2]
+    quadrant = slice(0, n // 2 + 1)
+    out = np.empty((groups[-1][0].stop, k))
+    for group, px, py in groups:
+        folded = _fold_rows(_fold_rows(parts, rows, py).swapaxes(0, 1), quadrant, px)
+        out[group] = block[group] @ folded.swapaxes(0, 1).reshape(-1, k)
+    return out
+
+
+def _unfold_into(out, rows, images):
+    """Write the four mirror images of quadrant rows ``rows`` into the grid ``out``.
+
+    ``images[(sx, sy)]`` holds the rows' values with that image's signs,
+    shape (rows, n/2 + 1, ...): the image at offsets (sx u, sy v) covers
+    the pixels whose offsets it reaches on the grid.
+    """
+    h = out.shape[0] // 2
+    lo, hi = rows.start, rows.stop
+    for (sx, sy), values in images.items():
+        if sy > 0:
+            target, values = slice(h + lo, h + min(hi, h)), values[: max(min(hi, h) - lo, 0)]
+        else:
+            start = max(lo, 1)
+            target, values = slice(h + 1 - hi, h + 1 - start), values[start - lo :][::-1]
+        if sx > 0:
+            out[target, h:] = values[:, :h]
+        else:
+            out[target, :h] = values[:, h:0:-1]
 
 
 def _radius_tables(basis, grid):
-    """The radial factor per order per distinct pixel radius, and each pixel's radius.
+    """The radial factor per order per distinct quadrant radius, and each quadrant pixel's radius.
 
     Returns (radial, index): ``radial`` has shape (n_max + 1, R) over the R
-    distinct radii (83,122 among the 1,048,576 pixels of the default grid)
-    and ``index`` is the (n, n) int32 map from each pixel to its radius.
-    hypot(x, y) depends on |x| and |y| only, and pixel coordinates are
-    (i - n/2) dx, so the distinct radii are found among the offsets
-    0..n/2 of one quadrant and no full-grid float array is built.  Both
-    tables are read-only.
+    distinct radii (83,122 on the default grid) and ``index`` is the
+    (n/2 + 1, n/2 + 1) int32 map from each pixel of the quadrant, offsets
+    0..n/2 with x along the columns, to its radius.  hypot(x, y) depends on
+    |x| and |y| only, so these are every radius of the grid.  Both tables
+    are read-only.
     """
-    n = grid.n_pixels
-    offsets = grid.dx * np.arange(n // 2 + 1)
+    offsets = grid.dx * np.arange(grid.n_pixels // 2 + 1)
     # entry [p, q] is hypot(offsets[q], offsets[p]): x runs along the columns
-    radii, quadrant = np.unique(np.hypot(offsets, offsets[:, None]), return_inverse=True)
-    quadrant = quadrant.reshape(offsets.size, offsets.size).astype(np.int32)
-    fold = np.abs(np.arange(n) - n // 2)
-    index = quadrant[fold[:, None], fold]
+    radii, index = np.unique(np.hypot(offsets, offsets[:, None]), return_inverse=True)
+    index = index.reshape(offsets.size, offsets.size).astype(np.int32)
     radial = _radial_factor(basis._radial_orders[:, None], radii)
     radial.flags.writeable = False
     index.flags.writeable = False
     return radial, index
+
+
+def _turn(basis):
+    """The rotated angular factors over the unrotated ones, (count, count).
+
+    Theta_m(phi - rotation) = cos(m rotation) Theta_m + sin(m rotation)
+    Theta_-m for m > 0, and Theta_-m(phi - rotation) = cos(m rotation)
+    Theta_-m - sin(m rotation) Theta_m: a 2 x 2 turn of each (n, +-m) pair.
+    """
+    turn = np.eye(basis.count)
+    for k, idx in enumerate(basis.modes):
+        if idx.m > 0:
+            j = ZernikeIndex(idx.n, -idx.m).linear
+            c, s = math.cos(idx.m * basis.rotation), math.sin(idx.m * basis.rotation)
+            turn[k, k], turn[k, j], turn[j, j], turn[j, k] = c, s, c, -s
+    return turn
 
 
 @dataclass(frozen=True)
@@ -315,12 +512,20 @@ class ModeFieldSet:
     Mode k is chi_k = sum_j transform[k, j] raw_j, where raw_j is the
     sampled radial factor times Theta_m of mode j (the psi_nm of the module
     docstring less its sqrt(pi)).  The set keeps only the count x count
-    float64 ``transform`` and the sampling tables of ``_radius_tables``:
-    ``radial`` (the radial factor per order per distinct pixel radius) and
-    ``radius_index`` (int32, one entry per pixel).  Every pass regenerates
-    the raw samples in blocks of _ROW_BLOCK whole grid rows and applies
-    ``transform`` on the small side, so beyond its tables a pass holds
-    one count x (_ROW_BLOCK * n_pixels) float64 block and its angular rows.
+    float64 ``transform``, the smallest eigenvalue of the scaled Gram
+    matrix it was built from (``gram_floor``), and the sampling tables of
+    ``_radius_tables`` on one quadrant of the grid: ``radial`` (the radial
+    factor per order per distinct radius) and ``radius_index`` (int32, one
+    entry per quadrant pixel).
+
+    Every pass samples the modes on the quadrant's (n/2 + 1)^2 pixels only,
+    unrotated, in blocks of whole quadrant rows (``_raw_blocks``), and
+    reaches the grid through the parities of Theta_m: the Gram matrix and
+    ``project`` fold, ``field`` and ``synthesize`` unfold with the parity
+    signs.  A rotated basis is the unrotated samples turned pair by pair
+    (``_turn``), which the passes apply with ``transform`` on the small
+    side.  Beyond its tables a pass holds one block, no more bytes than
+    count x _ROW_BLOCK grid rows of float64, and its angular rows.
     """
 
     basis: FourierZernikeBasis
@@ -328,91 +533,163 @@ class ModeFieldSet:
     radial: np.ndarray
     radius_index: np.ndarray
     transform: np.ndarray
+    gram_floor: float = math.nan
 
     @property
     def count(self):
         return self.basis.count
 
-    def _raw_blocks(self):
-        """The raw samples of every mode, _ROW_BLOCK grid rows at a time.
+    @cached_property
+    def _weights(self):
+        # the transform over the unrotated samples, modes in OSA order
+        if not self.basis.rotation:
+            return self.transform
+        return self.transform @ _turn(self.basis)
 
-        Yields (rows, block): the slice of grid rows and a float64
-        (count, pixels) array over their pixels, row-major.  The block's
-        buffer is reused, so a caller reduces each block before taking the
-        next.  Theta_m is evaluated once per angular index m, and every
-        sample is the product radial * zernike_angular(m, phi) computed
-        pixel by pixel over the whole grid, bit for bit.
+    @cached_property
+    def _order(self):
+        # the OSA index of each mode row of a block
+        functions, _ = _pass_layout(self.basis.n_max)
+        return np.array([ZernikeIndex(*f).linear for f in functions[: self.count]])
+
+    @cached_property
+    def _mix(self):
+        """chi_k over the mode rows of a block: (count, count)."""
+        return self._weights[:, self._order]
+
+    def _shifted_mix(self, shift):
+        """e^{i shift phi} chi_k over the rows of a pass with that shift, (count, rows) complex."""
+        functions, _ = _pass_layout(self.basis.n_max, shift)
+        row = {function: i for i, function in enumerate(functions)}
+        terms = np.zeros((self.count, len(functions)), dtype=complex)
+        for i, (n, m) in enumerate(functions[: self.count]):
+            for target, c in _shift_terms(m, shift).items():
+                terms[i, row[n, target]] += c
+        return self._mix @ terms
+
+    def _raw_blocks(self, shift=0):
+        """The unrotated raw samples on the quadrant, a block of its rows at a time.
+
+        Yields (rows, block): the slice of quadrant rows (offsets y / dx)
+        and a float64 (functions, pixels) array over their pixels,
+        row-major, one row per function of ``_pass_layout(n_max, shift)``.
+        The block's buffer is reused, so a caller reduces each block before
+        taking the next.  Theta_m is evaluated once per angular index m,
+        and every sample is the product radial * zernike_angular(m, phi),
+        the per-pixel formula bit for bit.
         """
         basis, n = self.basis, self.grid.n_pixels
-        ax = self.grid.axis()
-        size = min(_ROW_BLOCK, n) * n
-        buffer = np.empty(self.count * size)
-        angular = np.empty((2 * basis.n_max + 1, size))
-        for lo in range(0, n, _ROW_BLOCK):
-            rows = slice(lo, min(lo + _ROW_BLOCK, n))
-            x, y = np.meshgrid(ax, ax[rows])
-            phi = np.arctan2(y, x).ravel() - basis.rotation
+        functions, _ = _pass_layout(basis.n_max, shift)
+        width = n // 2 + 1
+        offsets = self.grid.dx * np.arange(width)
+        top = basis.n_max + abs(shift)
+        step = max(1, _ROW_BLOCK * n * self.count // (len(functions) * width))
+        size = min(step, width) * width
+        buffer = np.empty(len(functions) * size)
+        angular = np.empty((2 * top + 1, size))
+        members = [[] for _ in range(basis.n_max + 1)]
+        for i, (order, m) in enumerate(functions):
+            members[order].append((i, m + top))
+        for lo in range(0, width, step):
+            rows = slice(lo, min(lo + step, width))
+            phi = np.arctan2(offsets[rows, None], offsets).ravel()
             pixels = phi.size
-            for m in range(-basis.n_max, basis.n_max + 1):
-                angular[m + basis.n_max, :pixels] = zernike_angular(m, phi)
+            for m in range(-top, top + 1):
+                angular[m + top, :pixels] = zernike_angular(m, phi)
             index = self.radius_index[rows].ravel()
-            block = buffer[: self.count * pixels].reshape(self.count, pixels)
-            for order in range(basis.n_max + 1):
+            block = buffer[: len(functions) * pixels].reshape(len(functions), pixels)
+            for order, rows_of_order in enumerate(members):
                 radial = self.radial[order].take(index)
-                for m in range(-order, order + 1, 2):
-                    np.multiply(
-                        radial,
-                        angular[m + basis.n_max, :pixels],
-                        out=block[ZernikeIndex(order, m).linear],
-                    )
+                for i, m in rows_of_order:
+                    np.multiply(radial, angular[m, :pixels], out=block[i])
             yield rows, block
 
-    def _raw_gram(self, visit=None):
-        """Gram matrix of the raw samples; ``visit(rows, block)`` sees every block."""
+    def _raw_gram(self, visit=None, shift=0):
+        """Gram matrix of the raw samples over the grid, modes in OSA order.
+
+        ``visit(rows, block)`` sees every block of ``_raw_blocks(shift)``.
+        """
+        _, groups = _pass_layout(self.basis.n_max)
         g = np.zeros((self.count, self.count))
-        for rows, block in self._raw_blocks():
-            g += block @ block.T
+        for rows, block in self._raw_blocks(shift):
+            _quadrant_gram(g, rows, block, groups)
             if visit is not None:
                 visit(rows, block)
-        return g * (self.grid.dx * self.grid.dx)
+        order = self._order
+        osa = np.empty_like(g)
+        osa[np.ix_(order, order)] = g
+        if self.basis.rotation:
+            turn = _turn(self.basis)
+            osa = turn @ osa @ turn.T
+        return osa * (self.grid.dx * self.grid.dx)
+
+    @cached_property
+    def _image_signs(self):
+        """The parity signs of a block's mode rows in each mirror image: (4, count)."""
+        functions, _ = _pass_layout(self.basis.n_max)
+        px, py = np.array([_parities(m) for _, m in functions[: self.count]], dtype=float).T
+        return np.array(
+            [np.where(sx < 0, px, 1.0) * np.where(sy < 0, py, 1.0) for sx, sy in _IMAGES]
+        )
 
     def field(self, k):
+        """Mode k on the grid: sum_j transform[k, j] raw_j, summed over j in OSA order.
+
+        The sum runs term by term, one scaled sample row at a time, so each
+        sample is the plain left-to-right sum whatever the block's size.
+        """
         n = self.grid.n_pixels
+        signs = self._image_signs
+        osa_rows = np.argsort(self._order)
         samples = np.empty((n, n))
         for rows, block in self._raw_blocks():
-            samples[rows] = (self.transform[k] @ block).reshape(-1, n)
+            images = np.zeros((len(_IMAGES), block.shape[1]))
+            term = np.empty(block.shape[1])
+            for row in osa_rows:
+                weight = self._weights[k, self._order[row]]
+                for image, sign in zip(images, signs[:, row]):
+                    image += np.multiply(block[row], weight * sign, out=term)
+            images = images.reshape(len(_IMAGES), -1, n // 2 + 1)
+            _unfold_into(samples, rows, dict(zip(_IMAGES, images)))
         return OpticalField(samples, "focal", self.grid.half_width)
 
     def project(self, field):
         """Coefficients <chi_k, field> for a focal-domain field on the grid.
 
         The real and imaginary parts of the field go through one real
-        product per block, so no block is copied to complex.
+        product per block and parity class, folded onto the quadrant
+        (``_fold_products``), so no block is copied to complex.
         """
         if field.domain != "focal" or field.grid != self.grid:
             raise ValueError("field must live on the focal grid of the mode set")
         n = self.grid.n_pixels
         parts = np.ascontiguousarray(field.samples).view(np.float64).reshape(n, n, 2)
+        _, groups = _pass_layout(self.basis.n_max)
         acc = np.zeros((self.count, 2))
         for rows, block in self._raw_blocks():
-            acc += block @ parts[rows].reshape(-1, 2)
-        return (self.transform @ acc).view(complex)[:, 0] * (self.grid.dx * self.grid.dx)
+            acc += _fold_products(parts, rows, block, groups)
+        return (self._mix @ acc).view(complex)[:, 0] * (self.grid.dx * self.grid.dx)
 
     def synthesize(self, coeffs):
         """Field sum_k coeffs_k chi_k on the grid.
 
         The coefficients are folded into the raw basis first (c transform,
-        as real and imaginary rows), so each block takes one real product.
+        as real and imaginary rows), so each block and mirror image takes
+        one real product, the image's parity signs on the weights.
         """
         coeffs = np.ascontiguousarray(coeffs, dtype=complex)
         if coeffs.shape != (self.count,):
             raise ValueError("one coefficient per mode required")
-        weights = (coeffs.view(np.float64).reshape(-1, 2).T @ self.transform).T
+        weights = coeffs.view(np.float64).reshape(-1, 2).T @ self._mix
         n = self.grid.n_pixels
         samples = np.empty((n, n), dtype=complex)
         parts = samples.view(np.float64).reshape(n, n, 2)
         for rows, block in self._raw_blocks():
-            parts[rows] = (block.T @ weights).reshape(-1, n, 2)
+            images = {
+                image: ((weights * signs) @ block).T.reshape(-1, n // 2 + 1, 2)
+                for image, signs in zip(_IMAGES, self._image_signs)
+            }
+            _unfold_into(parts, rows, images)
         return OpticalField(samples, "focal", self.grid.half_width)
 
     def gram(self):
@@ -420,26 +697,30 @@ class ModeFieldSet:
         return t @ self._raw_gram() @ t.T
 
 
-def mode_field_stack(basis, grid=None, visit=None):
+def mode_field_stack(basis, grid=None, visit=None, shift=0):
     """Sample the basis on a grid and orthonormalize it against the discrete product.
 
-    One pass over the raw samples sums their Gram matrix G.  Each mode is
-    scaled to unit discrete norm by G's diagonal (which also drops the
-    constant sqrt(pi) that separates psi_nm from the projection radial
-    factor), and the scaled set is then rotated by the inverse square
-    root of its Gram matrix (symmetric orthonormalization), which perturbs
-    each field minimally while making the set exactly orthonormal on the
-    grid.  Both steps live in the returned set's ``transform``; no field
-    is stored.  ``visit(rows, block)``, when given, sees every raw block of
-    that pass (see ``ModeFieldSet._raw_blocks``), so a caller can reduce
-    the samples without generating them again.
+    One pass over the raw samples sums their Gram matrix G on the grid
+    from one quadrant (``ModeFieldSet._raw_gram``).  Each mode is scaled
+    to unit discrete norm by G's diagonal (which also drops the constant
+    sqrt(pi) that separates psi_nm from the projection radial factor), and
+    the scaled set is then rotated by the inverse square root of its Gram
+    matrix (symmetric orthonormalization), which perturbs each field
+    minimally while making the set exactly orthonormal on the grid.  Both
+    steps live in the returned set's ``transform``, and the scaled Gram
+    matrix's smallest eigenvalue in its ``gram_floor``; no field is
+    stored.  ``visit(rows, block)``, when given, sees every raw block of
+    that pass (``ModeFieldSet._raw_blocks(shift)``, which with a nonzero
+    ``shift`` also samples the functions that e^{i shift phi} carries the
+    modes onto), so a caller can reduce the samples without generating
+    them again.
     """
     grid = grid or GridSpec()
     raw = ModeFieldSet(basis, grid, *_radius_tables(basis, grid), np.eye(basis.count))
-    g = raw._raw_gram(visit)
+    g = raw._raw_gram(visit, shift)
     scale = 1.0 / np.sqrt(np.diag(g))
     vals, vecs = np.linalg.eigh(g * scale[:, None] * scale)
     if vals[0] <= 0:
         raise ValueError("sampled mode set is numerically degenerate")
     transform = ((vecs / np.sqrt(vals)) @ vecs.T) * scale
-    return dataclasses.replace(raw, transform=transform)
+    return dataclasses.replace(raw, transform=transform, gram_floor=float(vals[0]))

@@ -1,13 +1,15 @@
 """Shared session fixtures for the heavy modal machinery.
 
 On a shared 2-core machine the order-20 Fourier-Zernike mode set (231
-modes on the default grid) builds in 9.5-10.5 s and holds no field
-stack, only its 231 x 231 transform and sampling tables; the build
-process peaks at 173 MB.  Each coronagraph extraction against it takes
-3.3-5 s (perfect 3.3 s, PIAACMC 3.4 s, vortex 4.8 s), and every other pass
-over the set regenerates the samples: 1.4-3.1 s for one ``field``,
-``project``, ``synthesize`` or ``gram``.  All of them are session scoped
-and nothing is kept on disk: each session extracts afresh.
+modes on the default grid) builds in 4.2 s and holds no field stack,
+only its 231 x 231 transform and sampling tables on one grid quadrant;
+the build process peaks at 144 MB.  Each coronagraph extraction against
+it takes 0.6-0.9 s (perfect 0.58 s, PIAACMC 0.75 s, vortex 0.94 s), and
+every other pass over the set regenerates the quadrant's samples:
+0.35-0.46 s for one ``field``, ``project``, ``synthesize`` or ``gram``.
+Sampling every pixel of the grid, the same steps took 6.5 s and 149 MB,
+2.2-3.6 s and 1.0-2.4 s.  All of them are session scoped and nothing is
+kept on disk: each session extracts afresh.
 """
 
 import pytest

@@ -293,6 +293,42 @@ def test_montecarlo_negative_seed_exits_2_before_the_table(tmp_path, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_montecarlo_separation_outside_its_domain_exits_2_before_the_table(
+    value, tmp_path, monkeypatch, capsys
+):
+    # Scene's message once named neither the option nor the value
+    def no_table(basis, b):
+        raise AssertionError("the likelihood table was built")
+
+    monkeypatch.setattr(cli, "coarse_table", no_table)
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    out = tmp_path / "out"
+    argv = ["montecarlo", "--r-delta-over-sigma", value, "--trials", "1", "--n-max", "4"]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --r-delta-over-sigma must be finite and nonnegative, got {float(value):g}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spiral", ["0", "2"])
+def test_montecarlo_contrast_outside_its_domain_exits_2_before_the_table(
+    spiral, tmp_path, monkeypatch, capsys
+):
+    # Scene's message once named neither the option nor the value
+    def no_table(basis, b):
+        raise AssertionError("the likelihood table was built")
+
+    monkeypatch.setattr(cli, "coarse_table", no_table)
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    out = tmp_path / "out"
+    argv = ["montecarlo", "--contrast-b", "2", "--spiral", spiral, "--trials", "1"]
+    assert main(argv + ["--n-max", "4", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --contrast-b must lie in (0, 1), got 2\n"
+    assert not out.exists()
+
+
 def test_montecarlo_wraps_phi(tmp_path, monkeypatch):
     # a position angle past 2 pi is wrapped, not rejected
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
@@ -459,6 +495,22 @@ def test_tables_scene_outside_the_images_exits_2_before_a_plan(
     err = capsys.readouterr().err
     assert err.startswith(f"error: --r-delta-over-sigma {float(r_sigma):g}: {complaint}")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("table", ["2", "3"])
+def test_tables_contrast_outside_its_domain_exits_2_before_a_plan(
+    table, tmp_path, monkeypatch, capsys
+):
+    # Scene's message once named neither the option nor the value
+    def no_plan(design):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(cli, "_get_plan", no_plan)
+    out = tmp_path / "out"
+    argv = ["tables", "--table", table, "--contrast-b", "2", "--config", str(_CONFIG)]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --contrast-b must lie in (0, 1), got 2\n"
+    assert not out.exists()
 
 
 def test_tables_detection_time_of_a_vanishing_exponent_reads_inf(tmp_path):
@@ -823,6 +875,26 @@ def test_coronagraph_eigenmode_rows_match_operator(tmp_path):
     # the manifest records --config as given, even where the command reads none
     manifest = json.loads((tmp_path / "coronagraph_manifest.json").read_text())
     assert manifest["config"] == str(_CONFIG)
+
+
+@pytest.mark.parametrize("design", ["perfect", "piaacmc", "vortex"])
+def test_coronagraph_eigenmodes_manifest_diagnostics(design, tmp_path):
+    argv = ["coronagraph", "--design", design, "--output", "eigenmodes", "--n-max", "2"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "coronagraph_manifest.json").read_text())
+    diagnostics = manifest["diagnostics"]
+    assert set(diagnostics) == {"gram_floor", "max_abs_transmission", "transmission_ceiling"}
+    assert diagnostics["transmission_ceiling"] == coronagraph._TRANSMISSION_CEILING
+    # the sampled modes of every design are the same well-conditioned set
+    assert 0.9 < diagnostics["gram_floor"] <= 1.0
+    rows = (tmp_path / f"{design}_modes.csv").read_text().splitlines()[2:]
+    largest = max(float(row.split(",")[1]) for row in rows)
+    assert diagnostics["max_abs_transmission"] == pytest.approx(math.sqrt(largest), rel=1e-15)
+    # the perfect chain passes every mode but the fundamental whole, the
+    # vortex is passive, and the PIAACMC remap stays under the ceiling
+    bounds = {"perfect": (1.0 - 1e-12, 1.0 + 1e-12), "vortex": (0.5, 1.0 + 1e-12)}
+    low, high = bounds.get(design, (0.5, coronagraph._TRANSMISSION_CEILING))
+    assert low <= diagnostics["max_abs_transmission"] <= high
 
 
 @pytest.mark.parametrize("design", ["perfect", "piaacmc"])

@@ -356,17 +356,31 @@ def test_rotated_basis_shifts_the_angle_argument():
 # grid realizations
 
 
-def _per_pixel_raw(basis, grid):
-    """The raw mode samples with the radial factor evaluated at every pixel."""
-    x, y = grid.mesh()
+def _per_pixel_raw(functions, x, y, rotation=0.0):
+    """Samples of R_n Theta_m, (n, m) in ``functions``, with R_n taken at every point."""
     r = np.hypot(x, y).ravel()
-    phi = np.arctan2(y, x).ravel() - basis.rotation
-    raw = np.empty((basis.count, r.size))
-    for n in range(basis.n_max + 1):
-        radial = _radial_factor(n, r)
-        for m in range(-n, n + 1, 2):
-            raw[ZernikeIndex(n, m).linear] = radial * zernike_angular(m, phi)
+    phi = np.arctan2(y, x).ravel() - rotation
+    raw = np.empty((len(functions), r.size))
+    radial = {n: _radial_factor(n, r) for n in sorted({n for n, _ in functions})}
+    for i, (n, m) in enumerate(functions):
+        raw[i] = radial[n] * zernike_angular(m, phi)
     return raw
+
+
+def _unfolded(quadrant, functions, n):
+    """Quadrant samples (functions, (n/2 + 1)^2) carried to the n x n grid by their parities.
+
+    Pixel offset (ox, oy) takes the sample at (|ox|, |oy|), times Theta_m's
+    sign under each axis that is mirrored.
+    """
+    h = n // 2
+    offsets = np.arange(n) - h
+    fold = np.abs(offsets)
+    signs = np.array([modebasis._parities(m) for _, m in functions], dtype=float)
+    sx = np.where(offsets < 0, signs[:, :1], 1.0)
+    sy = np.where(offsets < 0, signs[:, 1:], 1.0)
+    grid = quadrant.reshape(len(functions), h + 1, h + 1)[:, fold[:, None], fold]
+    return (grid * sy[:, :, None] * sx[:, None, :]).reshape(len(functions), -1)
 
 
 def _one_block_transform(raw, dx):
@@ -377,35 +391,106 @@ def _one_block_transform(raw, dx):
     return ((vecs / np.sqrt(vals)) @ vecs.T) * scale
 
 
-# n_max 11 is 78 modes; the 300 rows of the 300-pixel grid end in a
-# partial block
+# n_max 11 is 78 modes; the 151 quadrant rows of the 300-pixel grid end in
+# a partial block
 @pytest.mark.parametrize(
     "grid_args, n_max",
     [((1024, 16.0), 6), ((256, 8.0), 6), ((256, 8.0), 11), ((300, 8.0), 11)],
     ids=["grid_args0", "grid_args1", "n_max11", "n_max11_partial_chunk"],
 )
 def test_mode_stack_matches_per_pixel_sampling_bit_for_bit(grid_args, n_max, stack6):
+    # the set samples one quadrant, offsets 0..n/2, and reaches the grid
+    # through the parities of Theta_m
     grid = GridSpec(*grid_args)
     basis = FourierZernikeBasis(n_max)
     prebuilt = (basis, grid) == (stack6.basis, stack6.grid)
     fields = stack6 if prebuilt else mode_field_stack(basis, grid)
-    expect = _per_pixel_raw(basis, grid)
-    n = grid.n_pixels
+    n, width = grid.n_pixels, grid.n_pixels // 2 + 1
+    functions = modebasis._pass_layout(n_max)[0]
+    offsets = grid.dx * np.arange(width)
+    x, y = np.meshgrid(offsets, offsets)
+    quadrant = _per_pixel_raw(functions, x, y)
     ends = []
     for rows, block in fields._raw_blocks():
-        cols = slice(rows.start * n, rows.stop * n)
-        assert np.array_equal(block.view(np.uint64), expect[:, cols].view(np.uint64))
+        cols = slice(rows.start * width, rows.stop * width)
+        assert np.array_equal(block.view(np.uint64), quadrant[:, cols].view(np.uint64))
         ends.append(rows.stop)
-    assert ends[-1] == n
-    # each field is the set's transform applied to those samples, bit for bit
+    assert ends[-1] == width
+    osa = np.argsort(fields._order)
+    unfolded = _unfolded(quadrant, functions, n)[osa]
+    # each field is the set's transform applied to the unfolded samples,
+    # summed over the modes in OSA order, bit for bit
     for k in (0, 1, fields.count // 2, fields.count - 1):
         samples = fields.field(k).samples
         assert not samples.imag.any()
-        got = samples.real.ravel()
-        assert np.array_equal(got.view(np.uint64), (fields.transform[k] @ expect).view(np.uint64))
+        expect = np.zeros(n * n)
+        for weight, row in zip(fields.transform[k], unfolded):
+            expect += weight * row
+        assert np.array_equal(samples.real.ravel().view(np.uint64), expect.view(np.uint64))
+    # the unfolded samples are the per-pixel ones up to the rounding of
+    # arctan2 at the mirrored pixels: measured 9.4e-16 to 1.03e-15 of the
+    # largest sample over the four cases
+    modes = [(idx.n, idx.m) for idx in basis.modes]
+    full = _per_pixel_raw(modes, *grid.mesh())
+    assert np.max(np.abs(unfolded - full)) <= 2e-15 * np.max(np.abs(full))
     # the transform is the one-block orthonormalization up to the order of
     # the Gram sums
-    ref = _one_block_transform(expect, grid.dx)
+    ref = _one_block_transform(full, grid.dx)
+    assert np.max(np.abs(fields.transform - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid_args", [(64, 7.3), (300, 8.0)])
+def test_unpaired_edge_enters_with_the_parity_product(grid_args):
+    # offsets run over -n/2..n/2 - 1: the quadrant's +n/2 edge stands in
+    # for the unpaired row and column at -n/2, whose samples are sigma
+    # times it, so a pair of modes weighs it with sigma_i sigma_j, not 0.
+    # Pairs of opposite parity meet there alone: their Gram entries reach
+    # 1.3e-5 and 5.8e-6 here, against a diagonal of about 0.31
+    grid = GridSpec(*grid_args)
+    basis = FourierZernikeBasis(3)
+    fields = mode_field_stack(basis, grid)
+    assert np.array_equal(modebasis._axis_weights(5, 1), [1.0, 2.0, 2.0, 2.0, 1.0])
+    assert np.array_equal(modebasis._axis_weights(5, -1), [1.0, 0.0, 0.0, 0.0, -1.0])
+    modes = [(idx.n, idx.m) for idx in basis.modes]
+    n, h = grid.n_pixels, grid.n_pixels // 2
+    full = _per_pixel_raw(modes, *grid.mesh())
+    offsets = grid.dx * np.arange(h + 1)
+    edge = _per_pixel_raw(modes, np.full(h + 1, offsets[h]), offsets)
+    signs = np.array([modebasis._parities(m)[0] for _, m in modes])[:, None]
+    on_grid = full.reshape(-1, n, n)[:, h:, 0]  # the column at offset -n/2
+    assert np.max(np.abs(on_grid - signs * edge[:, :h])) <= 1e-15 * np.max(np.abs(full))
+    gram = full @ full.T * grid.dx**2
+    parities = np.array([modebasis._parities(m) for _, m in modes])
+    cross = (parities[:, None] != parities[None, :]).any(axis=2)
+    assert np.max(np.abs(gram[cross])) > 1e-6
+    assert np.max(np.abs(fields._raw_gram() - gram)) <= 1e-14
+    # a field on the unpaired row and column alone projects as the dense
+    # products do: measured 2.8e-16 and 7.5e-16 of the largest coefficient
+    rng = np.random.default_rng(5)
+    samples = np.zeros((n, n), dtype=complex)
+    samples[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    samples[:, 0] = rng.standard_normal(n)
+    dense = np.stack([fields.field(k).samples.real.ravel() for k in range(fields.count)])
+    expect = dense @ samples.ravel() * grid.dx**2
+    got = fields.project(OpticalField(samples, "focal", grid.half_width))
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("grid_args, n_max", [((256, 8.0), 6), ((300, 8.0), 11)])
+def test_rotated_mode_stack_matches_per_pixel_rotated_sampling(grid_args, n_max):
+    # a rotated basis is sampled unrotated and its rotation turns each
+    # (n, +-m) pair inside the transform; against per-pixel samples of
+    # Theta_m(phi - 0.1) each field reads within 3.1e-15 and 5.6e-15 of its
+    # largest sample here, and the transform within 2.0e-15 and 2.4e-15
+    grid = GridSpec(*grid_args)
+    basis = FourierZernikeBasis(n_max, rotation=0.1)
+    fields = mode_field_stack(basis, grid)
+    full = _per_pixel_raw([(idx.n, idx.m) for idx in basis.modes], *grid.mesh(), rotation=0.1)
+    for k in (0, 1, 2, fields.count // 2, fields.count - 1):
+        expect = fields.transform[k] @ full
+        got = fields.field(k).samples.real.ravel()
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+    ref = _one_block_transform(full, grid.dx)
     assert np.max(np.abs(fields.transform - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
