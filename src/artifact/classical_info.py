@@ -209,10 +209,12 @@ def cfim_direct_imaging(target, scene, step=None):
     it is computed, so at most three full-grid images are held at a time:
     the two differences and the image being rendered, 24 MiB on the
     default grid.  Measured with ``tracemalloc`` on a built plan, one call
-    peaks at 48.0 / 33.0 / 44.2 MiB for the perfect / PIAACMC / vortex
-    chains (a perfect-chain source while it is sampled, or the vortex's
-    full-grid focal field, comes on top of the three images), against
-    57.0 / 48.1 / 48.1 MiB when each output was built whole.
+    peaks at 41.0 / 33.0 / 44.2 MiB for the perfect / PIAACMC / vortex
+    chains (the real radii and samples of a perfect-chain source while it
+    is sampled, or the vortex's full-grid focal field, come on top of the
+    three images), against 48.0 MiB for the perfect chain when its sources
+    were cast to complex and 57.0 / 48.1 / 48.1 MiB when each output was
+    built whole.
     """
     r, phi, b = scene.r_delta, scene.phi_delta, scene.b
     h = imaging_step(r, step)

@@ -16,7 +16,9 @@ CSVs of ``montecarlo``, which open with ``# localization trials; angles
 folded to the first quadrant``.  After a subcommand returns, ``main``
 writes a ``<command>_manifest.json`` run manifest next to its outputs:
 the command, ``config`` (``--config`` as given, or null), ``seed``,
-``version``, the Python, numpy and scipy versions under ``libraries``,
+``version``, the Python, numpy and scipy versions under ``libraries``
+with the name, version and thread count of numpy's BLAS (``blas``,
+``blas_version``, ``blas_threads``; null where they cannot be read),
 the ``outputs`` written, the wall-clock ``duration_s``, and under
 ``parameters`` every other parsed option except ``--out-dir`` and
 ``--jobs`` (``tables`` adds the ``kind`` its ``--table`` selects).  ``montecarlo``
@@ -40,6 +42,7 @@ still accepted, for older command lines, and ignored.
 """
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -753,6 +756,38 @@ def build_parser():
     return parser
 
 
+# OpenBLAS's thread-count getters, as the scipy-openblas wheels and plain
+# builds name them
+_OPENBLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def _blas_build():
+    """numpy's BLAS as (name, version, threads); None where one cannot be read.
+
+    The name and version come from numpy's build configuration, and the
+    thread count from OpenBLAS's own getter in the library that numpy's
+    wheel ships (``numpy.libs``).  Read when a manifest is written, not at
+    import.
+    """
+    config = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    getters = (
+        getattr(ctypes.CDLL(str(path)), symbol, None)
+        for path in sorted(libs.glob("*openblas*"))
+        for symbol in _OPENBLAS_THREAD_GETTERS
+    )
+    getter = next((g for g in getters if g is not None), None)
+    threads = None
+    if getter is not None:
+        getter.restype = ctypes.c_int
+        threads = getter()
+    return config.get("name"), config.get("version"), threads
+
+
 def _write_manifest(args, outputs, diagnostics, duration_s):
     """Write the run manifest of a finished subcommand next to its outputs.
 
@@ -760,11 +795,15 @@ def _write_manifest(args, outputs, diagnostics, duration_s):
     regenerates byte-identical CSVs on the same build and libraries; the
     wall-clock duration and the process's peak resident set size so far
     (``peak_rss_mb``, from ``getrusage``, which Linux reports in KiB) are
-    the only fields expected to differ between such runs.  A subcommand
+    the only fields expected to differ between such runs.  The ``tables``
+    CSVs are byte-identical at any BLAS thread count as well; the
+    eigenmode spectra of ``coronagraph --output eigenmodes`` are not, which
+    is why ``libraries`` records the thread count.  A subcommand
     that reports numerical diagnostics has them under ``diagnostics``.
     ``parameters`` omit ``--jobs``, which every command accepts and
     ignores: each runs in this one process.
     """
+    blas, blas_version, blas_threads = _blas_build()
     parameters = {
         key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS
     }
@@ -778,6 +817,9 @@ def _write_manifest(args, outputs, diagnostics, duration_s):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": blas,
+            "blas_version": blas_version,
+            "blas_threads": blas_threads,
         },
         "seed": args.seed,
         "duration_s": round(duration_s, 3),

@@ -34,8 +34,8 @@ the default grid, measured on a shared 2-core machine, the vortex
 extraction from a bare basis takes 0.46 s, the median of 6 fresh
 processes (1.11 s when every block spanned whole grid rows and the mask
 multiplied each row's kernel), and peaks at 23.6 MiB of ``tracemalloc``
-on a built plan, 39.6 MiB with the plan's construction (28.6 and
-44.7 MiB before).
+with or without the plan's construction, which samples no phase (28.6
+and 44.7 MiB over whole grid rows, when the plan built its phase).
 ``PropagatorPlan.apply`` runs the same box steps as extraction: from the
 first pupil element on it carries a field on the Lyot box and transforms
 it to the focal grid once, with full-grid FFTs only for the vortex's
@@ -62,7 +62,6 @@ from .modebasis import (
     _fold_products,
     _fold_rows,
     _pass_layout,
-    _quadrant_gram,
     mode_field_stack,
     source_coefficients,
 )
@@ -171,15 +170,20 @@ class PropagatorPlan:
     zero and a focal_mask is one, so a plan holds each element only where
     it acts: a PIAACMC plan holds its pupil elements on the Lyot stop's
     63 x 63 box and its spot on a 19 x 19 box on the default grid, and no
-    full-grid array; a vortex plan holds its full-grid spiral phase.  Each
-    element triggers a propagation whenever the running field is in the
-    other plane, and the output is always returned in the focal plane.
+    full-grid array.  A nonzero ``charge`` q opens a pupil-fed chain with
+    the vortex's spiral mask e^{iq phi} on the whole focal grid
+    (``spiral_phase``), which a plan samples (16 MiB on the default grid)
+    only when it first renders an image: extraction reads the charge.
+    Each element triggers a propagation whenever the running field is in
+    the other plane, and the output is always returned in the focal plane.
     Only the designs' layouts are built, others raise ValueError:
     focal-fed, a ``projector`` that subtracts the component along a fixed
-    focal field and no elements (perfect); pupil-fed, no projector, a
-    leading focal mask on the whole grid (vortex) or a pupil element
-    (PIAACMC), no two masks side by side, a pupil element last, and every
-    pupil element on one box, ``pupil_box``.
+    focal field, no elements and no charge (perfect); pupil-fed, no
+    projector, a pupil element first (PIAACMC, or the vortex after its
+    charge), no two masks side by side, a pupil element last, and every
+    pupil element on one box, ``pupil_box``.  The projector is real for
+    the default Airy fundamental, and a chain fed real samples keeps them
+    real.
     """
 
     name: str
@@ -187,6 +191,7 @@ class PropagatorPlan:
     elements: tuple
     input_domain: str = "pupil"
     projector: np.ndarray = None
+    charge: int = 0
 
     def __post_init__(self):
         if self.input_domain not in ("pupil", "focal"):
@@ -204,8 +209,8 @@ class PropagatorPlan:
         kinds = [kind for kind, _, _ in self.elements]
         pupil_boxes = [box for kind, _, box in self.elements if kind != "focal_mask"]
         if self.input_domain == "focal":
-            if kinds or self.projector is None:
-                raise ValueError("a focal-fed plan takes a projector and no elements")
+            if kinds or self.projector is None or self.charge:
+                raise ValueError("a focal-fed plan takes a projector and no elements or charge")
         elif self.projector is not None:
             raise ValueError("a pupil-fed plan takes no projector")
         elif set(kinds) <= {"focal_mask"}:
@@ -216,8 +221,11 @@ class PropagatorPlan:
             raise ValueError("the chain must end in a pupil-plane element")
         elif any(box != pupil_boxes[0] for box in pupil_boxes):
             raise ValueError("the pupil-plane elements must share one box")
-        elif kinds[0] == "focal_mask" and self.elements[0][2] != (slice(0, n),) * 2:
-            raise ValueError("a leading focal mask must span the grid")
+        elif kinds[0] == "focal_mask":
+            raise ValueError(
+                "a pupil-fed chain opens with a pupil-plane element; a leading "
+                "vortex mask is given by its charge"
+            )
 
     @property
     def output_grid(self):
@@ -243,16 +251,32 @@ class PropagatorPlan:
 
     @functools.cached_property
     def _box_chain(self):
-        """A pupil-fed chain in its box form, built once per plan: (lead, steps).
+        """A pupil-fed chain's elements in their box form, built once per plan.
 
-        ``lead`` is the vortex's leading focal mask, None for PIAACMC;
-        ``steps`` holds one ``_box_step`` per other element, each mapping a
-        pupil field on ``pupil_box`` to the next.  ``apply`` and
-        ``_chain_matrix`` both run these steps.
+        One ``_box_step`` per element, each mapping a pupil field on
+        ``pupil_box`` to the next; ``apply`` and ``_chain_matrix`` both run
+        these steps.  The charge's spiral mask is not among them.
         """
-        lead = self.elements[0][1] if self.elements[0][0] == "focal_mask" else None
-        rest = self.elements if lead is None else self.elements[1:]
-        return lead, tuple(_box_step(*element, self.grid, self.pupil_box) for element in rest)
+        return tuple(_box_step(*element, self.grid, self.pupil_box) for element in self.elements)
+
+    @functools.cached_property
+    def spiral_phase(self):
+        """The leading focal mask e^{i charge phi} on the whole grid, built on first use.
+
+        Sampled at pixel centres with the singular centre pixel zeroed;
+        24.1 MiB of ``tracemalloc`` to build on the default grid, and 16 MiB
+        held from then on.  The mesh's angles come from broadcast
+        axes, and the product and exp run in one complex buffer: the
+        values of exp(1j * charge * arctan2(y, x)) on the mesh, bit for
+        bit.
+        """
+        ax = self.grid.axis()
+        angle = np.arctan2(ax[:, None], ax)
+        phase = np.multiply(1j * self.charge, angle, dtype=complex)
+        del angle
+        np.exp(phase, out=phase)
+        phase[self.grid.n_pixels // 2, self.grid.n_pixels // 2] = 0.0
+        return phase
 
     def apply(self, field):
         """Run the chain on one field; linear; returns a focal-plane field.
@@ -264,7 +288,7 @@ class PropagatorPlan:
         as a windowed matrix Fourier round trip (``_box_step``), so its
         output agrees with the full-grid chain to rounding, within 1e-13 of
         the largest output sample: one FFT renders a PIAACMC image.  The
-        vortex's leading mask multiplies on the whole grid, and its three
+        vortex's spiral mask multiplies on the whole grid, and its three
         FFTs give the full-grid chain's samples bit for bit.  The input is
         read in place, not copied (``_run``).
         """
@@ -292,13 +316,19 @@ class PropagatorPlan:
         ``image`` (``optics._add_intensity``), which is returned: the
         column batches of the last transform, or row batches of the
         perfect chain's difference.
+
+        The perfect chain's coefficient c = <p, s> dx^2 is einsum's
+        elementwise-product sum, whose order does not depend on the BLAS
+        build or its thread count, and its arithmetic is real for a real
+        projector and source: on the default grid a source and the
+        projector are 8 MiB each.
         """
         grid = self.grid
         if self.input_domain == "focal":
             # block - c * projector; the operand order of the product
             # matters, since numpy's complex multiply does not round the
             # imaginary part symmetrically
-            c = np.vdot(self.projector, block) * grid.dx * grid.dx
+            c = np.einsum("ij,ij->", self.projector.conj(), block) * grid.dx * grid.dx
             if accumulate is None:
                 samples = c * self.projector
                 np.subtract(block, samples, out=samples)
@@ -310,15 +340,18 @@ class PropagatorPlan:
                 np.subtract(block[rows], part, out=part)
                 _add_intensity(image[rows], part, weight)
             return image
-        lead, steps = self._box_chain
+        steps = self._box_chain
         box = self.pupil_box
         n = grid.n_pixels
-        if lead is None:
+        if not self.charge:
             v = block[tuple(slice(b.start - a.start, b.stop - a.start) for a, b in zip(at, box))]
         else:
+            # the phase first: a first image builds it before its focal
+            # field exists, so its scratch angles add nothing to the peak
+            phase = self.spiral_phase
             # propagate; the transform is this call's own, so mask it in place
             focal = _centered_fft(block, grid.dx, at=(at, n))
-            focal *= lead
+            focal *= phase
             grid = grid.conjugate()
             v = _centered_fft(focal, grid.dx, inverse=True, box=box)
             del focal  # no full-grid field outlives the box
@@ -338,7 +371,10 @@ def perfect_plan(fundamental=None, grid=None):
     ``fundamental`` defaults to the sampled PSF field.  High-precision
     orthogonality at the mode-stack level needs the stack's own
     fundamental (pass ``stack.field(0)``), whose grid orthonormalization
-    differs from the raw PSF samples at the 1e-2 level.
+    differs from the raw PSF samples at the 1e-2 level.  The projector
+    keeps the fundamental's dtype: the default is a real 8 MiB array on
+    the default grid, whose build peaks at 17.0 MiB of ``tracemalloc``
+    (32.0 MiB for the complex copy it replaced).
     """
     grid = grid or GridSpec()
     if fundamental is None:
@@ -709,23 +745,14 @@ def piaacmc_plan(grid=None):
 def vortex_plan(grid=None):
     """Spiral focal phase exp(i*VORTEX_CHARGE*phi) followed by the Lyot stop.
 
-    The phase is sampled at pixel centers with the singular center pixel
-    zeroed.
+    The plan records the charge; its phase, sampled at pixel centers with
+    the singular center pixel zeroed, is built when an image first needs
+    it (``PropagatorPlan.spiral_phase``).
     """
     grid = grid or GridSpec()
-    ax = grid.axis()
-    # the mesh's angles from broadcast axes, and the product and exp in one
-    # complex buffer: the values of exp(1j * charge * arctan2(y, x)) on the
-    # mesh, bit for bit
-    angle = np.arctan2(ax[:, None], ax)
-    phase = np.multiply(1j * VORTEX_CHARGE, angle, dtype=complex)
-    del angle
-    np.exp(phase, out=phase)
-    phase[grid.n_pixels // 2, grid.n_pixels // 2] = 0.0
     stop, box = lyot_stop_array(grid)
-    whole = slice(0, grid.n_pixels)
-    elements = (("focal_mask", phase, (whole, whole)), ("lyot_stop", stop, box))
-    return PropagatorPlan("vortex", grid, elements, "pupil")
+    elements = (("lyot_stop", stop, box),)
+    return PropagatorPlan("vortex", grid, elements, "pupil", charge=VORTEX_CHARGE)
 
 
 # ---------------------------------------------------------------------------
@@ -849,20 +876,22 @@ def _chain_matrix(plan, basis):
     from B to chi is applied to those sums afterwards, on the small side.
 
     The perfect chain is the Gram matrix of chi less a_j <p, chi_k> for
-    its projector p, where a = <chi, p>: both sums fold onto the quadrant
-    (``_quadrant_gram``, ``_fold_products``).  A pupil-fed chain starts
-    from chi_k in the focal plane.  Every pupil element vanishes outside
-    one box, the bounding box of their joint support, so from the first
-    pupil element on the field is carried on that box only, through the
-    plan's box steps, the ones ``PropagatorPlan.apply`` runs
-    (``_box_step``).  The pass sums the folded MFTs of the raw samples onto
-    the box (``_rows_to_box``).  The vortex's leading mask e^{iq phi}, q =
-    VORTEX_CHARGE, shifts the angular order: e^{iq phi} Theta_m is a sum of
-    Theta_{m'} with |m'| = |m +- q|, so the pass also samples the functions
-    R_n Theta_{m'} with |m'| > n, and each masked mode's transform is a sum
-    of the same transforms, less the centre pixel, where the plan's phase
-    is 0 and the sampled one is not.  The output is F G_k for the last
-    pupil-plane field G_k, and F is unitary, so M_jk = dx_p^2 sum_box
+    its projector p, where a = <chi, p>: the set's own Gram matrix
+    (``ModeFieldSet.gram``), and one sum of p, real or complex as it is,
+    against the raw samples, folded onto the quadrant (``_fold_products``).
+    A pupil-fed chain starts from chi_k in the focal plane.  Every pupil
+    element vanishes outside one box, the bounding box of their joint
+    support, so from the first pupil element on the field is carried on
+    that box only, through the plan's box steps, the ones
+    ``PropagatorPlan.apply`` runs (``_box_step``).  The pass sums the
+    folded MFTs of the raw samples onto the box (``_rows_to_box``).  The
+    vortex's leading mask e^{iq phi}, q = ``plan.charge``, shifts the
+    angular order: e^{iq phi} Theta_m is a sum of Theta_{m'} with
+    |m'| = |m +- q|, so the pass also samples the functions R_n Theta_{m'}
+    with |m'| > n, and each masked mode's transform is a sum of the same
+    transforms, less the centre pixel, where the plan's phase is 0 and the
+    sampled one is not.  The output is F G_k for the last pupil-plane
+    field G_k, and F is unitary, so M_jk = dx_p^2 sum_box
     conj(F^-1 chi_j) G_k.
     """
     grid = plan.output_grid
@@ -870,19 +899,15 @@ def _chain_matrix(plan, basis):
     count = basis.count
     n_max = (basis.basis if isinstance(basis, ModeFieldSet) else basis).n_max
     projector = plan.projector
-    shift = 0
+    shift = plan.charge
     if projector is not None:
-        # real and imaginary parts side by side, one real product per block
-        proj_parts = np.ascontiguousarray(projector, dtype=complex).view(np.float64)
-        proj_parts = proj_parts.reshape(n, n, 2)
-        proj_raw = np.zeros((count, 2))
-        gram_raw = np.zeros((count, count))
+        # a complex projector's real and imaginary parts side by side: one
+        # real product per block either way, and no copy
+        proj_parts = np.ascontiguousarray(projector).view(np.float64).reshape(n, n, -1)
+        proj_raw = np.zeros((count, proj_parts.shape[2]))
         _, mode_groups = _pass_layout(n_max)
     else:
-        lead, steps = plan._box_chain
-        if lead is not None:
-            _check_vortex_phase(plan.grid, lead)
-            shift = VORTEX_CHARGE
+        steps = plan._box_chain
         box = plan.pupil_box
         functions, groups = _pass_layout(n_max, shift)
         to_box = _rows_to_box(n, box, grid.dx, groups)
@@ -893,7 +918,6 @@ def _chain_matrix(plan, basis):
     def visit(rows, block):
         if projector is not None:
             proj_raw[...] += _fold_products(proj_parts, rows, block, mode_groups)
-            _quadrant_gram(gram_raw, rows, block, mode_groups)
             return
         if rows.start == 0:
             centre[...] = block[:, 0]
@@ -907,8 +931,8 @@ def _chain_matrix(plan, basis):
         fields = mode_field_stack(basis, grid, visit, shift)
     mix = fields._mix
     if projector is not None:
-        a = (mix @ proj_raw).view(complex)[:, 0] * grid.dx**2
-        matrix = (mix @ (gram_raw * grid.dx**2) @ mix.T).astype(complex)
+        a = (mix @ proj_raw).view(projector.dtype)[:, 0] * grid.dx**2
+        matrix = fields.gram().astype(complex)
         matrix -= np.outer(a, a.conj())
         return fields, matrix
 
@@ -928,20 +952,6 @@ def _chain_matrix(plan, basis):
         outputs[k] = v.ravel()
     matrix = (inputs.conj() @ outputs.T) * plan.grid.dx**2
     return fields, matrix
-
-
-def _check_vortex_phase(grid, lead):
-    """Reject a leading focal mask that is not the vortex phase of ``vortex_plan``.
-
-    Extraction enters the mask as the angular-order shift of e^{i
-    VORTEX_CHARGE phi}; one grid row of the mask, next to the centre,
-    must hold that phase bit for bit, and the centre pixel 0.
-    """
-    h = grid.n_pixels // 2
-    ax = grid.axis()
-    phase = np.exp(np.multiply(1j * VORTEX_CHARGE, np.arctan2(ax[h + 1], ax), dtype=complex))
-    if lead[h, h] != 0.0 or not np.array_equal(lead[h + 1], phase):
-        raise ValueError("a leading focal mask is extracted only as the vortex phase")
 
 
 def _singular_operator(name, fields, matrix):
@@ -1037,9 +1047,11 @@ def output_state_image(target, scene, star_only=False):
     default grid one two-source image peaks at 12.2 MiB of ``tracemalloc``
     for a PIAACMC image (the 8 MiB image and the transform's row batches),
     28.2 MiB for the vortex (its full-grid focal field between its first
-    two transforms) and 32.0 MiB for the perfect chain (its source while
-    the Airy sampler casts it to complex), against 32.1 / 32.1 / 41.0 MiB
-    when each output was built whole and squared after.  Every source of
+    two transforms) and 25.0 MiB for the perfect chain (the real radii and
+    samples of its source in the Airy sampler; 32.0 MiB when the sampler
+    cast each source to complex), against 32.1 / 32.1 / 41.0 MiB when each
+    output was built whole and squared after.  A perfect-chain source, its
+    projector and its output stay real.  Every source of
     a plan's image must keep the |s| + 3 margin of
     ``optics.check_source_in_window``, or ValueError names its separation:
     a pupil-fed source beyond it would wrap to the other side of the

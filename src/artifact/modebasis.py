@@ -512,11 +512,12 @@ class ModeFieldSet:
     Mode k is chi_k = sum_j transform[k, j] raw_j, where raw_j is the
     sampled radial factor times Theta_m of mode j (the psi_nm of the module
     docstring less its sqrt(pi)).  The set keeps only the count x count
-    float64 ``transform``, the smallest eigenvalue of the scaled Gram
-    matrix it was built from (``gram_floor``), and the sampling tables of
-    ``_radius_tables`` on one quadrant of the grid: ``radial`` (the radial
-    factor per order per distinct radius) and ``radius_index`` (int32, one
-    entry per quadrant pixel).
+    float64 ``transform``, the raw samples' Gram matrix on the grid that it
+    was built from (``raw_gram``, modes in OSA order), the smallest
+    eigenvalue of that matrix scaled (``gram_floor``), and the sampling
+    tables of ``_radius_tables`` on one quadrant of the grid: ``radial``
+    (the radial factor per order per distinct radius) and ``radius_index``
+    (int32, one entry per quadrant pixel).
 
     Every pass samples the modes on the quadrant's (n/2 + 1)^2 pixels only,
     unrotated, in blocks of whole quadrant rows (``_raw_blocks``), and
@@ -533,6 +534,7 @@ class ModeFieldSet:
     radial: np.ndarray
     radius_index: np.ndarray
     transform: np.ndarray
+    raw_gram: np.ndarray = None
     gram_floor: float = math.nan
 
     @property
@@ -656,19 +658,22 @@ class ModeFieldSet:
     def project(self, field):
         """Coefficients <chi_k, field> for a focal-domain field on the grid.
 
-        The real and imaginary parts of the field go through one real
-        product per block and parity class, folded onto the quadrant
-        (``_fold_products``), so no block is copied to complex.
+        The samples of a real field, or the real and imaginary parts of a
+        complex one side by side, go through one real product per block
+        and parity class, folded onto the quadrant (``_fold_products``), so
+        no block is copied to complex.  A real field gives real
+        coefficients.
         """
         if field.domain != "focal" or field.grid != self.grid:
             raise ValueError("field must live on the focal grid of the mode set")
         n = self.grid.n_pixels
-        parts = np.ascontiguousarray(field.samples).view(np.float64).reshape(n, n, 2)
+        samples = np.ascontiguousarray(field.samples)
+        parts = samples.view(np.float64).reshape(n, n, -1)
         _, groups = _pass_layout(self.basis.n_max)
-        acc = np.zeros((self.count, 2))
+        acc = np.zeros((self.count, parts.shape[2]))
         for rows, block in self._raw_blocks():
             acc += _fold_products(parts, rows, block, groups)
-        return (self._mix @ acc).view(complex)[:, 0] * (self.grid.dx * self.grid.dx)
+        return (self._mix @ acc).view(samples.dtype)[:, 0] * (self.grid.dx * self.grid.dx)
 
     def synthesize(self, coeffs):
         """Field sum_k coeffs_k chi_k on the grid.
@@ -693,27 +698,28 @@ class ModeFieldSet:
         return OpticalField(samples, "focal", self.grid.half_width)
 
     def gram(self):
+        """Gram matrix of the modes on the grid, from ``raw_gram``: no pass over the samples."""
         t = self.transform
-        return t @ self._raw_gram() @ t.T
+        return t @ self.raw_gram @ t.T
 
 
 def mode_field_stack(basis, grid=None, visit=None, shift=0):
     """Sample the basis on a grid and orthonormalize it against the discrete product.
 
-    One pass over the raw samples sums their Gram matrix G on the grid
-    from one quadrant (``ModeFieldSet._raw_gram``).  Each mode is scaled
-    to unit discrete norm by G's diagonal (which also drops the constant
-    sqrt(pi) that separates psi_nm from the projection radial factor), and
-    the scaled set is then rotated by the inverse square root of its Gram
+    One pass over the raw samples sums their Gram matrix G on the grid from
+    one quadrant (``ModeFieldSet._raw_gram``).  Each mode is scaled to unit
+    discrete norm by G's diagonal (which also drops the constant sqrt(pi)
+    that separates psi_nm from the projection radial factor), and the
+    scaled set is then rotated by the inverse square root of its Gram
     matrix (symmetric orthonormalization), which perturbs each field
     minimally while making the set exactly orthonormal on the grid.  Both
-    steps live in the returned set's ``transform``, and the scaled Gram
-    matrix's smallest eigenvalue in its ``gram_floor``; no field is
-    stored.  ``visit(rows, block)``, when given, sees every raw block of
-    that pass (``ModeFieldSet._raw_blocks(shift)``, which with a nonzero
-    ``shift`` also samples the functions that e^{i shift phi} carries the
-    modes onto), so a caller can reduce the samples without generating
-    them again.
+    steps live in the returned set's ``transform``, G in its ``raw_gram``
+    and the scaled Gram matrix's smallest eigenvalue in its ``gram_floor``;
+    no field is stored.  ``visit(rows, block)``, when given, sees every raw
+    block of that pass (``ModeFieldSet._raw_blocks(shift)``, which with a
+    nonzero ``shift`` also samples the functions that e^{i shift phi}
+    carries the modes onto), so a caller can reduce the samples without
+    generating them again.
     """
     grid = grid or GridSpec()
     raw = ModeFieldSet(basis, grid, *_radius_tables(basis, grid), np.eye(basis.count))
@@ -723,4 +729,4 @@ def mode_field_stack(basis, grid=None, visit=None, shift=0):
     if vals[0] <= 0:
         raise ValueError("sampled mode set is numerically degenerate")
     transform = ((vecs / np.sqrt(vals)) @ vecs.T) * scale
-    return dataclasses.replace(raw, transform=transform, gram_floor=float(vals[0]))
+    return dataclasses.replace(raw, transform=transform, raw_gram=g, gram_floor=float(vals[0]))

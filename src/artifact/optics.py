@@ -94,7 +94,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class OpticalField:
-    """Complex field samples tagged with their domain and window size."""
+    """Field samples tagged with their domain and window size.
+
+    The samples are complex, or real (float64) when they are given as
+    float64: a sampled Airy pattern stays real, at half the bytes, and so
+    does every chain output and coefficient computed from it alone.
+    """
 
     samples: np.ndarray
     domain: str
@@ -108,7 +113,9 @@ class OpticalField:
             raise ValueError("n_pixels must be even and at least 2")
         if self.domain not in ("pupil", "focal"):
             raise ValueError("domain must be 'pupil' or 'focal'")
-        object.__setattr__(self, "samples", np.asarray(s, dtype=complex))
+        if s.dtype != np.float64:
+            s = np.asarray(s, dtype=complex)
+        object.__setattr__(self, "samples", s)
 
     @property
     def n_pixels(self):
@@ -268,8 +275,9 @@ def _airy_amplitude(rho):
     # default-grid samples by up to 8.9e-16, and cfim_direct_imaging
     # amplifies such rounding by about 1e6 into the localization times of
     # `tables`.  The argument check is bessel_j's.  The sampled fields do
-    # not call this: _airy_field computes the same values in place, and
-    # this stays for psf and as the tests' oracle for that sampler
+    # not call this: _airy_field computes the same values in place, in one
+    # real buffer that it returns, and this stays for psf and as the
+    # tests' oracle for that sampler
     rho_arr = np.asarray(rho, dtype=float)
     if not np.isfinite(rho_arr).all():
         raise ValueError("Bessel argument must be finite")
@@ -337,20 +345,20 @@ def pupil_disk_field(grid=None):
 def _airy_field(rho, grid):
     """Unit-norm focal field of the Airy amplitude at the pixel radii ``rho``.
 
-    Bit for bit ``OpticalField(_airy_amplitude(rho).astype(complex), ...)
-    .normalized()``, with two real full-grid buffers and the complex
-    result where that takes about ten full-grid passes, which matters
-    because cfim_direct_imaging samples a million pixels per perfect-chain
-    source.  ``rho`` (which this overwrites) times 2 pi goes through J_1
-    in place and is divided by sqrt(pi) rho, and the radii below _R_EPS
-    take the on-axis value sqrt(pi) afterwards, so the 0/0 at a pixel
-    exactly on the source is silent.  The samples are real, so the norm is
-    the pairwise sum of their squares, which ``np.abs(c) ** 2`` gives for
-    a zero imaginary part, and the scaling by ``1.0 / norm`` is what
-    numpy's complex-by-real division computes.  One complex cast comes
-    last, after the radius buffer is freed: a caller that passes its radii
-    as a temporary holds 24 MiB at the cast on the default grid, the real
-    samples and the complex field, not 32.
+    Real samples, bit for bit the real parts of
+    ``OpticalField(_airy_amplitude(rho).astype(complex), ...).normalized()``,
+    from two real full-grid buffers where that takes about ten full-grid
+    passes, which matters because cfim_direct_imaging samples a million
+    pixels per perfect-chain source.  ``rho`` (which this overwrites) times
+    2 pi goes through J_1 in place and is divided by sqrt(pi) rho, and the
+    radii below _R_EPS take the on-axis value sqrt(pi) afterwards, so the
+    0/0 at a pixel exactly on the source is silent.  The norm is the
+    pairwise sum of the squares, which ``np.abs(c) ** 2`` gives for a zero
+    imaginary part, and the scaling by ``1.0 / norm`` is what numpy's
+    complex-by-real division computes.  The field stays real: on the
+    default grid a caller that passes its radii as a temporary holds
+    16 MiB, the radii and the samples, and keeps an 8 MiB field (a complex
+    cast held 24 MiB and kept 16).
     """
     if not np.isfinite(rho).all():
         raise ValueError("Bessel argument must be finite")
@@ -366,13 +374,14 @@ def _airy_field(rho, grid):
     norm = math.sqrt(float(np.sum(sq)) * grid.dx * grid.dx)
     del rho, sq
     amp *= 1.0 / norm
-    return OpticalField(amp.astype(complex), "focal", grid.half_width)
+    return OpticalField(amp, "focal", grid.half_width)
 
 
 def psf_field(grid=None):
     """Airy amplitude sampled on the focal grid, unit discrete norm.
 
-    The samples are those of ``psf`` at the pixel centers, renormalized.
+    The samples are those of ``psf`` at the pixel centers, renormalized,
+    and real (float64).
     """
     grid = grid or GridSpec()
     ax = grid.axis()
@@ -404,8 +413,8 @@ def shifted_source_field(s, grid=None):
     renormalized to unit discrete norm.
     The radii broadcast the shifted axes, which gives the samples of the
     shifted ``mesh`` bit for bit without building it, and ``_airy_field``
-    turns them into the field in place: 53-89 ms on the default grid on a
-    shared 2-core Xeon, about 31 ms of it J_1.
+    turns them into the real field in place: 53-89 ms on the default grid
+    on a shared 2-core Xeon, about 31 ms of it J_1.
     """
     grid = grid or GridSpec()
     s_arr = np.asarray(s, dtype=float)

@@ -395,18 +395,19 @@ def test_imaging_separation_below_step_rejected(plan_perfect_analytic):
 
 
 @pytest.mark.parametrize(
-    "design, bound_mib", [("perfect", 52), ("piaacmc", 37), ("vortex", 48)]
+    "design, bound_mib", [("perfect", 45), ("piaacmc", 37), ("vortex", 48)]
 )
 def test_imaging_memory(design, bound_mib, plan_perfect_analytic, plan_piaacmc, plan_vortex):
     # at the `tables` scene: the two differences (8 MiB each) are rendered
     # before the base image, and each full image is freed once its live
     # pixels are gathered, so the peak is one image render on top of the
     # two differences; an image is one real buffer that each output is
-    # squared into.  Measured 48.0 / 33.0 / 44.2 MiB of tracemalloc for
-    # perfect / PIAACMC / vortex (57.0 / 48.1 / 48.1 MiB with each output
-    # built whole, 72.0 / 72.1 / 83.1 MiB with the base image rendered
-    # first and every full image held to the end).  One more full-grid
-    # image (8 MiB) breaks every bound
+    # squared into.  Measured 41.0 / 33.0 / 44.2 MiB of tracemalloc for
+    # perfect / PIAACMC / vortex (48.0 MiB for perfect when its sources
+    # were cast to complex; 57.0 / 48.1 / 48.1 MiB with each output built
+    # whole, 72.0 / 72.1 / 83.1 MiB with the base image rendered first and
+    # every full image held to the end).  One more full-grid image (8 MiB)
+    # breaks every bound
     plan = {"perfect": plan_perfect_analytic, "piaacmc": plan_piaacmc, "vortex": plan_vortex}[
         design
     ]

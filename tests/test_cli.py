@@ -400,6 +400,30 @@ def test_tables_rerun_is_byte_identical(table2_runs):
     assert first == rerun
 
 
+def test_tables_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every reduction behind the rows has a fixed order: the perfect
+    # chain's coefficient is not a threaded BLAS dot, whose sum moved the
+    # last digit of its rows between 1 and 2 OpenBLAS threads.  Each run
+    # is a process of its own, since OpenBLAS reads the count at start-up,
+    # and its manifest records that count
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(src)
+    runs = {}
+    for threads in (1, 2):
+        argv = [sys.executable, "-m", "artifact.cli", "tables", "--table", "2"]
+        argv += ["--config", str(_CONFIG), "--out-dir", str(tmp_path / str(threads))]
+        runs[threads] = subprocess.Popen(
+            argv, env=dict(env, OPENBLAS_NUM_THREADS=str(threads)), stdout=subprocess.DEVNULL
+        )
+    assert [run.wait(timeout=300) for run in runs.values()] == [0, 0]
+    csvs = [(tmp_path / str(t) / "detection_times.csv").read_bytes() for t in runs]
+    assert csvs[0] == csvs[1]
+    for threads in runs:
+        manifest = json.loads((tmp_path / str(threads) / "tables_manifest.json").read_text())
+        assert manifest["libraries"]["blas_threads"] in (None, threads)
+
+
 def test_tables_localization_rows(tmp_path):
     code = main(
         ["tables", "--table", "3", "--config", str(_CONFIG), "--out-dir", str(tmp_path)]
@@ -634,11 +658,18 @@ def test_manifest_keys_and_reruns_differ_only_in_duration(bounds_runs):
         "command", "config", "duration_s", "libraries", "outputs", "parameters",
         "peak_rss_mb", "seed", "version",
     }
-    assert first["libraries"] == {
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    libraries = dict(first["libraries"])
+    threads = libraries.pop("blas_threads")
+    assert libraries == {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "blas": blas["name"],
+        "blas_version": blas["version"],
     }
+    # OpenBLAS's own count, null for a BLAS whose count cannot be read
+    assert threads is None or threads >= 1
     assert isinstance(first["duration_s"], float)
     # getrusage reports KiB on Linux: the peak of a process that imported
     # numpy and scipy is tens of MB, not tens of GB

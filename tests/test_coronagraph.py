@@ -52,6 +52,7 @@ from artifact.optics import (
     inverse_propagate,
     overlap,
     propagate,
+    psf_field,
     pupil_disk_field,
     separation_from_sigma_units,
     shifted_source_field,
@@ -133,7 +134,9 @@ def test_plan_validates_inputs(grid):
     with pytest.raises(ValueError):
         PropagatorPlan("x", grid, (), "sideways")
     n = grid.n_pixels
-    (_, phase, whole), (_, stop, box) = vortex_plan(grid).elements
+    vortex = vortex_plan(grid)
+    ((_, stop, box),) = vortex.elements
+    phase, whole = vortex.spiral_phase, (slice(0, n),) * 2
     with pytest.raises(ValueError):
         PropagatorPlan("x", grid, (("mystery", stop, box),), "pupil")
     with pytest.raises(ValueError, match="must match its box"):
@@ -160,15 +163,18 @@ def test_plan_validates_inputs(grid):
         ((mask, pupil, ("inverse_apodizer", embed(stop, box, n), whole)), "pupil", None,
          "pupil-plane elements must share one box"),
         ((("focal_mask", phase[box], box), pupil), "pupil", None,
-         "leading focal mask must span the grid"),
+         "opens with a pupil-plane element"),
+        ((mask, pupil), "pupil", None, "leading vortex mask is given by its charge"),
     )
     for elements, domain, proj, message in rejected:
         with pytest.raises(ValueError, match=message):
             PropagatorPlan("x", grid, elements, domain, proj)
+    with pytest.raises(ValueError, match="no elements or charge"):
+        PropagatorPlan("x", grid, (), "focal", projector, charge=2)
     # the layouts of the three designs
     piaacmc = (("apodizer", stop, box), mask, pupil, ("inverse_apodizer", stop, box))
     PropagatorPlan("x", grid, piaacmc, "pupil")
-    PropagatorPlan("x", grid, (mask, pupil), "pupil")
+    PropagatorPlan("x", grid, (pupil,), "pupil", charge=2)
     plan = PropagatorPlan("x", grid, (), "focal", projector)
     with pytest.raises(ValueError):
         plan.apply(pupil_disk_field(grid))
@@ -206,12 +212,17 @@ def _reference_apply(plan, samples):
     """The chain on the whole grid: every element, numpy's fft2/ifft2 per crossing.
 
     Each element is embedded in the grid from its box: a focal mask is one
-    off it and a pupil element zero.  The projector, if any, subtracts its
-    component from the focal output.
+    off it and a pupil element zero; a charge's spiral mask comes first.
+    The projector, if any, subtracts its component from the focal output,
+    the coefficient summed by the chain's own reduction.
     """
     half_width, domain = plan.grid.half_width, plan.input_domain
     cur = np.asarray(samples, dtype=complex)
-    for kind, arr, box in plan.elements:
+    elements = plan.elements
+    if plan.charge:
+        whole = slice(0, cur.shape[0])
+        elements = (("focal_mask", plan.spiral_phase, (whole, whole)),) + elements
+    for kind, arr, box in elements:
         need = "focal" if kind == "focal_mask" else "pupil"
         if domain != need:
             cur, half_width = _reference_cross(cur, half_width, domain == "focal")
@@ -224,7 +235,8 @@ def _reference_apply(plan, samples):
         cur, half_width = _reference_cross(cur, half_width, False)
     if plan.projector is not None:
         dx = 2.0 * half_width / cur.shape[0]
-        cur = cur - np.vdot(plan.projector, cur) * dx * dx * plan.projector
+        c = np.einsum("ij,ij->", plan.projector.conj(), cur)
+        cur = cur - c * dx * dx * plan.projector
     return cur, half_width
 
 
@@ -393,7 +405,7 @@ def test_image_is_the_unfused_image(design, star_only, plan_piaacmc, plan_vortex
 
 
 @pytest.mark.parametrize(
-    "design, bound_mib", [("perfect", 36), ("piaacmc", 16), ("vortex", 32)]
+    "design, bound_mib", [("perfect", 29), ("piaacmc", 16), ("vortex", 32)]
 )
 def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex, grid):
     # one two-source image on the default grid holds the image (8 MiB) and
@@ -401,11 +413,11 @@ def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex, grid):
     # batch by batch.  Measured 12.2 MiB of tracemalloc for PIAACMC, whose
     # source enters on its disk box and whose one transform starts on the
     # Lyot box; 28.2 MiB for the vortex, which holds its full-grid focal
-    # field (16 MiB) between its first two transforms; 32.0 MiB for the
-    # perfect chain, whose Airy sampler holds the real samples (8 MiB) and
-    # the complex source (16 MiB) at its cast.  These read 32.1 / 32.1 /
-    # 41.0 MiB when each output was built whole and squared after.  One
-    # more full-grid real image breaks every bound
+    # field (16 MiB) between its first two transforms; 25.0 MiB for the
+    # perfect chain, whose Airy sampler holds the radii and the real
+    # samples (8 MiB each), 32.0 MiB when it cast the source to complex.
+    # These read 32.1 / 32.1 / 41.0 MiB when each output was built whole
+    # and squared after.  One more full-grid real image breaks every bound
     plan = _design_plan(design, grid, plan_piaacmc, plan_vortex)
     scene = Scene(0.7, 5.0, 0.2)
     output_state_image(plan, scene)  # the source disk is built once per grid
@@ -419,19 +431,23 @@ def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex, grid):
 
 
 def test_vortex_phase_is_the_mesh_formula(grid):
-    # built from broadcast axes with the product and exp in one complex
-    # buffer: 25.0 MiB of tracemalloc where the mesh form took 48.0 MiB
+    # the plan records its charge and builds the phase on first use, from
+    # broadcast axes with the product and exp in one complex buffer:
+    # 24.1 MiB of tracemalloc (25.0 MiB for the whole plan when the plan
+    # built it, 48.0 MiB for the mesh form)
     x, y = grid.mesh()
     expect = np.exp(1j * coronagraph.VORTEX_CHARGE * np.arctan2(y, x))
     expect[grid.n_pixels // 2, grid.n_pixels // 2] = 0.0
     del x, y
+    plan = vortex_plan(grid)
+    assert plan.charge == coronagraph.VORTEX_CHARGE
     tracemalloc.start()
     try:
-        plan = vortex_plan(grid)
+        phase = plan.spiral_phase
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    phase = plan.elements[0][1]
+    assert plan.spiral_phase is phase
     assert np.array_equal(phase.view(np.float64), expect.view(np.float64))
     assert np.array_equal(np.signbit(phase.view(np.float64)), np.signbit(expect.view(np.float64)))
     assert peak <= 32 * 2**20
@@ -515,7 +531,8 @@ def _reachable_arrays(obj):
 def test_plans_hold_only_what_their_chains_read(plan_vortex, plan_piaacmc, grid):
     # after construction and a rendered image, which builds the box steps:
     # a PIAACMC plan holds its elements on the Lyot and spot boxes and no
-    # full-grid array; a vortex plan holds one, its spiral phase
+    # full-grid array; a vortex plan holds one, the spiral phase that its
+    # first image built
     scene = Scene(0.7, 5.0, 0.2)
     n2 = grid.n_pixels**2
     for plan in (plan_vortex, plan_piaacmc):
@@ -523,12 +540,31 @@ def test_plans_hold_only_what_their_chains_read(plan_vortex, plan_piaacmc, grid)
     assert plan_piaacmc._box_chain and plan_vortex._box_chain
     assert [a for a in _reachable_arrays(plan_piaacmc) if a.size >= n2] == []
     big = [a for a in _reachable_arrays(plan_vortex) if a.size >= n2]
-    assert len(big) == 1 and big[0] is plan_vortex.elements[0][1]
-    assert plan_vortex.elements[0][1].shape == (grid.n_pixels, grid.n_pixels)
+    assert len(big) == 1 and big[0] is plan_vortex.spiral_phase
+    assert plan_vortex.spiral_phase.shape == (grid.n_pixels, grid.n_pixels)
 
 
 # ---------------------------------------------------------------------------
 # perfect design
+
+
+def test_perfect_plan_keeps_a_real_projector(grid):
+    # the default fundamental is the real Airy field, and the projector
+    # keeps its dtype: a real 8 MiB array, built at 17.0 MiB of
+    # tracemalloc (32.0 MiB with the complex copy).  A complex fundamental
+    # gives a complex projector
+    tracemalloc.start()
+    try:
+        plan = perfect_plan(grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.projector.dtype == np.float64
+    assert plan.projector.nbytes == 8 * 2**20
+    assert peak <= 20 * 2**20
+    small = GridSpec(64, 4.0)
+    fundamental = OpticalField(psf_field(small).samples * 1j, "focal", small.half_width)
+    assert perfect_plan(fundamental, small).projector.dtype == complex
 
 
 def test_perfect_rejects_fundamental_and_passes_higher_modes(stack6, grid):
@@ -846,13 +882,19 @@ def test_extraction_grid_mismatch(plan_vortex):
 
 
 def test_extraction_rejects_a_leading_mask_other_than_the_vortex_phase():
-    # extraction enters a leading mask as the vortex's angular-order shift,
-    # so a plan in the vortex layout with another phase is refused
+    # extraction enters the vortex mask as the angular-order shift of its
+    # charge, so a plan's image and its extraction read one mask: a leading
+    # focal mask given as an array, the vortex phase's conjugate here, is
+    # refused when the plan is made, and extraction builds no phase
     grid = GridSpec(64, 7.3)
-    (_, phase, whole), pupil = vortex_plan(grid).elements
-    plan = PropagatorPlan("x", grid, (("focal_mask", phase.conj(), whole), pupil), "pupil")
-    with pytest.raises(ValueError, match="vortex phase"):
-        extract_operator(plan, FourierZernikeBasis(1))
+    vortex = vortex_plan(grid)
+    whole = (slice(0, grid.n_pixels),) * 2
+    conjugate = ("focal_mask", vortex.spiral_phase.conj(), whole)
+    with pytest.raises(ValueError, match="leading vortex mask is given by its charge"):
+        PropagatorPlan("x", grid, (conjugate,) + vortex.elements, "pupil")
+    plan = vortex_plan(grid)
+    extract_operator(plan, FourierZernikeBasis(1))
+    assert "spiral_phase" not in vars(plan)
 
 
 def test_extraction_off_a_self_conjugate_grid():

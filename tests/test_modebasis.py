@@ -574,7 +574,7 @@ def test_project_and_synthesize_hold_no_complex_block(stack6):
     field = OpticalField(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), "focal", 16.0)
     coeffs = rng.standard_normal(stack6.count) + 1j * rng.standard_normal(stack6.count)
     block = stack6.count * modebasis._ROW_BLOCK * n * 8
-    gram, _ = _traced_peak(stack6.gram)
+    gram, _ = _traced_peak(stack6._raw_gram)
     project, _ = _traced_peak(lambda: stack6.project(field))
     synthesize, image = _traced_peak(lambda: stack6.synthesize(coeffs))
     assert project <= gram + block

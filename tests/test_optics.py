@@ -274,13 +274,15 @@ _TABLES_SCENE = Scene(0.1 * AIRY_SIGMA, 0.3, 1e-9)
 )
 def test_source_samples_are_the_mesh_samples(grid, s):
     # the in-place sampler gives the samples of the full mesh construction
-    # through _airy_amplitude, cast and normalized, bit for bit
+    # through _airy_amplitude, cast and normalized, bit for bit, and keeps
+    # them real
     x, y = grid.mesh()
     mesh = _airy_amplitude(np.hypot(x - s[0], y - s[1]))
     expect = OpticalField(mesh.astype(complex), "focal", grid.half_width).normalized()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = shifted_source_field(s, grid)
+    assert got.samples.dtype == np.float64
     assert np.array_equal(got.samples, expect.samples)
     if s == (0.0, 0.0):
         with warnings.catch_warnings():
