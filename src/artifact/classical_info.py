@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .coronagraph import PropagatorPlan, output_state_image
+from .coronagraph import _stage_scene, output_state_image
 from .modebasis import (
     FourierZernikeBasis,
     _sin_2m,
@@ -22,7 +22,7 @@ from .modebasis import (
     all_probability_gradients,
     source_coefficients,
 )
-from .optics import AIRY_SIGMA, Scene, wrap_angle
+from .optics import _CHUNK, AIRY_SIGMA, Scene, wrap_angle
 from .quantum_bounds import FisherMatrix, _gamma0, qce
 
 __all__ = [
@@ -203,59 +203,55 @@ def cfim_direct_imaging(target, scene, step=None):
     the spatially faithful choice for the chains whose compressed
     matrices are non-normal.
 
-    The two differences are rendered before the base image, and each full
-    image is freed once its live pixels are gathered.  An image is one
-    real buffer, into which ``output_state_image`` squares each output as
-    it is computed, so at most three full-grid images are held at a time:
-    the two differences and the image being rendered, 24 MiB on the
-    default grid.  Measured with ``tracemalloc`` on a built plan, one call
-    peaks at 41.0 / 33.0 / 44.2 MiB for the perfect / PIAACMC / vortex
-    chains (the real radii and samples of a perfect-chain source while it
-    is sampled, or the vortex's full-grid focal field, come on top of the
-    three images), against 48.0 MiB for the perfect chain when its sources
-    were cast to complex and 57.0 / 48.1 / 48.1 MiB when each output was
-    built whole.
+    The ten sources of the five scenes are staged first (``_stage_scene``;
+    0.6 MiB of box fields for a pupil-fed plan on the default grid), so
+    the vortex's full-grid focal field is gone before any image exists.
+    Then the two differences are rendered before the base image: an image
+    is one real buffer, into which ``output_state_image`` squares each
+    output as it is computed, so at most three full-grid images are held
+    at a time, 24 MiB on the default grid.  The three quotient sums run
+    over blocks of _CHUNK image rows with block-sized scratch.  Measured
+    with ``tracemalloc`` on a built plan, one call peaks at 33.2 / 28.6 /
+    28.6 MiB for the perfect / PIAACMC / vortex chains (a perfect-chain
+    source, 8 MiB real, comes on top of the three images), against 41.0 /
+    33.0 / 44.2 MiB when each source was staged into its allocated image,
+    the Airy sampler held its radii whole and the live pixels were
+    gathered into four full-size arrays.
     """
     r, phi, b = scene.r_delta, scene.phi_delta, scene.b
     h = imaging_step(r, step)
-    if isinstance(target, PropagatorPlan):
-        grid = target.output_grid
-    else:
-        grid = target.fields.grid
+    # angles wrap, so the angular difference straddles 0 = 2 pi; for
+    # interior angles the wrapped value equals phi +- h exactly
+    plus, minus, ahead, behind, centre = (
+        _stage_scene(target, s)
+        for s in (
+            Scene(r + h, phi, b),
+            Scene(r - h, phi, b),
+            Scene(r, wrap_angle(phi + h), b),
+            Scene(r, wrap_angle(phi - h), b),
+            scene,
+        )
+    )
     # each difference is formed in the buffer of its first image
-    diff_r = output_state_image(target, Scene(r + h, phi, b))
-    diff_r -= output_state_image(target, Scene(r - h, phi, b))
-    # angles wrap, so the difference straddles 0 = 2 pi; for interior
-    # angles the wrapped value equals phi +- h exactly
-    diff_phi = output_state_image(target, Scene(r, wrap_angle(phi + h), b))
-    diff_phi -= output_state_image(target, Scene(r, wrap_angle(phi - h), b))
-    base = output_state_image(target, scene)
-    live = base > 1e-18 * float(base.max())
-    # the gathers are new arrays: each full image goes once it is gathered,
-    # the differences are scaled in place, and each product and quotient
-    # is formed in one scratch array
-    p = base[live]
-    del base
-    g_r = diff_r[live]
-    del diff_r
-    g_r /= 2.0 * h
-    g_phi = diff_phi[live]
-    del diff_phi
-    g_phi /= 2.0 * h
-    scratch = np.empty_like(p)
-
-    def quotient_sum(a, b):
-        np.multiply(a, b, out=scratch)
-        np.divide(scratch, p, out=scratch)
-        return float(np.sum(scratch))
-
-    cross = quotient_sum(g_r, g_phi)
-    entries = np.array(
-        [
-            [quotient_sum(g_r, g_r), cross],
-            [cross, quotient_sum(g_phi, g_phi)],
-        ]
-    ) * grid.dx**2
+    diff_r = output_state_image(target, plus)
+    diff_r -= output_state_image(target, minus)
+    diff_phi = output_state_image(target, ahead)
+    diff_phi -= output_state_image(target, behind)
+    base = output_state_image(target, centre)
+    threshold = 1e-18 * float(base.max())
+    rr = rphi = phiphi = 0.0
+    for start in range(0, base.shape[0], _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        live = base[rows] > threshold
+        p = base[rows][live]
+        g_r = diff_r[rows][live]
+        g_r /= 2.0 * h
+        g_phi = diff_phi[rows][live]
+        g_phi /= 2.0 * h
+        rr += float(np.sum(g_r * g_r / p))
+        rphi += float(np.sum(g_r * g_phi / p))
+        phiphi += float(np.sum(g_phi * g_phi / p))
+    entries = np.array([[rr, rphi], [rphi, phiphi]]) * target.output_grid.dx**2
     return FisherMatrix(entries, scene)
 
 

@@ -24,8 +24,11 @@ the ``outputs`` written, the wall-clock ``duration_s``, and under
 ``--jobs`` (``tables`` adds the ``kind`` its ``--table`` selects).  ``montecarlo``
 adds ``diagnostics``: under ``clusters``, one entry per cluster with the
 mean and max Nelder-Mead evaluations of its trials (``n_evals_mean``,
-``n_evals_max``) and its ``converged_frac``; ``coronagraph --output
-eigenmodes`` adds ``diagnostics`` too: the smallest eigenvalue of the
+``n_evals_max``) and its ``converged_frac``; ``tables`` adds
+``diagnostics``: under ``chains``, per nulling design in the order of its
+rows (perfect, PIAACMC, vortex), the ``seconds`` from building the plan to
+the end of its row and the process's ``peak_rss_mb`` then; ``coronagraph
+--output eigenmodes`` adds ``diagnostics`` too: the smallest eigenvalue of the
 sampled modes' scaled Gram matrix (``gram_floor``), the largest
 |transmission| (``max_abs_transmission``) and the ceiling that extraction
 enforces on it (``transmission_ceiling``).  Exit code 0
@@ -300,26 +303,54 @@ def cmd_bounds(args):
 _TABLE_SYSTEMS = ("quantum", "spade", "perfect", "piaacmc", "vortex")
 
 
-def _detection_exponents(scene):
-    """Detection exponent per system; nulling chains use b * throughput."""
-    out = {"quantum": qce(scene), "spade": float(cce_spade_binary(scene))}
+def _peak_rss_mb():
+    """The process's peak resident set size so far in MB, to 0.1.
+
+    From ``getrusage``, which Linux reports in KiB.
+    """
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
+
+def _chain_rows(row):
+    """``row(plan)`` for a fresh plan of each nulling design, in turn.
+
+    Returns (rows, chains), both keyed by design in the order perfect,
+    PIAACMC, vortex; ``chains[design]`` holds the ``seconds`` from building
+    that design's plan to the end of its row (``time.perf_counter``) and
+    the process's ``peak_rss_mb`` then.
+    """
+    rows, chains = {}, {}
     for design in ("perfect", "piaacmc", "vortex"):
+        t0 = time.perf_counter()
         # no name holds the plan, so it is freed before the next is built
-        out[design] = scene.b * planet_throughput(
-            _get_plan(design), scene.r_delta, scene.phi_delta
-        )
-    return out
+        rows[design] = row(_get_plan(design))
+        chains[design] = {
+            "seconds": round(time.perf_counter() - t0, 3),
+            "peak_rss_mb": _peak_rss_mb(),
+        }
+    return rows, chains
+
+
+def _detection_exponents(scene):
+    """Detection exponent per system, and the chains' stage numbers.
+
+    The nulling chains use b * throughput.
+    """
+    out = {"quantum": qce(scene), "spade": float(cce_spade_binary(scene))}
+    rows, chains = _chain_rows(
+        lambda plan: scene.b * planet_throughput(plan, scene.r_delta, scene.phi_delta)
+    )
+    return {**out, **rows}, chains
 
 
 def _localization_matrices(scene):
-    """Localization information matrix per system at the pinned scene."""
+    """Localization matrix per system at the pinned scene, and the chains' stage numbers."""
     out = {
         "quantum": qfim_polar(scene),
         "spade": cfim_spade(FourierZernikeBasis(_SPADE_TABLE_ORDER), scene),
     }
-    for design in ("perfect", "piaacmc", "vortex"):
-        out[design] = cfim_direct_imaging(_get_plan(design), scene)
-    return out
+    rows, chains = _chain_rows(lambda plan: cfim_direct_imaging(plan, scene))
+    return {**out, **rows}, chains
 
 
 def _print_table(title, col_labels, rows):
@@ -365,7 +396,7 @@ def cmd_tables(args):
     args.kind = kind  # recorded among the manifest's parameters
 
     if kind == "detection":
-        exponents = _detection_exponents(scene)
+        exponents, chains = _detection_exponents(scene)
         rates = {name: exponents[name] * flux for name in _TABLE_SYSTEMS}
         targets, label, target_name = _PE_TARGETS, "Pe", "pe_target"
         # an exponent that rounds to zero takes forever: the quantum and
@@ -376,7 +407,7 @@ def cmd_tables(args):
             for name, rate in rates.items()
         ]
     else:
-        matrices = _localization_matrices(scene)
+        matrices, chains = _localization_matrices(scene)
         targets, label, target_name = _REL_ERRORS, "rel", "rel_loc_error"
         rows = [
             (name, [localization_photons(matrices[name], rel) / flux for rel in targets])
@@ -399,7 +430,7 @@ def cmd_tables(args):
         ],
     )
     print(f"wrote {path}")
-    return [path.name], 0, {}
+    return [path.name], 0, {"chains": chains}
 
 
 # ---------------------------------------------------------------------------
@@ -794,14 +825,14 @@ def _write_manifest(args, outputs, diagnostics, duration_s):
     Re-running the same command with the options recorded here
     regenerates byte-identical CSVs on the same build and libraries; the
     wall-clock duration and the process's peak resident set size so far
-    (``peak_rss_mb``, from ``getrusage``, which Linux reports in KiB) are
-    the only fields expected to differ between such runs.  The ``tables``
-    CSVs are byte-identical at any BLAS thread count as well; the
-    eigenmode spectra of ``coronagraph --output eigenmodes`` are not, which
-    is why ``libraries`` records the thread count.  A subcommand
-    that reports numerical diagnostics has them under ``diagnostics``.
-    ``parameters`` omit ``--jobs``, which every command accepts and
-    ignores: each runs in this one process.
+    (``peak_rss_mb``), with the per-chain ``seconds`` and ``peak_rss_mb``
+    of ``tables``, are the only fields expected to differ between such
+    runs.  The ``tables`` CSVs are byte-identical at any BLAS thread count
+    as well; the eigenmode spectra of ``coronagraph --output eigenmodes``
+    are not, which is why ``libraries`` records the thread count.  A
+    subcommand that reports numerical diagnostics has them under
+    ``diagnostics``.  ``parameters`` omit ``--jobs``, which every command
+    accepts and ignores: each runs in this one process.
     """
     blas, blas_version, blas_threads = _blas_build()
     parameters = {
@@ -823,7 +854,7 @@ def _write_manifest(args, outputs, diagnostics, duration_s):
         },
         "seed": args.seed,
         "duration_s": round(duration_s, 3),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "peak_rss_mb": _peak_rss_mb(),
     }
     if diagnostics:
         payload["diagnostics"] = diagnostics

@@ -17,8 +17,10 @@ holding each element on the box where it acts.
 factors it into singular modes with complex per-mode transmissions; the
 resulting ``CoronagraphOperator`` applies in coefficient space.
 ``output_state_image`` renders the detected intensity of a two-point
-scene through either representation; a plan squares each source's output
-in the pass that computes it, so no full-grid complex output is built.
+scene through either representation; a plan stages each source first (a
+pupil-fed one to its last pupil-plane field on the Lyot box) and then
+squares its output in the pass that computes it, so no full-grid complex
+output is built and none meets the image.
 
 Extraction never transforms a full grid and holds no mode stack.  The
 centered DFT is unitary, so <chi_j, plan(chi_k)> equals an inner product
@@ -72,9 +74,9 @@ from .optics import (
     _add_intensity,
     _centered_fft,
     _disk_coverage,
+    _pupil_disk,
     check_source_in_window,
     psf_field,
-    pupil_disk_field,
     shifted_source_field,
 )
 
@@ -263,19 +265,23 @@ class PropagatorPlan:
     def spiral_phase(self):
         """The leading focal mask e^{i charge phi} on the whole grid, built on first use.
 
-        Sampled at pixel centres with the singular centre pixel zeroed;
-        24.1 MiB of ``tracemalloc`` to build on the default grid, and 16 MiB
-        held from then on.  The mesh's angles come from broadcast
-        axes, and the product and exp run in one complex buffer: the
-        values of exp(1j * charge * arctan2(y, x)) on the mesh, bit for
-        bit.
+        Sampled at pixel centres with the singular centre pixel zeroed.
+        The mesh's angles come from broadcast axes in blocks of _CHUNK
+        rows, and each block's product and exp run in the phase's own rows:
+        the values of exp(1j * charge * arctan2(y, x)) on the mesh, bit for
+        bit.  On the default grid the build peaks at 16.6 MiB of
+        ``tracemalloc``, the 16 MiB held from then on and one block of
+        angles (24.1 MiB when the angles came whole).
         """
         ax = self.grid.axis()
-        angle = np.arctan2(ax[:, None], ax)
-        phase = np.multiply(1j * self.charge, angle, dtype=complex)
-        del angle
-        np.exp(phase, out=phase)
-        phase[self.grid.n_pixels // 2, self.grid.n_pixels // 2] = 0.0
+        n = self.grid.n_pixels
+        phase = np.empty((n, n), dtype=complex)
+        for start in range(0, n, _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            block = phase[rows]
+            np.multiply(1j * self.charge, np.arctan2(ax[rows, None], ax), out=block, dtype=complex)
+            np.exp(block, out=block)
+        phase[n // 2, n // 2] = 0.0
         return phase
 
     def apply(self, field):
@@ -290,7 +296,8 @@ class PropagatorPlan:
         the largest output sample: one FFT renders a PIAACMC image.  The
         vortex's spiral mask multiplies on the whole grid, and its three
         FFTs give the full-grid chain's samples bit for bit.  The input is
-        read in place, not copied (``_run``).
+        read in place, not copied (``_run``).  A pupil-fed chain runs in the
+        two steps that images take, ``_stage`` and then ``_render``.
         """
         if field.domain != self.input_domain:
             raise ValueError(
@@ -305,17 +312,13 @@ class PropagatorPlan:
         """The chain on an input given as its ``block`` on the box ``at``.
 
         ``at`` holds row and column slices of the plan grid; the input is
-        zero off them.  One path per design: perfect takes the whole grid;
-        the vortex transforms from ``at``, masks in place and transforms
-        back to ``pupil_box`` alone, which frees its focal field; PIAACMC
-        cuts the input to ``pupil_box``, inside ``at``.  Each transform
-        runs at its own plane's pitch; the output is labelled with
-        ``output_grid``, which three crossings miss on GridSpec(40, 3.0).
-        With ``accumulate`` = (image, weight) the output is squared in the
-        pass that computes it and weight times it is added into the real
+        zero off them.  A pupil-fed chain runs ``_stage`` and then
+        ``_render``; the perfect chain takes the whole grid.  With
+        ``accumulate`` = (image, weight) the output is squared in the pass
+        that computes it and weight times it is added into the real
         ``image`` (``optics._add_intensity``), which is returned: the
-        column batches of the last transform, or row batches of the
-        perfect chain's difference.
+        column batches of the last transform, or row batches of the perfect
+        chain's difference.
 
         The perfect chain's coefficient c = <p, s> dx^2 is einsum's
         elementwise-product sum, whose order does not depend on the BLAS
@@ -323,26 +326,37 @@ class PropagatorPlan:
         projector and source: on the default grid a source and the
         projector are 8 MiB each.
         """
+        if self.input_domain == "pupil":
+            return self._render(self._stage(block, at), accumulate)
         grid = self.grid
-        if self.input_domain == "focal":
-            # block - c * projector; the operand order of the product
-            # matters, since numpy's complex multiply does not round the
-            # imaginary part symmetrically
-            c = np.einsum("ij,ij->", self.projector.conj(), block) * grid.dx * grid.dx
-            if accumulate is None:
-                samples = c * self.projector
-                np.subtract(block, samples, out=samples)
-                return OpticalField(samples, "focal", grid.half_width)
-            image, weight = accumulate
-            for start in range(0, grid.n_pixels, _CHUNK):
-                rows = slice(start, start + _CHUNK)
-                part = c * self.projector[rows]
-                np.subtract(block[rows], part, out=part)
-                _add_intensity(image[rows], part, weight)
-            return image
-        steps = self._box_chain
+        # block - c * projector; the operand order of the product matters,
+        # since numpy's complex multiply does not round the imaginary part
+        # symmetrically
+        c = np.einsum("ij,ij->", self.projector.conj(), block) * grid.dx * grid.dx
+        if accumulate is None:
+            samples = c * self.projector
+            np.subtract(block, samples, out=samples)
+            return OpticalField(samples, "focal", grid.half_width)
+        image, weight = accumulate
+        for start in range(0, grid.n_pixels, _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            part = c * self.projector[rows]
+            np.subtract(block[rows], part, out=part)
+            _add_intensity(image[rows], part, weight)
+        return image
+
+    def _stage(self, block, at):
+        """A pupil-fed chain up to its last pupil-plane field, on ``pupil_box``.
+
+        The input is its ``block`` on the box ``at``, as in ``_run``.  The
+        vortex transforms from ``at``, masks in place and transforms back
+        to ``pupil_box`` alone, which frees its focal field (16 MiB complex
+        on the default grid) before this returns; PIAACMC cuts the input
+        to ``pupil_box``, inside ``at``.  Then the plan's box steps run.
+        The result is box-sized, 63 x 63 complex samples on the default
+        grid, and ``_render`` takes it to the focal plane.
+        """
         box = self.pupil_box
-        n = grid.n_pixels
         if not self.charge:
             v = block[tuple(slice(b.start - a.start, b.stop - a.start) for a, b in zip(at, box))]
         else:
@@ -350,19 +364,60 @@ class PropagatorPlan:
             # field exists, so its scratch angles add nothing to the peak
             phase = self.spiral_phase
             # propagate; the transform is this call's own, so mask it in place
-            focal = _centered_fft(block, grid.dx, at=(at, n))
+            focal = _centered_fft(block, self.grid.dx, at=(at, self.grid.n_pixels))
             focal *= phase
-            grid = grid.conjugate()
-            v = _centered_fft(focal, grid.dx, inverse=True, box=box)
+            v = _centered_fft(focal, self.grid.conjugate().dx, inverse=True, box=box)
             del focal  # no full-grid field outlives the box
-            grid = grid.conjugate()
-        for step in steps:
+        for step in self._box_chain:
             v = step(v)
-        # propagate, with the row pass on the box rows alone
-        samples = _centered_fft(v, grid.dx, at=(box, n), accumulate=accumulate)
+        return v
+
+    def _render(self, v, accumulate=None):
+        """The last transform of a pupil-fed chain: ``_stage``'s box field to the focal grid.
+
+        The row pass runs on the box rows alone.  Returns the focal field,
+        labelled with ``output_grid``, which three crossings miss on
+        GridSpec(40, 3.0), or with ``accumulate`` the image (``_run``).
+        """
+        # each transform runs at its own plane's pitch: after the vortex's
+        # round trip that is the conjugate grid's conjugate
+        grid = self.grid.conjugate().conjugate() if self.charge else self.grid
+        samples = _centered_fft(
+            v, grid.dx, at=(self.pupil_box, grid.n_pixels), accumulate=accumulate
+        )
         if accumulate is not None:
             return samples
         return OpticalField(samples, "focal", self.output_grid.half_width)
+
+    def _stage_source(self, polar):
+        """A unit point source at ``polar`` made ready for ``_render_source``.
+
+        The source must keep the margin of ``check_source_in_window``.  A
+        pupil-fed source is the tilted aperture field on the disk's box
+        (65 x 65 pixels on the default grid), run to its last pupil-plane
+        field (``_stage``): a round trip through the focal grid would add
+        ~1e-3 sampling error on top of the chain's own null floor.  A
+        focal-fed source stays its position, since it is sampled on the
+        whole grid (8 MiB on the default one) only when it is rendered.
+        """
+        r, phi = polar
+        check_source_in_window(r, self.output_grid)
+        if self.input_domain == "focal":
+            return polar
+        box, disk, x, y = _pupil_source(self.grid)
+        tilt = np.exp(2j * math.pi * r * (x * math.cos(phi) + y * math.sin(phi)))
+        # the source enters the chain on the disk's box, around the stop's
+        return self._stage(disk * tilt, box)
+
+    def _render_source(self, state, image, weight):
+        """Add weight times the intensity of a staged source into ``image``."""
+        if self.input_domain == "pupil":
+            self._render(state, (image, weight))
+            return
+        r, phi = state
+        source = shifted_source_field((r * math.cos(phi), r * math.sin(phi)), self.grid)
+        whole = slice(0, self.grid.n_pixels)
+        self._run(source.samples, (whole, whole), (image, weight))
 
 
 def perfect_plan(fundamental=None, grid=None):
@@ -373,8 +428,9 @@ def perfect_plan(fundamental=None, grid=None):
     fundamental (pass ``stack.field(0)``), whose grid orthonormalization
     differs from the raw PSF samples at the 1e-2 level.  The projector
     keeps the fundamental's dtype: the default is a real 8 MiB array on
-    the default grid, whose build peaks at 17.0 MiB of ``tracemalloc``
-    (32.0 MiB for the complex copy it replaced).
+    the default grid, whose build peaks at 16.0 MiB of ``tracemalloc``,
+    the sampled field and its normalized copy (17.0 MiB with a full-grid
+    radius buffer, 32.0 MiB for the complex copy).
     """
     grid = grid or GridSpec()
     if fundamental is None:
@@ -803,6 +859,19 @@ class CoronagraphOperator:
         """Apply the truncated operator to a focal-plane field."""
         return self.fields.synthesize(self.apply_coefficients(self.fields.project(field)))
 
+    @property
+    def output_grid(self):
+        """Grid of the fields the operator returns: its mode set's."""
+        return self.fields.grid
+
+    def _stage_source(self, polar):
+        """The output coefficients of a unit point source at ``polar``."""
+        return self.apply_coefficients(source_coefficients(self.fields.basis, *polar))
+
+    def _render_source(self, coeffs, image, weight):
+        """Add weight times the intensity of staged coefficients into ``image``."""
+        _add_intensity(image, self.fields.synthesize(coeffs).samples, weight)
+
 
 def _rows_to_box(n, box, focal_dx, groups):
     """inverse_propagate from the quadrant rows of a pass onto a pupil ``box``, as an MFT.
@@ -1013,18 +1082,37 @@ def _pupil_source(grid):
 
     Returns (box, disk, x, y): the box's row and column slices, the
     unit-norm disk samples on the box, and the box's pixel coordinates,
-    all read-only.  Built once per grid; the full-grid disk costs about
-    43 ms on the default grid.  The disk is normalized once more after
-    ``pupil_disk_field``, whose norm there reads 1.0000000000000002.
+    all read-only.  Built once per grid, on the disk's coverage box: the
+    disk is ``pupil_disk_field(grid).normalized().samples`` there, bit for
+    bit (``optics._pupil_disk``, normalized twice; ``pupil_disk_field``'s
+    norm reads 1.0000000000000002).  On the default grid the build peaks
+    at 8.5 MiB of ``tracemalloc``, the one real full-grid buffer of its
+    norms (40.0 MiB from the full-grid complex disk).
     """
-    full = pupil_disk_field(grid).normalized().samples
-    box = _bounding_box(full != 0.0)
-    disk = full[box].copy()
+    values, cov_box = _pupil_disk(grid, normalizations=2)
+    disk, box = _cut_to_support(values, cov_box)
+    disk = disk.astype(complex)
     ax = grid.axis()
     x, y = np.meshgrid(ax[box[1]], ax[box[0]], indexing="xy")
     for arr in (disk, x, y):
         arr.flags.writeable = False
     return box, disk, x, y
+
+
+def _stage_scene(target, scene, star_only=False):
+    """Stage the star and planet of ``scene`` (the star alone with ``star_only``).
+
+    Returns a tuple of (state, weight) pairs, one per source, the state
+    from the target's ``_stage_source``: a pupil-fed plan's last
+    pupil-plane field on its Lyot box, a focal-fed plan's source position,
+    or an operator's output coefficients.
+    """
+    if star_only:
+        # the weight 1.0 of a bare star leaves its intensity as it is
+        sources = ((scene.star_polar, 1.0),)
+    else:
+        sources = ((scene.star_polar, 1.0 - scene.b), (scene.planet_polar, scene.b))
+    return tuple((target._stage_source(p), w) for p, w in sources)
 
 
 def output_state_image(target, scene, star_only=False):
@@ -1034,75 +1122,43 @@ def output_state_image(target, scene, star_only=False):
     through their analytic mode coefficients) or a PropagatorPlan, whose
     chain renders each source: the vortex image is the full-grid chain's
     bit for bit, and the PIAACMC image, one FFT per source, agrees with it
-    to within 1e-13 of its peak.  A pupil-fed source is the tilted
-    aperture field on the disk's bounding box (65 x 65 pixels on the
-    default grid), and it enters the chain there (``PropagatorPlan._run``),
-    so no full-grid source is built; a focal-fed source is sampled on the
-    whole grid.  A plan squares each source's output in the pass that
-    computes it, the column batches of the last transform or row batches
-    of the perfect chain's difference, and adds it, weighted, into the
-    image: (1 - b) |star|^2 + b |planet|^2 with the same elementwise
-    operations in the same order as squaring whole outputs, so the same
-    samples bit for bit.  No full-grid complex output is built.  On the
-    default grid one two-source image peaks at 12.2 MiB of ``tracemalloc``
-    for a PIAACMC image (the 8 MiB image and the transform's row batches),
-    28.2 MiB for the vortex (its full-grid focal field between its first
-    two transforms) and 25.0 MiB for the perfect chain (the real radii and
-    samples of its source in the Airy sampler; 32.0 MiB when the sampler
-    cast each source to complex), against 32.1 / 32.1 / 41.0 MiB when each
-    output was built whole and squared after.  A perfect-chain source, its
-    projector and its output stay real.  Every source of
-    a plan's image must keep the |s| + 3 margin of
+    to within 1e-13 of its peak.  ``scene`` is a Scene, or the scene's
+    sources staged for this target by ``_stage_scene``, which carry their
+    own ``star_only``.
+
+    Every source is staged before the image is allocated
+    (``_stage_source``).  A pupil-fed source is the tilted aperture field
+    on the disk's bounding box (65 x 65 pixels on the default grid), run
+    to its last pupil-plane field on the 63 x 63 Lyot box, so no
+    full-grid source is built and the vortex's full-grid focal field is
+    gone before the image exists; a focal-fed source is sampled on the
+    whole grid when it is rendered.  A plan squares each source's output
+    in the pass that computes it, the column batches of the last
+    transform or row batches of the perfect chain's difference, and adds
+    it, weighted, into the image: (1 - b) |star|^2 + b |planet|^2 with the
+    same elementwise operations in the same order as squaring whole
+    outputs, so the same samples bit for bit.  No full-grid complex output
+    is built.  On the default grid one two-source image peaks at 12.1 MiB
+    of ``tracemalloc`` for a PIAACMC image (the 8 MiB image and the
+    transform's row batches), 20.2 MiB for the vortex (its 16 MiB focal
+    field and the transform's batches while a source stages) and 17.2 MiB
+    for the perfect chain (the image and the real samples of its source),
+    against 12.2 / 28.2 / 25.0 MiB when each source ran into the allocated
+    image and the Airy sampler held a full-grid radius buffer.  A
+    perfect-chain source, its projector and its output stay real.  Every
+    source of a plan's image must keep the |s| + 3 margin of
     ``optics.check_source_in_window``, or ValueError names its separation:
     a pupil-fed source beyond it would wrap to the other side of the
-    window.  The returned array lives on the target's output grid: the
-    mode-set grid of an operator, ``PropagatorPlan.output_grid`` of a plan
-    (the FFT conjugate of the plan grid for pupil-fed chains).
-    Weighted by that grid's dx^2 it integrates to the transmitted energy,
-    at most 1.  ``star_only`` renders the b -> 0 limit: the bare star
-    term at unit weight.
+    window.  The returned array lives on the target's
+    ``output_grid``: the mode-set grid of an operator, the FFT conjugate
+    of the plan grid for pupil-fed chains.  Weighted by that grid's dx^2
+    it integrates to the transmitted energy, at most 1.  ``star_only``
+    renders the b -> 0 limit: the bare star term at unit weight.
     """
-    if isinstance(target, CoronagraphOperator):
-        grid = target.fields.grid
-
-        def add_source(polar, image, weight):
-            coeffs = target.apply_coefficients(
-                source_coefficients(target.fields.basis, polar[0], polar[1])
-            )
-            _add_intensity(image, target.fields.synthesize(coeffs).samples, weight)
-
-    elif target.input_domain == "pupil":
-        # source pupil-fed chains with the exact tilted aperture field; a
-        # round trip through the focal grid would add ~1e-3 sampling error
-        # on top of the chain's own null floor.  The tilt is evaluated on
-        # the disk's bounding box only (65 x 65 pixels on the default grid)
-        grid = target.output_grid
-        box, disk, x, y = _pupil_source(target.grid)
-
-        def add_source(polar, image, weight):
-            r, phi = polar
-            check_source_in_window(r, target.output_grid)
-            tilt = np.exp(
-                2j * math.pi * r * (x * math.cos(phi) + y * math.sin(phi))
-            )
-            # the source enters the chain on the disk's box, around the stop's
-            target._run(disk * tilt, box, (image, weight))
-
-    else:
-        grid = target.grid
-        whole = slice(0, grid.n_pixels)
-
-        def add_source(polar, image, weight):
-            r, phi = polar
-            source = shifted_source_field((r * math.cos(phi), r * math.sin(phi)), grid)
-            target._run(source.samples, (whole, whole), (image, weight))
-
-    # zeros plus the first weighted term is that term exactly, and the
-    # weight 1.0 of a bare star leaves its intensity as it is
-    image = np.zeros((grid.n_pixels, grid.n_pixels))
-    if star_only:
-        add_source(scene.star_polar, image, 1.0)
-        return image
-    add_source(scene.star_polar, image, 1.0 - scene.b)
-    add_source(scene.planet_polar, image, scene.b)
+    terms = scene if isinstance(scene, tuple) else _stage_scene(target, scene, star_only)
+    n = target.output_grid.n_pixels
+    # zeros plus the first weighted term is that term exactly
+    image = np.zeros((n, n))
+    for state, weight in terms:
+        target._render_source(state, image, weight)
     return image

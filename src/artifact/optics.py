@@ -45,6 +45,9 @@ __all__ = [
 _FIRST_J1_ZERO = 3.8317059702075123
 # radii below this take the exact on-axis value of a radial factor
 _R_EPS = 1e-8
+# rows per batch of a row pass: a transform's, a sampler's or a sum's
+_CHUNK = 64
+_COLUMN_CHUNK = 16  # columns per batch of a transform's column pass
 
 # Airy width parameter: first zero of J_1(2 pi r) in focal units, ~0.6098.
 AIRY_SIGMA = _FIRST_J1_ZERO / (2.0 * math.pi)
@@ -322,6 +325,47 @@ def _disk_coverage(grid, radius=1.0, supersample=8):
     return part, (win, win)
 
 
+def _square_sum(a, lo=0, hi=None):
+    """``np.sum(np.square(a))`` of a C-contiguous real array, bit for bit.
+
+    numpy sums a contiguous array pairwise over its flat index: a run of
+    more than 128 entries splits at half its length, rounded down to a
+    multiple of 8, and the sums of the two parts are added.  This takes the
+    same splits of the flat run [lo, hi) down to runs of at most _CHUNK
+    rows, which ``np.sum`` squares and sums as the subtrees they are, so no
+    squares array of ``a``'s size is built (checked against ``np.sum`` on
+    grids of 40 to 2048 pixels).
+    """
+    flat = a.reshape(-1)
+    hi = flat.size if hi is None else hi
+    if hi - lo <= _CHUNK * a.shape[-1]:
+        return float(np.sum(np.square(flat[lo:hi])))
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _square_sum(a, lo, lo + half) + _square_sum(a, lo + half, hi)
+
+
+def _pupil_disk(grid, normalizations=1):
+    """The clear aperture's real amplitudes on the coverage box, normalized.
+
+    Returns (values, box): the samples on the box of ``_disk_coverage``,
+    zero off it, after ``normalizations`` scalings to unit discrete norm.
+    They are bit for bit the real parts of the complex field that casts
+    the coverage to complex, divides it by sqrt(pi) and normalizes it that
+    many times: numpy divides a complex array by a real scalar as a
+    multiplication by its reciprocal, and |x + 0j|^2 = x^2, so every norm
+    is the pairwise sum of the real squares (``_square_sum``).  The
+    imaginary parts are +0.  The norms are summed on one real full-grid
+    buffer (8 MiB on the default grid), the only full-grid array built.
+    """
+    part, box = _disk_coverage(grid, 1.0)
+    amp = np.zeros((grid.n_pixels, grid.n_pixels))
+    amp[box] = part * (1.0 / math.sqrt(math.pi))
+    for _ in range(normalizations):
+        amp[box] *= 1.0 / math.sqrt(_square_sum(amp) * grid.dx * grid.dx)
+    return amp[box].copy(), box
+
+
 def pupil_disk_field(grid=None):
     """Clear-aperture pupil field on the grid, unit discrete norm.
 
@@ -332,48 +376,51 @@ def pupil_disk_field(grid=None):
     of the 2*half_width period at unit discrete norm, to 7.4e-5 pixel RMS
     (a binary rim: 2.4e-3).  Against the continuum Airy pattern itself the
     RMS is about 1e-3 (9.5e-4); even the least-squares best pupil supported
-    within r <= 1 + 2 dx leaves 3.4e-4 there.
+    within r <= 1 + 2 dx leaves 3.4e-4 there.  The samples are complex,
+    with zero imaginary parts (``_pupil_disk``).
     """
     grid = grid or GridSpec()
-    part, box = _disk_coverage(grid, 1.0)
-    cov = np.zeros((grid.n_pixels, grid.n_pixels))
-    cov[box] = part
-    f = OpticalField(cov.astype(complex) / math.sqrt(math.pi), "pupil", grid.half_width)
-    return f.normalized()
+    values, box = _pupil_disk(grid)
+    samples = np.zeros((grid.n_pixels, grid.n_pixels), dtype=complex)
+    samples[box] = values
+    return OpticalField(samples, "pupil", grid.half_width)
 
 
-def _airy_field(rho, grid):
-    """Unit-norm focal field of the Airy amplitude at the pixel radii ``rho``.
+def _airy_field(s, grid):
+    """Unit-norm focal field of the Airy amplitude about the focal point ``s``.
 
     Real samples, bit for bit the real parts of
-    ``OpticalField(_airy_amplitude(rho).astype(complex), ...).normalized()``,
-    from two real full-grid buffers where that takes about ten full-grid
-    passes, which matters because cfim_direct_imaging samples a million
-    pixels per perfect-chain source.  ``rho`` (which this overwrites) times
-    2 pi goes through J_1 in place and is divided by sqrt(pi) rho, and the
-    radii below _R_EPS take the on-axis value sqrt(pi) afterwards, so the
-    0/0 at a pixel exactly on the source is silent.  The norm is the
-    pairwise sum of the squares, which ``np.abs(c) ** 2`` gives for a zero
-    imaginary part, and the scaling by ``1.0 / norm`` is what numpy's
-    complex-by-real division computes.  The field stays real: on the
-    default grid a caller that passes its radii as a temporary holds
-    16 MiB, the radii and the samples, and keeps an 8 MiB field (a complex
-    cast held 24 MiB and kept 16).
+    ``OpticalField(_airy_amplitude(np.hypot(x - s[0], y - s[1])).astype(complex),
+    ...).normalized()`` on the grid's mesh (x, y), which matters because
+    cfim_direct_imaging samples a million pixels per perfect-chain source.
+    The radii come in blocks of _CHUNK rows from the shifted axes, which
+    gives the mesh's radii bit for bit without building it; each block
+    times 2 pi goes through J_1 into the field's rows and is divided by
+    sqrt(pi) rho, and the radii below _R_EPS take the on-axis value
+    sqrt(pi) afterwards, so the 0/0 at a pixel exactly on the source is
+    silent.  The norm is the pairwise sum of the squares (``_square_sum``),
+    which ``np.abs(c) ** 2`` gives for a zero imaginary part, and the
+    scaling by ``1.0 / norm`` is what numpy's complex-by-real division
+    computes.  The field is the only full-grid array: on the default grid
+    the sampler peaks at 9.2 MiB of ``tracemalloc``, the real field and one
+    block's radii and scratch (17.0 MiB when the radii came whole, 24 MiB
+    with a complex cast), and keeps the 8 MiB field.  ``s`` must be finite.
     """
-    if not np.isfinite(rho).all():
-        raise ValueError("Bessel argument must be finite")
-    small = rho < _R_EPS
-    amp = rho * (2.0 * math.pi)
-    j1(amp, out=amp)
-    rho *= math.sqrt(math.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp /= rho
-    amp[small] = math.sqrt(math.pi)
-    del small
-    sq = np.square(amp, out=rho)
-    norm = math.sqrt(float(np.sum(sq)) * grid.dx * grid.dx)
-    del rho, sq
-    amp *= 1.0 / norm
+    ax = grid.axis()
+    cols = ax - s[0]
+    amp = np.empty((grid.n_pixels, grid.n_pixels))
+    for start in range(0, grid.n_pixels, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        rho = np.hypot(cols, (ax[rows] - s[1])[:, None])
+        small = rho < _R_EPS
+        out = amp[rows]
+        np.multiply(rho, 2.0 * math.pi, out=out)
+        j1(out, out=out)
+        rho *= math.sqrt(math.pi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out /= rho
+        out[small] = math.sqrt(math.pi)
+    amp *= 1.0 / math.sqrt(_square_sum(amp) * grid.dx * grid.dx)
     return OpticalField(amp, "focal", grid.half_width)
 
 
@@ -384,8 +431,7 @@ def psf_field(grid=None):
     and real (float64).
     """
     grid = grid or GridSpec()
-    ax = grid.axis()
-    return _airy_field(np.hypot(ax, ax[:, None]), grid)
+    return _airy_field((0.0, 0.0), grid)
 
 
 def check_source_in_window(separation, grid):
@@ -411,24 +457,18 @@ def shifted_source_field(s, grid=None):
     Requires half_width >= |s| + 3 (``check_source_in_window``) so the bulk
     of the shifted Airy energy stays on the grid; the samples are
     renormalized to unit discrete norm.
-    The radii broadcast the shifted axes, which gives the samples of the
-    shifted ``mesh`` bit for bit without building it, and ``_airy_field``
-    turns them into the real field in place: 53-89 ms on the default grid
-    on a shared 2-core Xeon, about 31 ms of it J_1.
+    ``_airy_field`` samples the shifted Airy pattern in row blocks into
+    the real field: 53-89 ms on the default grid on a shared 2-core Xeon,
+    about 31 ms of it J_1.
     """
     grid = grid or GridSpec()
     s_arr = np.asarray(s, dtype=float)
     check_source_in_window(float(np.hypot(*s_arr)), grid)
-    ax = grid.axis()
-    return _airy_field(np.hypot(ax - s_arr[0], (ax - s_arr[1])[:, None]), grid)
+    return _airy_field(s_arr, grid)
 
 
 # ---------------------------------------------------------------------------
 # propagation and inner products
-
-
-_CHUNK = 64  # rows per batch of a row pass: a transform's, or the perfect chain's
-_COLUMN_CHUNK = 16  # columns per batch of a transform's column pass
 
 
 def _intensity(samples):

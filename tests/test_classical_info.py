@@ -395,16 +395,21 @@ def test_imaging_separation_below_step_rejected(plan_perfect_analytic):
 
 
 @pytest.mark.parametrize(
-    "design, bound_mib", [("perfect", 45), ("piaacmc", 37), ("vortex", 48)]
+    "design, bound_mib", [("perfect", 34), ("piaacmc", 29.5), ("vortex", 29.5)]
 )
 def test_imaging_memory(design, bound_mib, plan_perfect_analytic, plan_piaacmc, plan_vortex):
-    # at the `tables` scene: the two differences (8 MiB each) are rendered
-    # before the base image, and each full image is freed once its live
-    # pixels are gathered, so the peak is one image render on top of the
-    # two differences; an image is one real buffer that each output is
-    # squared into.  Measured 41.0 / 33.0 / 44.2 MiB of tracemalloc for
-    # perfect / PIAACMC / vortex (48.0 MiB for perfect when its sources
-    # were cast to complex; 57.0 / 48.1 / 48.1 MiB with each output built
+    # at the `tables` scene: the ten sources are staged first, so the
+    # vortex's full-grid focal field is freed before any image exists; the
+    # two differences (8 MiB each) are rendered before the base image, and
+    # the quotient sums run over row blocks, so the peak is one image
+    # render on top of the two differences; an image is one real buffer
+    # that each output is squared into.  Measured 33.2 / 28.6 / 28.6 MiB
+    # of tracemalloc for perfect / PIAACMC / vortex, the perfect chain with
+    # one real source on top of the three images (41.0 / 33.0 / 44.2 MiB
+    # when each source was staged into its allocated image, the Airy
+    # sampler held its radii whole and the live pixels were gathered into
+    # four full-size arrays; 48.0 MiB for perfect when its sources were
+    # cast to complex; 57.0 / 48.1 / 48.1 MiB with each output built
     # whole, 72.0 / 72.1 / 83.1 MiB with the base image rendered first and
     # every full image held to the end).  One more full-grid image (8 MiB)
     # breaks every bound

@@ -395,6 +395,21 @@ def test_tables_manifest(table2_runs):
     assert manifest["outputs"] == ["detection_times.csv"]
 
 
+def test_tables_manifest_records_each_chain(table2_runs):
+    # each design's stage numbers are taken after its rows: the seconds
+    # from building its plan and the process's peak RSS so far, which
+    # cannot fall from one design to the next or exceed the manifest's
+    _, _, out_dir = table2_runs[0]
+    manifest = json.loads((out_dir / "tables_manifest.json").read_text())
+    chains = manifest["diagnostics"]["chains"]
+    assert list(chains) == ["perfect", "piaacmc", "vortex"]
+    assert all(set(stage) == {"seconds", "peak_rss_mb"} for stage in chains.values())
+    assert all(stage["seconds"] > 0.0 for stage in chains.values())
+    peaks = [stage["peak_rss_mb"] for stage in chains.values()]
+    assert peaks == sorted(peaks)
+    assert peaks[-1] <= manifest["peak_rss_mb"]
+
+
 def test_tables_rerun_is_byte_identical(table2_runs):
     (_, first, _), (_, rerun, _) = table2_runs
     assert first == rerun
@@ -403,25 +418,28 @@ def test_tables_rerun_is_byte_identical(table2_runs):
 def test_tables_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
     # every reduction behind the rows has a fixed order: the perfect
     # chain's coefficient is not a threaded BLAS dot, whose sum moved the
-    # last digit of its rows between 1 and 2 OpenBLAS threads.  Each run
-    # is a process of its own, since OpenBLAS reads the count at start-up,
-    # and its manifest records that count
+    # last digit of its rows between 1 and 2 OpenBLAS threads, and the
+    # quotient sums of the localization rows add row blocks in turn.  Each
+    # run is a process of its own, since OpenBLAS reads the count at
+    # start-up, and its manifest records that count
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
     env["PYTHONPATH"] = str(src)
-    runs = {}
-    for threads in (1, 2):
-        argv = [sys.executable, "-m", "artifact.cli", "tables", "--table", "2"]
-        argv += ["--config", str(_CONFIG), "--out-dir", str(tmp_path / str(threads))]
-        runs[threads] = subprocess.Popen(
-            argv, env=dict(env, OPENBLAS_NUM_THREADS=str(threads)), stdout=subprocess.DEVNULL
-        )
-    assert [run.wait(timeout=300) for run in runs.values()] == [0, 0]
-    csvs = [(tmp_path / str(t) / "detection_times.csv").read_bytes() for t in runs]
-    assert csvs[0] == csvs[1]
-    for threads in runs:
-        manifest = json.loads((tmp_path / str(threads) / "tables_manifest.json").read_text())
-        assert manifest["libraries"]["blas_threads"] in (None, threads)
+    for table, name in (("2", "detection"), ("3", "localization")):
+        runs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"{table}-{threads}"
+            argv = [sys.executable, "-m", "artifact.cli", "tables", "--table", table]
+            argv += ["--config", str(_CONFIG), "--out-dir", str(out)]
+            runs[threads] = subprocess.Popen(
+                argv, env=dict(env, OPENBLAS_NUM_THREADS=str(threads)), stdout=subprocess.DEVNULL
+            )
+        assert [run.wait(timeout=300) for run in runs.values()] == [0, 0]
+        csvs = [(tmp_path / f"{table}-{t}" / f"{name}_times.csv").read_bytes() for t in runs]
+        assert csvs[0] == csvs[1]
+        for threads in runs:
+            manifest = tmp_path / f"{table}-{threads}" / "tables_manifest.json"
+            assert json.loads(manifest.read_text())["libraries"]["blas_threads"] in (None, threads)
 
 
 def test_tables_localization_rows(tmp_path):

@@ -405,19 +405,21 @@ def test_image_is_the_unfused_image(design, star_only, plan_piaacmc, plan_vortex
 
 
 @pytest.mark.parametrize(
-    "design, bound_mib", [("perfect", 29), ("piaacmc", 16), ("vortex", 32)]
+    "design, bound_mib", [("perfect", 18), ("piaacmc", 13), ("vortex", 21)]
 )
 def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex, grid):
     # one two-source image on the default grid holds the image (8 MiB) and
     # no full-grid complex output: each output is squared into the image
-    # batch by batch.  Measured 12.2 MiB of tracemalloc for PIAACMC, whose
+    # batch by batch.  Measured 12.1 MiB of tracemalloc for PIAACMC, whose
     # source enters on its disk box and whose one transform starts on the
-    # Lyot box; 28.2 MiB for the vortex, which holds its full-grid focal
-    # field (16 MiB) between its first two transforms; 25.0 MiB for the
-    # perfect chain, whose Airy sampler holds the radii and the real
-    # samples (8 MiB each), 32.0 MiB when it cast the source to complex.
-    # These read 32.1 / 32.1 / 41.0 MiB when each output was built whole
-    # and squared after.  One more full-grid real image breaks every bound
+    # Lyot box; 20.2 MiB for the vortex, whose sources are staged before
+    # the image exists, so its full-grid focal field (16 MiB) never meets
+    # the image; 17.2 MiB for the perfect chain, the image and one real
+    # source (8 MiB each) whose radii come in row blocks.  These read
+    # 12.2 / 28.2 / 25.0 MiB when the vortex staged into the allocated
+    # image and the Airy sampler held its radii whole, and 32.1 / 32.1 /
+    # 41.0 MiB when each output was built whole and squared after.  One
+    # more full-grid real image breaks every bound
     plan = _design_plan(design, grid, plan_piaacmc, plan_vortex)
     scene = Scene(0.7, 5.0, 0.2)
     output_state_image(plan, scene)  # the source disk is built once per grid
@@ -432,9 +434,9 @@ def test_image_memory(design, bound_mib, plan_piaacmc, plan_vortex, grid):
 
 def test_vortex_phase_is_the_mesh_formula(grid):
     # the plan records its charge and builds the phase on first use, from
-    # broadcast axes with the product and exp in one complex buffer:
-    # 24.1 MiB of tracemalloc (25.0 MiB for the whole plan when the plan
-    # built it, 48.0 MiB for the mesh form)
+    # broadcast axes in blocks of 64 rows, each block's product and exp in
+    # the phase's own rows: 16.6 MiB of tracemalloc (24.1 MiB with the
+    # angles of the whole grid at once, 48.0 MiB for the mesh form)
     x, y = grid.mesh()
     expect = np.exp(1j * coronagraph.VORTEX_CHARGE * np.arctan2(y, x))
     expect[grid.n_pixels // 2, grid.n_pixels // 2] = 0.0
@@ -450,7 +452,7 @@ def test_vortex_phase_is_the_mesh_formula(grid):
     assert plan.spiral_phase is phase
     assert np.array_equal(phase.view(np.float64), expect.view(np.float64))
     assert np.array_equal(np.signbit(phase.view(np.float64)), np.signbit(expect.view(np.float64)))
-    assert peak <= 32 * 2**20
+    assert peak <= 17 * 2**20
 
 
 @pytest.mark.parametrize("design", ["perfect", "piaacmc", "vortex"])
@@ -478,11 +480,11 @@ def test_pupil_fed_images_build_the_disk_once_per_grid(monkeypatch):
     plan = vortex_plan(grid)
     calls = []
 
-    def counting_disk(g):
+    def counting_disk(g, normalizations=1):
         calls.append(g)
-        return pupil_disk_field(g)
+        return optics._pupil_disk(g, normalizations)
 
-    monkeypatch.setattr(coronagraph, "pupil_disk_field", counting_disk)
+    monkeypatch.setattr(coronagraph, "_pupil_disk", counting_disk)
     coronagraph._pupil_source.cache_clear()
     try:
         for r in (0.3, 0.7, 1.1):
@@ -491,6 +493,48 @@ def test_pupil_fed_images_build_the_disk_once_per_grid(monkeypatch):
     finally:
         coronagraph._pupil_source.cache_clear()
     assert calls == [grid]
+
+
+@pytest.mark.parametrize(
+    "grid_args", [(1024, 16.0), (256, 8.0), (128, 8.0), (96, 5.0), (64, 4.0), (40, 3.0)]
+)
+def test_pupil_source_is_the_normalized_disk_field(grid_args):
+    # the vortex rows move by 1.9e-6 relative when the disk moves by one
+    # ulp, so the disk built on its coverage box is the box of the
+    # full-grid complex disk, normalized once more, bit for bit: the real
+    # and imaginary parts and their signs.  The reference is the complex
+    # cast of the coverage divided by sqrt(pi), which pupil_disk_field
+    # matches bit for bit too
+    grid = GridSpec(*grid_args)
+    box, disk, x, y = _pupil_source(grid)
+    part, cov_box = _disk_coverage(grid, 1.0)
+    cov = np.zeros((grid.n_pixels, grid.n_pixels))
+    cov[cov_box] = part
+    field = OpticalField(cov.astype(complex) / math.sqrt(math.pi), "pupil", grid.half_width)
+    field = field.normalized()
+    assert np.array_equal(pupil_disk_field(grid).samples.view(np.float64), field.samples.view(np.float64))
+    full = field.normalized().samples
+    assert _bounding_box(full != 0.0) == box
+    assert disk.dtype == complex
+    assert np.array_equal(disk.view(np.float64), full[box].view(np.float64))
+    assert np.array_equal(np.signbit(disk.view(np.float64)), np.signbit(full[box].view(np.float64)))
+    ax = grid.axis()
+    assert np.array_equal(x, np.broadcast_to(ax[box[1]], x.shape))
+    assert np.array_equal(y, np.broadcast_to(ax[box[0], None], y.shape))
+
+
+def test_pupil_source_memory(grid):
+    # the disk is built on its coverage box, and its two norms are summed
+    # on one real full-grid buffer (8 MiB): 8.5 MiB of tracemalloc on the
+    # default grid, where the full-grid complex disk took 40.0 MiB
+    coronagraph._pupil_source.cache_clear()
+    tracemalloc.start()
+    try:
+        _pupil_source(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20
 
 
 def test_pupil_box_is_the_joint_support_of_the_pupil_elements(plan_vortex, plan_piaacmc, grid):
@@ -550,9 +594,11 @@ def test_plans_hold_only_what_their_chains_read(plan_vortex, plan_piaacmc, grid)
 
 def test_perfect_plan_keeps_a_real_projector(grid):
     # the default fundamental is the real Airy field, and the projector
-    # keeps its dtype: a real 8 MiB array, built at 17.0 MiB of
-    # tracemalloc (32.0 MiB with the complex copy).  A complex fundamental
-    # gives a complex projector
+    # keeps its dtype: a real 8 MiB array, built at 16.0 MiB of
+    # tracemalloc, the field and its normalized copy, since the sampler
+    # takes its radii in row blocks (17.0 MiB with a full-grid radius
+    # buffer, 32.0 MiB with the complex copy).  A complex fundamental gives
+    # a complex projector
     tracemalloc.start()
     try:
         plan = perfect_plan(grid=grid)
@@ -561,7 +607,7 @@ def test_perfect_plan_keeps_a_real_projector(grid):
         tracemalloc.stop()
     assert plan.projector.dtype == np.float64
     assert plan.projector.nbytes == 8 * 2**20
-    assert peak <= 20 * 2**20
+    assert peak <= 16.5 * 2**20
     small = GridSpec(64, 4.0)
     fundamental = OpticalField(psf_field(small).samples * 1j, "focal", small.half_width)
     assert perfect_plan(fundamental, small).projector.dtype == complex

@@ -135,10 +135,13 @@ def test_equal_brightness_half_turn_symmetry():
     r=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
     phi=st.floats(min_value=0.0, max_value=6.28, allow_nan=False),
     b=st.floats(min_value=1e-9, max_value=1.0 - 1e-9, allow_nan=False),
+    rotation=st.one_of(st.just(0.0), st.floats(min_value=-6.28, max_value=6.28)),
 )
 @settings(max_examples=40, deadline=None)
-def test_probabilities_form_a_subdistribution(r, phi, b):
-    probs = all_mode_probabilities(FourierZernikeBasis(8), Scene(r, phi, b))
+def test_probabilities_form_a_subdistribution(r, phi, b, rotation):
+    # a rotated sorter's outcomes are the same modes turned, so they stay a
+    # subdistribution at every rotation
+    probs = all_mode_probabilities(FourierZernikeBasis(8, rotation=rotation), Scene(r, phi, b))
     assert np.all(probs >= 0.0)
     assert probs.sum() <= 1.0 + 1e-9
 

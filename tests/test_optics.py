@@ -27,6 +27,7 @@ from artifact.optics import (
     _airy_amplitude,
     _centered_fft,
     _disk_coverage,
+    _square_sum,
     inverse_propagate,
     load_prescription,
     overlap,
@@ -289,6 +290,17 @@ def test_source_samples_are_the_mesh_samples(grid, s):
             warnings.simplefilter("error", RuntimeWarning)
             got = psf_field(grid)
         assert np.array_equal(got.samples, expect.samples)
+
+
+@pytest.mark.parametrize("n", [2, 40, 96, 130, 300, 1024])
+def test_square_sum_is_numpys_sum_of_squares(n):
+    # the samplers' norms follow numpy's pairwise splits down to row
+    # blocks, so they keep np.sum's bits on any grid, not only where the
+    # blocks halve the array
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 7.5):
+        a = rng.standard_normal((n, n)) * scale
+        assert _square_sum(a) == float(np.sum(np.square(a)))
 
 
 def test_shifted_source_peak_location(grid):
