@@ -100,8 +100,7 @@ def cce_spade_binary(scene):
 
 def psf_throughput(op):
     """Detected-energy fraction of an exactly on-axis source."""
-    d = np.conj(op.mode_coefficients[0, :])
-    return float(np.sum(np.abs(op.transmissions * d) ** 2))
+    return _modal_energy(op, 0.0, 0.0)
 
 
 def _modal_energy(op, r, phi):
@@ -189,7 +188,7 @@ def imaging_step(r_delta, step=None):
     return h
 
 
-def cfim_direct_imaging(target, scene, step=None):
+def cfim_direct_imaging(plan, scene, step=None):
     """Localization information of ideal photon counting on the image grid.
 
     Intensity derivatives over (separation, position angle) come from
@@ -197,11 +196,10 @@ def cfim_direct_imaging(target, scene, step=None):
     1e-4 * max(sigma, separation) unless overridden (``imaging_step``).
     The quotient sum runs over pixels above 1e-18 of the image peak, which
     perturbs the integrals far less than the difference error; it is
-    weighted by the pixel area of the target's output grid.  Every position
+    weighted by the pixel area of the plan's output grid.  Every position
     angle in [0, 2 pi) is accepted: the angular difference wraps through 0.
-    ``target`` is a propagation plan or an extracted operator; plans are
-    the spatially faithful choice for the chains whose compressed
-    matrices are non-normal.
+    The images come from the propagation plan itself, which is spatially
+    faithful for every chain, the non-normal compressed ones included.
 
     The ten sources of the five scenes are staged first (``_stage_scene``;
     0.6 MiB of box fields for a pupil-fed plan on the default grid), so
@@ -223,7 +221,7 @@ def cfim_direct_imaging(target, scene, step=None):
     # angles wrap, so the angular difference straddles 0 = 2 pi; for
     # interior angles the wrapped value equals phi +- h exactly
     plus, minus, ahead, behind, centre = (
-        _stage_scene(target, s)
+        _stage_scene(plan, s)
         for s in (
             Scene(r + h, phi, b),
             Scene(r - h, phi, b),
@@ -233,11 +231,11 @@ def cfim_direct_imaging(target, scene, step=None):
         )
     )
     # each difference is formed in the buffer of its first image
-    diff_r = output_state_image(target, plus)
-    diff_r -= output_state_image(target, minus)
-    diff_phi = output_state_image(target, ahead)
-    diff_phi -= output_state_image(target, behind)
-    base = output_state_image(target, centre)
+    diff_r = output_state_image(plan, plus)
+    diff_r -= output_state_image(plan, minus)
+    diff_phi = output_state_image(plan, ahead)
+    diff_phi -= output_state_image(plan, behind)
+    base = output_state_image(plan, centre)
     threshold = 1e-18 * float(base.max())
     rr = rphi = phiphi = 0.0
     for start in range(0, base.shape[0], _CHUNK):
@@ -251,7 +249,7 @@ def cfim_direct_imaging(target, scene, step=None):
         rr += float(np.sum(g_r * g_r / p))
         rphi += float(np.sum(g_r * g_phi / p))
         phiphi += float(np.sum(g_phi * g_phi / p))
-    entries = np.array([[rr, rphi], [rphi, phiphi]]) * target.output_grid.dx**2
+    entries = np.array([[rr, rphi], [rphi, phiphi]]) * plan.output_grid.dx**2
     return FisherMatrix(entries, scene)
 
 

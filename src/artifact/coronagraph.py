@@ -17,8 +17,8 @@ holding each element on the box where it acts.
 factors it into singular modes with complex per-mode transmissions; the
 resulting ``CoronagraphOperator`` applies in coefficient space.
 ``output_state_image`` renders the detected intensity of a two-point
-scene through either representation; a plan stages each source first (a
-pupil-fed one to its last pupil-plane field on the Lyot box) and then
+scene through a plan, the one imaging route: it stages each source first
+(a pupil-fed one to its last pupil-plane field on the Lyot box) and then
 squares its output in the pass that computes it, so no full-grid complex
 output is built and none meets the image.
 
@@ -65,7 +65,6 @@ from .modebasis import (
     _fold_rows,
     _pass_layout,
     mode_field_stack,
-    source_coefficients,
 )
 from .optics import (
     _CHUNK,
@@ -178,12 +177,12 @@ class PropagatorPlan:
     only when it first renders an image: extraction reads the charge.
     Each element triggers a propagation whenever the running field is in
     the other plane, and the output is always returned in the focal plane.
-    Only the designs' layouts are built, others raise ValueError:
-    focal-fed, a ``projector`` that subtracts the component along a fixed
-    focal field, no elements and no charge (perfect); pupil-fed, no
-    projector, a pupil element first (PIAACMC, or the vortex after its
-    charge), no two masks side by side, a pupil element last, and every
-    pupil element on one box, ``pupil_box``.  The projector is real for
+    Only the designs' layouts are built, others raise ValueError: with a
+    ``projector``, which subtracts the component along a fixed focal field,
+    the chain is focal-fed and has no elements and no charge (perfect);
+    without one it is pupil-fed, a pupil element first (PIAACMC, or the
+    vortex after its charge), no two masks side by side, a pupil element
+    last, and every pupil element on one box, ``pupil_box``.  The projector is real for
     the default Airy fundamental, and a chain fed real samples keeps them
     real.
     """
@@ -191,13 +190,10 @@ class PropagatorPlan:
     name: str
     grid: GridSpec
     elements: tuple
-    input_domain: str = "pupil"
     projector: np.ndarray = None
     charge: int = 0
 
     def __post_init__(self):
-        if self.input_domain not in ("pupil", "focal"):
-            raise ValueError("input_domain must be 'pupil' or 'focal'")
         n = self.grid.n_pixels
         for kind, arr, box in self.elements:
             if kind not in ELEMENT_KINDS:
@@ -210,11 +206,9 @@ class PropagatorPlan:
             raise ValueError("projector must match the grid")
         kinds = [kind for kind, _, _ in self.elements]
         pupil_boxes = [box for kind, _, box in self.elements if kind != "focal_mask"]
-        if self.input_domain == "focal":
-            if kinds or self.projector is None or self.charge:
+        if self.projector is not None:
+            if kinds or self.charge:
                 raise ValueError("a focal-fed plan takes a projector and no elements or charge")
-        elif self.projector is not None:
-            raise ValueError("a pupil-fed plan takes no projector")
         elif set(kinds) <= {"focal_mask"}:
             raise ValueError("a pupil-fed plan needs a pupil-plane element")
         elif ("focal_mask", "focal_mask") in zip(kinds, kinds[1:]):
@@ -228,6 +222,11 @@ class PropagatorPlan:
                 "a pupil-fed chain opens with a pupil-plane element; a leading "
                 "vortex mask is given by its charge"
             )
+
+    @property
+    def input_domain(self):
+        """The plane a chain is fed in: "focal" with a projector, else "pupil"."""
+        return "pupil" if self.projector is None else "focal"
 
     @property
     def output_grid(self):
@@ -440,7 +439,7 @@ def perfect_plan(fundamental=None, grid=None):
     if fundamental.grid != grid:
         raise ValueError("fundamental grid does not match")
     proj = np.asarray(fundamental.normalized().samples)
-    return PropagatorPlan("perfect", grid, (), "focal", proj)
+    return PropagatorPlan("perfect", grid, (), proj)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +790,7 @@ def piaacmc_plan(grid=None):
         ("lyot_stop", d.lyot_stop, d.box),
         ("inverse_apodizer", d.inverse_apodizer, d.box),
     )
-    return PropagatorPlan("piaacmc", grid, elements, "pupil")
+    return PropagatorPlan("piaacmc", grid, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +807,7 @@ def vortex_plan(grid=None):
     grid = grid or GridSpec()
     stop, box = lyot_stop_array(grid)
     elements = (("lyot_stop", stop, box),)
-    return PropagatorPlan("vortex", grid, elements, "pupil", charge=VORTEX_CHARGE)
+    return PropagatorPlan("vortex", grid, elements, charge=VORTEX_CHARGE)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +831,9 @@ class CoronagraphOperator:
     coordinates of ``fields``; transmissions are complex and sorted
     ascending in magnitude.  The perfect and vortex designs are passive
     (|tau| <= 1 to rounding); the piaacmc remap model can exceed 1 by
-    about a percent on ring-like modes (see _TRANSMISSION_CEILING).
+    about a percent on ring-like modes (see _TRANSMISSION_CEILING).  The
+    operator acts in coefficient space only (``apply_coefficients``); images
+    come from the plan it was extracted from (``output_state_image``).
     """
 
     name: str
@@ -854,23 +855,6 @@ class CoronagraphOperator:
         v = self.mode_coefficients
         z = v.conj().T @ np.asarray(coeffs, dtype=complex)
         return v @ (self.transmissions * z)
-
-    def apply(self, field):
-        """Apply the truncated operator to a focal-plane field."""
-        return self.fields.synthesize(self.apply_coefficients(self.fields.project(field)))
-
-    @property
-    def output_grid(self):
-        """Grid of the fields the operator returns: its mode set's."""
-        return self.fields.grid
-
-    def _stage_source(self, polar):
-        """The output coefficients of a unit point source at ``polar``."""
-        return self.apply_coefficients(source_coefficients(self.fields.basis, *polar))
-
-    def _render_source(self, coeffs, image, weight):
-        """Add weight times the intensity of staged coefficients into ``image``."""
-        _add_intensity(image, self.fields.synthesize(coeffs).samples, weight)
 
 
 def _rows_to_box(n, box, focal_dx, groups):
@@ -1099,32 +1083,31 @@ def _pupil_source(grid):
     return box, disk, x, y
 
 
-def _stage_scene(target, scene, star_only=False):
+def _stage_scene(plan, scene, star_only=False):
     """Stage the star and planet of ``scene`` (the star alone with ``star_only``).
 
     Returns a tuple of (state, weight) pairs, one per source, the state
-    from the target's ``_stage_source``: a pupil-fed plan's last
-    pupil-plane field on its Lyot box, a focal-fed plan's source position,
-    or an operator's output coefficients.
+    from the plan's ``_stage_source``: a pupil-fed plan's last pupil-plane
+    field on its Lyot box, or a focal-fed plan's source position.
     """
     if star_only:
         # the weight 1.0 of a bare star leaves its intensity as it is
         sources = ((scene.star_polar, 1.0),)
     else:
         sources = ((scene.star_polar, 1.0 - scene.b), (scene.planet_polar, scene.b))
-    return tuple((target._stage_source(p), w) for p, w in sources)
+    return tuple((plan._stage_source(p), w) for p, w in sources)
 
 
-def output_state_image(target, scene, star_only=False):
-    """Detected intensity of a two-point scene through a coronagraph.
+def output_state_image(plan, scene, star_only=False):
+    """Detected intensity of a two-point scene through a coronagraph plan.
 
-    ``target`` is either a CoronagraphOperator (source fields enter
-    through their analytic mode coefficients) or a PropagatorPlan, whose
-    chain renders each source: the vortex image is the full-grid chain's
-    bit for bit, and the PIAACMC image, one FFT per source, agrees with it
-    to within 1e-13 of its peak.  ``scene`` is a Scene, or the scene's
-    sources staged for this target by ``_stage_scene``, which carry their
-    own ``star_only``.
+    The plan's chain renders each source: the vortex image is the
+    full-grid chain's bit for bit, and the PIAACMC image, one FFT per
+    source, agrees with it to within 1e-13 of its peak.  An extracted
+    operator renders no image; its detected energies are modal
+    (``classical_info``).  ``scene`` is a Scene, or the scene's sources
+    staged for this plan by ``_stage_scene``, which carry their own
+    ``star_only``.
 
     Every source is staged before the image is allocated
     (``_stage_source``).  A pupil-fed source is the tilted aperture field
@@ -1149,16 +1132,16 @@ def output_state_image(target, scene, star_only=False):
     source of a plan's image must keep the |s| + 3 margin of
     ``optics.check_source_in_window``, or ValueError names its separation:
     a pupil-fed source beyond it would wrap to the other side of the
-    window.  The returned array lives on the target's
-    ``output_grid``: the mode-set grid of an operator, the FFT conjugate
-    of the plan grid for pupil-fed chains.  Weighted by that grid's dx^2
-    it integrates to the transmitted energy, at most 1.  ``star_only``
-    renders the b -> 0 limit: the bare star term at unit weight.
+    window.  The returned array lives on the plan's ``output_grid``, the
+    FFT conjugate of the plan grid for pupil-fed chains.  Weighted by that
+    grid's dx^2 it integrates to the transmitted energy, at most 1.
+    ``star_only`` renders the b -> 0 limit: the bare star term at unit
+    weight.
     """
-    terms = scene if isinstance(scene, tuple) else _stage_scene(target, scene, star_only)
-    n = target.output_grid.n_pixels
+    terms = scene if isinstance(scene, tuple) else _stage_scene(plan, scene, star_only)
+    n = plan.output_grid.n_pixels
     # zeros plus the first weighted term is that term exactly
     image = np.zeros((n, n))
     for state, weight in terms:
-        target._render_source(state, image, weight)
+        plan._render_source(state, image, weight)
     return image

@@ -519,14 +519,20 @@ class ModeFieldSet:
     (the radial factor per order per distinct radius) and ``radius_index``
     (int32, one entry per quadrant pixel).
 
+    The set exists for extraction (``coronagraph.extract_operator``),
+    which reduces its raw samples in one pass and builds no field from
+    coefficients.  ``field`` samples one mode and ``project`` takes a
+    field's coefficients: the grid references that the extracted
+    operators are checked against.
+
     Every pass samples the modes on the quadrant's (n/2 + 1)^2 pixels only,
     unrotated, in blocks of whole quadrant rows (``_raw_blocks``), and
     reaches the grid through the parities of Theta_m: the Gram matrix and
-    ``project`` fold, ``field`` and ``synthesize`` unfold with the parity
-    signs.  A rotated basis is the unrotated samples turned pair by pair
-    (``_turn``), which the passes apply with ``transform`` on the small
-    side.  Beyond its tables a pass holds one block, no more bytes than
-    count x _ROW_BLOCK grid rows of float64, and its angular rows.
+    ``project`` fold, and ``field`` unfolds with the parity signs.  A
+    rotated basis is the unrotated samples turned pair by pair (``_turn``),
+    which the passes apply with ``transform`` on the small side.  Beyond
+    its tables a pass holds one block, no more bytes than count x
+    _ROW_BLOCK grid rows of float64, and its angular rows.
     """
 
     basis: FourierZernikeBasis
@@ -674,28 +680,6 @@ class ModeFieldSet:
         for rows, block in self._raw_blocks():
             acc += _fold_products(parts, rows, block, groups)
         return (self._mix @ acc).view(samples.dtype)[:, 0] * (self.grid.dx * self.grid.dx)
-
-    def synthesize(self, coeffs):
-        """Field sum_k coeffs_k chi_k on the grid.
-
-        The coefficients are folded into the raw basis first (c transform,
-        as real and imaginary rows), so each block and mirror image takes
-        one real product, the image's parity signs on the weights.
-        """
-        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
-        if coeffs.shape != (self.count,):
-            raise ValueError("one coefficient per mode required")
-        weights = coeffs.view(np.float64).reshape(-1, 2).T @ self._mix
-        n = self.grid.n_pixels
-        samples = np.empty((n, n), dtype=complex)
-        parts = samples.view(np.float64).reshape(n, n, 2)
-        for rows, block in self._raw_blocks():
-            images = {
-                image: ((weights * signs) @ block).T.reshape(-1, n // 2 + 1, 2)
-                for image, signs in zip(_IMAGES, self._image_signs)
-            }
-            _unfold_into(parts, rows, images)
-        return OpticalField(samples, "focal", self.grid.half_width)
 
     def gram(self):
         """Gram matrix of the modes on the grid, from ``raw_gram``: no pass over the samples."""

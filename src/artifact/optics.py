@@ -206,8 +206,10 @@ class TelescopePrescription:
     photon_flux_hz: float
 
     def __post_init__(self):
-        if self.photon_flux_hz <= 0:
-            raise ValueError("photon_flux_hz must be positive")
+        if not 0.0 < self.photon_flux_hz < math.inf:
+            raise ValueError(
+                f"photon_flux_hz must be positive and finite, got {self.photon_flux_hz!r}"
+            )
 
 
 _PRESCRIPTION_KEYS = tuple(f.name for f in fields(TelescopePrescription))

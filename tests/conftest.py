@@ -6,7 +6,7 @@ only its 231 x 231 transform and sampling tables on one grid quadrant;
 the build process peaks at 144 MB.  Each coronagraph extraction against
 it takes 0.6-0.9 s (perfect 0.58 s, PIAACMC 0.75 s, vortex 0.94 s), and
 every other pass over the set regenerates the quadrant's samples:
-0.35-0.46 s for one ``field``, ``project``, ``synthesize`` or ``gram``.
+0.35-0.46 s for one ``field`` or ``project``; ``gram`` makes no pass.
 Sampling every pixel of the grid, the same steps took 6.5 s and 149 MB,
 2.2-3.6 s and 1.0-2.4 s.  All of them are session scoped and nothing is
 kept on disk: each session extracts afresh.

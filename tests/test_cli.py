@@ -415,31 +415,41 @@ def test_tables_rerun_is_byte_identical(table2_runs):
     assert first == rerun
 
 
+_THREAD_RUNS = {
+    "table2": ["tables", "--table", "2", "--config", str(_CONFIG)],
+    "table3": ["tables", "--table", "3", "--config", str(_CONFIG)],
+    "budget-map": ["bounds", "--target", "budget-map", "--config", str(_CONFIG)],
+    "montecarlo": ["montecarlo", "--trials", "40", "--n-max", "6"],
+    "spiral": ["montecarlo", "--spiral", "2", "--trials", "30", "--n-max", "6"],
+}
+
+
 def test_tables_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
     # every reduction behind the rows has a fixed order: the perfect
     # chain's coefficient is not a threaded BLAS dot, whose sum moved the
     # last digit of its rows between 1 and 2 OpenBLAS threads, and the
-    # quotient sums of the localization rows add row blocks in turn.  Each
+    # quotient sums of the localization rows add row blocks in turn.  The
+    # budget map and the Monte-Carlo runs are held to the same bytes.  Each
     # run is a process of its own, since OpenBLAS reads the count at
     # start-up, and its manifest records that count
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
     env["PYTHONPATH"] = str(src)
-    for table, name in (("2", "detection"), ("3", "localization")):
+    for name, command in _THREAD_RUNS.items():
         runs = {}
         for threads in (1, 2):
-            out = tmp_path / f"{table}-{threads}"
-            argv = [sys.executable, "-m", "artifact.cli", "tables", "--table", table]
-            argv += ["--config", str(_CONFIG), "--out-dir", str(out)]
+            argv = [sys.executable, "-m", "artifact.cli", *command]
+            argv += ["--out-dir", str(tmp_path / f"{name}-{threads}")]
             runs[threads] = subprocess.Popen(
                 argv, env=dict(env, OPENBLAS_NUM_THREADS=str(threads)), stdout=subprocess.DEVNULL
             )
-        assert [run.wait(timeout=300) for run in runs.values()] == [0, 0]
-        csvs = [(tmp_path / f"{table}-{t}" / f"{name}_times.csv").read_bytes() for t in runs]
-        assert csvs[0] == csvs[1]
-        for threads in runs:
-            manifest = tmp_path / f"{table}-{threads}" / "tables_manifest.json"
-            assert json.loads(manifest.read_text())["libraries"]["blas_threads"] in (None, threads)
+        assert [run.wait(timeout=300) for run in runs.values()] == [0, 0], name
+        outs = [tmp_path / f"{name}-{threads}" for threads in runs]
+        csvs = [{p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))} for out in outs]
+        assert csvs[0] and csvs[0] == csvs[1], name
+        for threads, out in zip(runs, outs):
+            manifest = json.loads(next(out.glob("*_manifest.json")).read_text())
+            assert manifest["libraries"]["blas_threads"] in (None, threads)
 
 
 def test_tables_localization_rows(tmp_path):
@@ -839,6 +849,20 @@ def test_bounds_budget_map_values_round_trip(tmp_path):
         prescription=load_prescription(_CONFIG),
     )
     np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", skiprows=2), rows)
+
+
+@pytest.mark.parametrize("flux", ["nan", "inf"])
+def test_bounds_budget_map_nonfinite_flux_exits_2(flux, tmp_path, capsys):
+    # these exited 0 with a seconds column of nan and of 0
+    config = tmp_path / "telescope.cfg"
+    text = _CONFIG.read_text()
+    assert "photon_flux_hz = 6e7" in text
+    config.write_text(text.replace("photon_flux_hz = 6e7", f"photon_flux_hz = {flux}"))
+    out = tmp_path / "out"
+    argv = ["bounds", "--target", "budget-map", *_BOUNDS_GRID, "--jobs", "1"]
+    assert main(argv + ["--config", str(config), "--out-dir", str(out)]) == 2
+    assert "photon_flux_hz" in capsys.readouterr().err
+    assert not out.exists()  # no CSV, nor the directory for one
 
 
 @pytest.mark.parametrize("target", ["qce", "budget-map"])

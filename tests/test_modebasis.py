@@ -514,29 +514,22 @@ def test_mode_stack_fields_are_normalized(stack20):
         assert stack20.field(k).norm() == pytest.approx(1.0, abs=1e-5)
 
 
-def test_project_synthesize_roundtrip():
+def test_project_recovers_a_mode():
     fields = mode_field_stack(FourierZernikeBasis(6), GridSpec(256, 8.0))
     coeffs = fields.project(fields.field(3))
     expect = np.zeros(fields.count)
     expect[3] = 1.0
     assert_allclose(coeffs.real, expect, atol=1e-6)
-    rebuilt = fields.synthesize(coeffs)
-    assert np.max(np.abs(rebuilt.samples - fields.field(3).samples)) < 1e-5
 
 
-def test_project_and_synthesize_match_dense_products_over_a_partial_chunk():
+def test_project_matches_dense_products_over_a_partial_chunk():
     fields = mode_field_stack(FourierZernikeBasis(11), GridSpec(300, 8.0))
     dense = np.stack([fields.field(k).samples.real.ravel() for k in range(fields.count)])
     rng = np.random.default_rng(11)
     samples = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
-    coeffs = rng.standard_normal(fields.count) + 1j * rng.standard_normal(fields.count)
-    projected = fields.project(OpticalField(samples, "focal", 8.0))
-    cases = [
-        (projected, dense @ samples.ravel() * fields.grid.dx**2),
-        (fields.synthesize(coeffs).samples.ravel(), coeffs @ dense),
-    ]
-    for got, expect in cases:
-        assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+    got = fields.project(OpticalField(samples, "focal", 8.0))
+    expect = dense @ samples.ravel() * fields.grid.dx**2
+    assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
 def _traced_peak(run):
@@ -553,12 +546,10 @@ def test_stack_passes_hold_pixel_chunks_not_stack_copies(stack6):
     # angular rows; the 64-mode slabs of the float32 stack upcast all
     # 28 x 1,048,576 samples, 448-704 MB
     field = stack6.field(3)
-    coeffs = np.linspace(1.0, 2.0, stack6.count)
     plan = perfect_plan(stack6.field(0))
     passes = {
         "gram": stack6.gram,
         "project": lambda: stack6.project(field),
-        "synthesize": lambda: stack6.synthesize(coeffs),
         "extract_operator": lambda: extract_operator(plan, stack6),
     }
     for name, run in passes.items():
@@ -566,22 +557,18 @@ def test_stack_passes_hold_pixel_chunks_not_stack_copies(stack6):
         assert peak < 96 * 2**20, name
 
 
-def test_project_and_synthesize_hold_no_complex_block(stack6):
-    # the raw blocks and the transform are real, so the field and the
-    # coefficients enter as real and imaginary parts: projecting peaks no
-    # higher than the Gram pass plus one block, and synthesizing adds only
-    # its complex result (16 MiB on the default grid).  Upcasting each
-    # float64 block to complex took 42 and 59 MB against the Gram's 28 MB
+def test_project_holds_no_complex_block(stack6):
+    # the raw blocks and the transform are real, so the field enters as
+    # real and imaginary parts: projecting peaks no higher than the Gram
+    # pass plus one block.  Upcasting each float64 block to complex took
+    # 42 MB against the Gram's 28 MB
     rng = np.random.default_rng(3)
     n = stack6.grid.n_pixels
     field = OpticalField(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), "focal", 16.0)
-    coeffs = rng.standard_normal(stack6.count) + 1j * rng.standard_normal(stack6.count)
     block = stack6.count * modebasis._ROW_BLOCK * n * 8
     gram, _ = _traced_peak(stack6._raw_gram)
     project, _ = _traced_peak(lambda: stack6.project(field))
-    synthesize, image = _traced_peak(lambda: stack6.synthesize(coeffs))
     assert project <= gram + block
-    assert synthesize <= gram + block + image.samples.nbytes
 
 
 def test_stack_build_frees_sampling_arrays_before_the_gram():

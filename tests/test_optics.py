@@ -659,6 +659,8 @@ def test_load_prescription_roundtrip(tmp_path):
         (lambda text: text + "diameter_m = 6.0\n", "duplicate config key"),
         (lambda text: text.replace("star_vmag = 5.0", "star_vmag = bright"), "not a number"),
         (lambda text: text + "just words\n", "expected key=value"),
+        (lambda text: text.replace("= 6e7", "= nan"), "photon_flux_hz must be positive and finite"),
+        (lambda text: text.replace("= 6e7", "= inf"), "photon_flux_hz must be positive and finite"),
     ],
 )
 def test_load_prescription_bad_lines(tmp_path, mutate, complaint):
