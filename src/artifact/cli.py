@@ -30,8 +30,10 @@ rows (perfect, PIAACMC, vortex), the ``seconds`` from building the plan to
 the end of its row and the process's ``peak_rss_mb`` then; ``coronagraph
 --output eigenmodes`` adds ``diagnostics`` too: the smallest eigenvalue of the
 sampled modes' scaled Gram matrix (``gram_floor``), the largest
-|transmission| (``max_abs_transmission``) and the ceiling that extraction
-enforces on it (``transmission_ceiling``).  Exit code 0
+|transmission| (``max_abs_transmission``), the ceiling that extraction
+enforces on it (``transmission_ceiling``) and, under ``stages``, the
+``seconds`` and the process's ``peak_rss_mb`` at the end of the ``plan``
+build and of ``extract_operator``.  Exit code 0
 means success, 2 a configuration or usage error, 3 numerical
 non-convergence or another numerical failure (any ``ArithmeticError``,
 such as an overflow).  Telescope prescriptions come from ``--config`` or,
@@ -324,11 +326,13 @@ def _chain_rows(row):
         t0 = time.perf_counter()
         # no name holds the plan, so it is freed before the next is built
         rows[design] = row(_get_plan(design))
-        chains[design] = {
-            "seconds": round(time.perf_counter() - t0, 3),
-            "peak_rss_mb": _peak_rss_mb(),
-        }
+        chains[design] = _stage_cost(t0)
     return rows, chains
+
+
+def _stage_cost(t0):
+    """The ``seconds`` since ``t0`` (``time.perf_counter``) and the ``peak_rss_mb`` now."""
+    return {"seconds": round(time.perf_counter() - t0, 3), "peak_rss_mb": _peak_rss_mb()}
 
 
 def _detection_exponents(scene):
@@ -459,7 +463,9 @@ def cmd_coronagraph(args):
         r_values = parse_axis(args.r_delta_over_sigma)
         # planet_throughput's probe source sits at the separation itself
         _check_separations(r_values, lambda r: r)
+    t0 = time.perf_counter()
     plan = _get_plan(args.design)
+    plan_cost = _stage_cost(t0)
     out = _out_dir(args)
     comment = _comment(args.seed)
     diagnostics = {}
@@ -470,7 +476,9 @@ def cmd_coronagraph(args):
         write_raster(path, image)
         detail = f"star_only={args.star_only}"
     elif args.output == "eigenmodes":
+        t0 = time.perf_counter()
         op = extract_operator(plan, FourierZernikeBasis(args.n_max))
+        stages = {"plan": plan_cost, "extract_operator": _stage_cost(t0)}
         path = out / f"{args.design}_modes.csv"
         _write_csv(
             path,
@@ -483,6 +491,7 @@ def cmd_coronagraph(args):
             "gram_floor": op.fields.gram_floor,
             "max_abs_transmission": float(np.max(np.abs(op.transmissions))),
             "transmission_ceiling": _TRANSMISSION_CEILING,
+            "stages": stages,
         }
     else:
         rows = [

@@ -822,6 +822,9 @@ def vortex_plan(grid=None):
 # observed.  Anything above the ceiling indicates a broken extraction.
 _TRANSMISSION_CEILING = 1.45
 
+# functions (or modes) per batch of extraction's box-sized products
+_BOX_FUNCTIONS = 16
+
 
 @dataclass(frozen=True)
 class CoronagraphOperator:
@@ -860,18 +863,20 @@ class CoronagraphOperator:
 def _rows_to_box(n, box, focal_dx, groups):
     """inverse_propagate from the quadrant rows of a pass onto a pupil ``box``, as an MFT.
 
-    Returns step(rows, block): for a real (k, rows x (n/2 + 1)) block of
-    samples on the quadrant rows ``rows`` (``ModeFieldSet._raw_blocks``),
-    whose row runs ``groups`` list with their parities, the complex
-    (k, box rows, box cols) share of those rows in the k inverse transforms
-    on ``box`` of the fields that the samples unfold to on the grid;
-    summed over the blocks of a pass it is ``inverse_propagate`` there,
-    scaled by the focal dx^2 as that is.  Each axis's kernel is folded
-    onto the quadrant with the parity, K(+u) + parity K(-u)
-    (``_fold_rows``), so the unpaired offset -n/2 enters as parity K(-n/2),
-    which is real.  The column transform comes first, one real product per
-    run against the kernel's interleaved real and imaginary parts, then
-    the rows.
+    Returns step(rows, block, out): for a real (k, rows x (n/2 + 1)) block
+    of samples on the quadrant rows ``rows`` (``ModeFieldSet._raw_blocks``),
+    whose row runs ``groups`` list with their parities, it adds to the
+    complex (k, box rows, box cols) ``out`` the share of those rows in the
+    k inverse transforms on ``box`` of the fields that the samples unfold
+    to on the grid; summed over the blocks of a pass it is
+    ``inverse_propagate`` there, scaled by the focal dx^2 as that is.
+    Each axis's kernel is folded onto the quadrant with the parity,
+    K(+u) + parity K(-u) (``_fold_rows``), so the unpaired offset -n/2
+    enters as parity K(-n/2), which is real.  The column transform comes
+    first, one real product per run against the kernel's interleaved real
+    and imaginary parts, then the rows, _BOX_FUNCTIONS functions at a
+    time: a step holds no box-sized array of its own beyond one such
+    batch.
     """
     quadrant = slice(0, n // 2 + 1)
     ey = _centered_dft_matrix(n, box[0], slice(0, n)).conj() * focal_dx**2
@@ -880,14 +885,15 @@ def _rows_to_box(n, box, focal_dx, groups):
     kx = {p: _fold_rows(ex.T, quadrant, p).view(np.float64) for p in (1, -1)}
     cols = ex.shape[0]
 
-    def step(rows, block):
+    def step(rows, block, out):
         r = rows.stop - rows.start
-        out = np.empty((len(block), ky[1].shape[0], cols), dtype=complex)
         for run, px, py in groups:
-            part = block[run].reshape(-1, kx[px].shape[0])
-            t = (part @ kx[px]).view(complex).reshape(run.stop - run.start, r, cols)
-            out[run] = ky[py][:, rows] @ t
-        return out
+            row_kernel = ky[py][:, rows]
+            for lo in range(run.start, run.stop, _BOX_FUNCTIONS):
+                batch = slice(lo, min(lo + _BOX_FUNCTIONS, run.stop))
+                part = block[batch].reshape(-1, kx[px].shape[0])
+                t = (part @ kx[px]).view(complex).reshape(batch.stop - lo, r, cols)
+                out[batch] += row_kernel @ t
 
     return step
 
@@ -946,6 +952,14 @@ def _chain_matrix(plan, basis):
     sampled one is not.  The output is F G_k for the last pupil-plane
     field G_k, and F is unitary, so M_jk = dx_p^2 sum_box
     conj(F^-1 chi_j) G_k.
+
+    Each block's transforms add into ``raw_inputs`` in place.  After the
+    pass the starts are formed and run through the box steps
+    _BOX_FUNCTIONS modes at a time, and the modes' own transforms
+    (``inputs``) are conjugated in place for M, so the box-sized arrays
+    held are ``raw_inputs``, ``inputs`` and the outputs G: at n_max 30 on
+    the default grid 35.4 + 31.5 + 31.5 MB, where the starts, their
+    difference's temporary and the conjugate copy added 94.5 MB more.
     """
     grid = plan.output_grid
     n = grid.n_pixels
@@ -974,7 +988,7 @@ def _chain_matrix(plan, basis):
             return
         if rows.start == 0:
             centre[...] = block[:, 0]
-        raw_inputs[...] += to_box(rows, block)
+        to_box(rows, block, raw_inputs)
 
     if isinstance(basis, ModeFieldSet):
         fields = basis
@@ -994,16 +1008,21 @@ def _chain_matrix(plan, basis):
     if shift:
         masked = fields._shifted_mix(shift)
         # the plan's phase is 0 at the centre pixel, whose kernel entry is 1
-        starts = masked @ flat - (masked @ centre)[:, None] * grid.dx**2
-    else:
-        starts = inputs
+        centre_terms = (masked @ centre)[:, None] * grid.dx**2
     outputs = np.empty((count, flat.shape[1]), dtype=complex)  # last pupil-plane field G_k
-    for k in range(count):
-        v = starts[k].reshape(shape[1:])
-        for step in steps:
-            v = step(v)
-        outputs[k] = v.ravel()
-    matrix = (inputs.conj() @ outputs.T) * plan.grid.dx**2
+    for lo in range(0, count, _BOX_FUNCTIONS):
+        modes = slice(lo, min(lo + _BOX_FUNCTIONS, count))
+        if shift:
+            starts = masked[modes] @ flat
+            starts -= centre_terms[modes]
+        else:
+            starts = inputs[modes]
+        for k, start in enumerate(starts, start=lo):
+            v = start.reshape(shape[1:])
+            for step in steps:
+                v = step(v)
+            outputs[k] = v.ravel()
+    matrix = (np.conjugate(inputs, out=inputs) @ outputs.T) * plan.grid.dx**2
     return fields, matrix
 
 
@@ -1042,10 +1061,13 @@ def extract_operator(plan, basis):
     there.  The samples, the Gram matrix and the transforms run on one
     quadrant of the grid, folded by the modes' parities, and the vortex's
     mask enters as a shift of the angular order.  On the default grid at
-    n_max 6 the vortex extraction from a basis takes 0.46 s on a shared
-    2-core machine and peaks at 23.6 MiB of ``tracemalloc`` on a built
-    plan (1.11 s and 28.6 MiB over whole grid rows).  The perfect chain is
-    the Gram matrix less a rank-one term, summed in the same pass.
+    n_max 6 the vortex extraction from a basis takes 0.45 s on a shared
+    2-core machine and peaks at 15.3 MiB of ``tracemalloc`` on a built
+    plan (23.6 MiB with 32-row blocks, one-call radial tables and box sums
+    and chain inputs formed whole; 28.6 MiB over whole grid rows).  At
+    n_max 20 / 30 it takes 4.6 / 10.3 s and the process's ``ru_maxrss``
+    reads 127 / 194 MB (194 / 332 MB before).  The perfect chain is the
+    Gram matrix less a rank-one term, summed in the same pass.
     """
     prebuilt = isinstance(basis, ModeFieldSet)
     if (basis.basis if prebuilt else basis).n_max > _MAX_EXTRACTION_ORDER:

@@ -186,10 +186,12 @@ def _cramer_rao_bracket(k11, k22, r_delta):
     """
     if np.any(k11 <= 0.0) or np.any(k22 <= 0.0):
         raise ValueError(f"Fisher matrix is singular at r_delta={r_delta:g}")
-    r_sq = r_delta * r_delta
-    if r_sq == math.inf or np.any(k22 == math.inf):
-        raise ValueError(f"separation r_delta={r_delta:g} is too large: r^2/K_22 overflows")
-    with np.errstate(over="ignore"):  # a tiny K_22 gives an infinite variance
+    # a numpy r squares to inf with a warning, and a tiny K_22 gives an
+    # infinite variance: both overflows are silenced and the first named
+    with np.errstate(over="ignore"):
+        r_sq = r_delta * r_delta
+        if r_sq == math.inf or np.any(k22 == math.inf):
+            raise ValueError(f"separation r_delta={r_delta:g} is too large: r^2/K_22 overflows")
         return 1.0 / k11 + r_sq / k22
 
 

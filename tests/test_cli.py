@@ -956,8 +956,19 @@ def test_coronagraph_eigenmodes_manifest_diagnostics(design, tmp_path):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "coronagraph_manifest.json").read_text())
     diagnostics = manifest["diagnostics"]
-    assert set(diagnostics) == {"gram_floor", "max_abs_transmission", "transmission_ceiling"}
+    assert set(diagnostics) == {
+        "gram_floor", "max_abs_transmission", "transmission_ceiling", "stages",
+    }
     assert diagnostics["transmission_ceiling"] == coronagraph._TRANSMISSION_CEILING
+    # the plan build and the extraction, each with its time and the
+    # process's peak RSS at its end, which cannot fall
+    stages = diagnostics["stages"]
+    assert set(stages) == {"plan", "extract_operator"}
+    for stage in stages.values():
+        assert set(stage) == {"seconds", "peak_rss_mb"}
+        assert stage["seconds"] >= 0.0
+    assert 0.0 < stages["plan"]["peak_rss_mb"] <= stages["extract_operator"]["peak_rss_mb"]
+    assert stages["extract_operator"]["peak_rss_mb"] <= manifest["peak_rss_mb"]
     # the sampled modes of every design are the same well-conditioned set
     assert 0.9 < diagnostics["gram_floor"] <= 1.0
     rows = (tmp_path / f"{design}_modes.csv").read_text().splitlines()[2:]

@@ -42,7 +42,7 @@ from artifact.coronagraph import (
     vortex_plan,
     write_raster,
 )
-from artifact.modebasis import FourierZernikeBasis, mode_field_stack
+from artifact.modebasis import FourierZernikeBasis, _pass_layout, mode_field_stack
 from artifact.optics import (
     AIRY_SIGMA,
     GridSpec,
@@ -1103,9 +1103,11 @@ def test_extraction_memory_beyond_the_stack(plan_vortex, stack6):
 
 def test_extraction_from_a_basis_holds_no_stack():
     # each mode is sampled once, in blocks of quadrant rows, and no stack is
-    # kept: the float32 n6 stack alone was 112 MiB.  Measured 23.6 MiB of
-    # tracemalloc; 28.6 MiB when every block spanned whole grid rows and
-    # the pass held a full-grid radius map
+    # kept: the float32 n6 stack alone was 112 MiB.  Measured 15.3 MiB of
+    # tracemalloc, the post-pass, with 1.7 MiB of margin here; 23.6 MiB
+    # with 32-row blocks, a one-call radial table and box sums and chain
+    # inputs formed whole, 28.6 MiB when every block spanned whole grid
+    # rows and the pass held a full-grid radius map
     plan = vortex_plan()
     tracemalloc.start()
     try:
@@ -1113,7 +1115,35 @@ def test_extraction_from_a_basis_holds_no_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2**20
+    assert peak < 17 * 2**20
+
+
+def test_extraction_holds_no_order_sized_array_beyond_its_own():
+    # the order-sized arrays of a vortex extraction are the tables, the
+    # box transforms of the sampled functions (raw_inputs), the modes' own
+    # (inputs) and the chain's outputs: the box sums, the starts and the
+    # conjugate in M take no fresh copies.  The 31 x 31 box of a 128-pixel
+    # grid puts inputs and outputs (7.1 MB at n20) above one pass block
+    # (3.8 MB), and the count x count and count x functions matrices of the
+    # set and its shifted mix, 3.4 MB measured, fit in the margin of four
+    # count x functions complex arrays.  With three more inputs-sized
+    # arrays and a fresh box sum per block it read 22.0 MB, against 15.0
+    plan = vortex_plan(GridSpec(128, 4.0))
+    plan._box_chain
+    basis = FourierZernikeBasis(20)
+    functions, _ = _pass_layout(basis.n_max, plan.charge)
+    box = plan.pupil_box
+    box_pixels = (box[0].stop - box[0].start) * (box[1].stop - box[1].start)
+    tracemalloc.start()
+    try:
+        fields, _ = _chain_matrix(plan, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = fields.radial.nbytes + fields.radius_index.nbytes
+    held = tables + (len(functions) + 2 * basis.count) * box_pixels * 16
+    assert box_pixels == 31 * 31
+    assert peak <= held + 4 * basis.count * len(functions) * 16
 
 
 def test_extraction_svd_failure_is_a_runtime_error(monkeypatch):

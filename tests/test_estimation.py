@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
-from artifact import estimation
+from artifact import estimation, modebasis
 from artifact.estimation import (
     _nelder_mead,
     _outcome_probabilities,
@@ -122,6 +122,22 @@ def test_coarse_table_matches_single_scene_build(basis10, table10):
             rows.append(np.append(p, max(1.0 - float(p.sum()), 0.0)))
     expect = np.log(np.maximum(np.array(rows), 1e-300))
     assert np.array_equal(lp, expect)
+
+
+def test_coarse_table_evaluates_one_radial_row_per_separation(basis10, monkeypatch):
+    # at b = 1e-9 every star sits on axis, and the 64 planets of a
+    # separation share one radius: one row of n_max + 1 Bessel points per
+    # separation, where each planet had its own row (45,056 points at n10)
+    points = []
+    bessel_j = modebasis.bessel_j
+
+    def counting_bessel_j(n, x):
+        points.append(np.broadcast(n, x).size)
+        return bessel_j(n, x)
+
+    monkeypatch.setattr(modebasis, "bessel_j", counting_bessel_j)
+    coarse_table(basis10, 1e-9)
+    assert sum(points) == 64 * (basis10.n_max + 1)
 
 
 # ----------------------------------------------------------------- estimator

@@ -265,6 +265,41 @@ def test_radial_factor_keeps_on_axis_radii_from_bessel(monkeypatch):
     assert radial[0, 0] == 1.0 and not radial[1:, 0].any()
 
 
+def test_radius_tables_match_the_one_call_build_across_chunks(monkeypatch):
+    # filled a chunk of radii at a time and indexed by searchsorted, the
+    # tables are the bits of one _radial_factor call over np.unique's
+    # distinct radii and its inverse; 100-radius chunks split the 457
+    # distinct radii of this quadrant unevenly, the on-axis one in the first
+    monkeypatch.setattr(modebasis, "_RADIAL_CHUNK", 100)
+    basis, grid = FourierZernikeBasis(5), GridSpec(64, 8.0)
+    radial, index = modebasis._radius_tables(basis, grid)
+    offsets = grid.dx * np.arange(grid.n_pixels // 2 + 1)
+    radii, inverse = np.unique(np.hypot(offsets, offsets[:, None]), return_inverse=True)
+    assert radii.size == 457
+    expect = _radial_factor(basis._radial_orders[:, None], radii)
+    assert np.array_equal(radial.view(np.uint64), expect.view(np.uint64))
+    assert index.dtype == np.int32
+    assert np.array_equal(index, inverse.reshape(offsets.size, offsets.size))
+    assert not radial.flags.writeable and not index.flags.writeable
+
+
+@pytest.mark.parametrize("shift", [0, 2])
+@pytest.mark.parametrize("n_max", [2, 20])
+def test_pass_blocks_hold_at_most_sixteen_grid_rows_of_every_mode(n_max, shift):
+    # a block of raw samples, the vortex's extra functions included, holds
+    # no more float64 bytes than 16 grid rows of every mode (32 before)
+    basis, grid = FourierZernikeBasis(n_max), GridSpec(64, 7.3)
+    sizes, rows_seen = [], []
+
+    def visit(rows, block):
+        sizes.append(block.nbytes)
+        rows_seen.extend(range(rows.start, rows.stop))
+
+    mode_field_stack(basis, grid, visit, shift)
+    assert rows_seen == list(range(grid.n_pixels // 2 + 1))
+    assert max(sizes) <= basis.count * 16 * grid.n_pixels * 8
+
+
 def test_radial_factor_rejects_what_bessel_rejects():
     orders = np.arange(5)
     for bad in (math.nan, math.inf):
@@ -542,9 +577,9 @@ def _traced_peak(run):
 
 
 def test_stack_passes_hold_pixel_chunks_not_stack_copies(stack6):
-    # each pass holds one 28 x 32,768 float64 block of raw samples and its
-    # angular rows; the 64-mode slabs of the float32 stack upcast all
-    # 28 x 1,048,576 samples, 448-704 MB
+    # each pass holds one 28 x 15,903 float64 block of raw samples and the
+    # radial rows of its 7 orders; the 64-mode slabs of the float32 stack
+    # upcast all 28 x 1,048,576 samples, 448-704 MB
     field = stack6.field(3)
     plan = perfect_plan(stack6.field(0))
     passes = {
@@ -573,7 +608,7 @@ def test_project_holds_no_complex_block(stack6):
 
 def test_stack_build_frees_sampling_arrays_before_the_gram():
     # the whole n6 build holds the sampling tables and one row block of
-    # raw samples: 20.2 MiB of tracemalloc.  The float32 stack it replaced
+    # raw samples: 10.2 MiB of tracemalloc.  The float32 stack it replaced
     # was 112 MiB on its own, and its build peaked 72.6 MiB above that
     peak, _ = _traced_peak(lambda: mode_field_stack(FourierZernikeBasis(6), GridSpec()))
     assert peak < 32 * 2**20

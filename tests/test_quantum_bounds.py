@@ -1,6 +1,7 @@
 """Tests for the detection and localization quantum limits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,16 @@ def test_bounds_over_the_whole_scene_domain(r, phi, b):
             assert "r_delta" in str(exc)
         else:
             assert value >= 0.0  # False for NaN
+
+
+def test_numpy_separation_overflow_raises_without_a_warning():
+    # r * r of a numpy scalar overflows with a RuntimeWarning, which the
+    # bracket silences before it names the separation
+    fisher = qfim_polar(Scene(np.float64(1e200), 0.3, 1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="r_delta=1e\\+200 is too large"):
+            localization_photons(fisher, 0.1)
 
 
 def test_bounds_keep_finite_values_at_the_domain_edges():
